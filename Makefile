@@ -23,7 +23,7 @@ COVER_FLOOR ?= 60
 # Fuzz smoke budget for `make fuzz-smoke` (native Go fuzzing).
 FUZZTIME ?= 20s
 
-.PHONY: build test test-race bench bench-smoke bench-json bench-perf bench-compare cover examples fmt fmt-check vet scenario-lint scenarios fuzz-smoke ci
+.PHONY: build test test-race bench bench-smoke bench-json bench-perf bench-compare cover examples fmt fmt-check vet scenario-lint scenarios fuzz-smoke perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,16 @@ scenarios:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/scenario/
 
+# The repository benchmark's correctness checks: each workload runs for one
+# second with tracing off. perfbench checks every operation's output and the
+# fixed-input counters committed in perfbench/, and exits 1 unless it
+# reports "correct":true. The list mirrors BENCHMARK.json's workloads.
+perfbench-check:
+	@for w in resv-stream serve-suite cluster-fault; do \
+		echo "== perfbench $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
+
 # Coverage profile across all packages (per-package lines from go test,
 # totals from cover -func); CI uploads cover.out as an artifact and the
 # COVER_FLOOR gate fails the job if total coverage regresses below it.
@@ -113,5 +123,6 @@ vet:
 	$(GO) run ./cmd/vrex-vet ./...
 
 # Same steps as the workflow: build, vet, gofmt, race tests, examples,
-# scenario lint + suite golden, bench smoke + JSON artifact.
-ci: build vet fmt-check test-race examples scenario-lint scenarios bench-smoke bench-json
+# scenario lint + suite golden, benchmark correctness checks, bench smoke +
+# JSON artifact.
+ci: build vet fmt-check test-race examples scenario-lint scenarios perfbench-check bench-smoke bench-json

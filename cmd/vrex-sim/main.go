@@ -53,13 +53,13 @@
 // "spill(evict=lru,pages=16)" with evict drawn from the kvpool eviction
 // registry).
 //
-// -scheduler enables the continuous-batching scheduler plane: ready frames
-// from co-resident sessions coalesce into one hardware step (up to
-// -batch-max) under the named policy — fifo, edf (earliest deadline first)
-// or priority (classes rank by their position in -mix). -slo-ms sets the
-// default per-frame deadline backing the edf ordering and the SLO
-// attainment / goodput / queue-wait metrics; "none" keeps the serial
-// batch-1 timeline.
+// -scheduler names the continuous-batching policy: ready frames from
+// co-resident sessions coalesce into one hardware step (up to -batch-max)
+// under the named policy — fifo, edf (earliest deadline first) or priority
+// (classes rank by their position in -mix). -slo-ms sets the default
+// per-frame deadline backing the edf ordering and the SLO attainment /
+// goodput / queue-wait metrics; "none" (the default) serves one item per
+// step in arrival order, batch-1 fifo.
 //
 // -degrade arms the degradation plane (internal/degrade): the named
 // controller — static, pressure, deadline or hybrid — watches each
@@ -164,7 +164,7 @@ func listPolicies() {
 	for _, n := range serve.BalancerNames() {
 		fmt.Printf("  %s\n", n)
 	}
-	fmt.Println("schedulers (-scheduler; 'none' disables the scheduler plane):")
+	fmt.Println("schedulers (-scheduler; 'none' is batch-1 fifo):")
 	for _, n := range serve.SchedulerNames() {
 		fmt.Printf("  %s\n", n)
 	}
@@ -261,26 +261,20 @@ func verdict(res serve.Result) string {
 // printFleetSummary renders the parts single-fleet and cluster serving runs
 // share: the KV pool and scheduler summary lines and the per-class table.
 func printFleetSummary(cfg serve.Config, res serve.Result) {
-	sched := cfg.Scheduler.Policy
 	if mem := res.Memory; mem.CapacityPages > 0 {
 		fmt.Printf("kv pool: %d pages x %d tokens per device, spill %s | pages in/out %d/%d (%.1f/%.1f ms) | queued %d, rejected %d\n",
 			mem.CapacityPages, mem.PageTokens, cfg.KV.Spill.Name(),
 			mem.PagesIn, mem.PagesOut, 1000*mem.PageInTime, 1000*mem.PageOutTime,
 			mem.SessionsQueued, mem.SessionsRejected)
 	}
-	if sched != nil {
-		bm := cfg.Scheduler.BatchMax
-		if bm <= 0 {
-			bm = serve.DefaultBatchMax
-		}
-		steps := 0
-		for _, dm := range res.PerDevice {
-			steps += dm.Batches
-		}
-		fmt.Printf("scheduler: %s, batch cap %d | %d hardware steps | SLO attainment %.1f%%, goodput %.2f fps, deadline misses %d\n",
-			sched.Name(), bm, steps, 100*res.Aggregate.SLOAttained,
-			res.Aggregate.Goodput, res.Aggregate.DeadlineMisses)
+	sched, bm := cfg.Scheduler.Effective()
+	steps := 0
+	for _, dm := range res.PerDevice {
+		steps += dm.Batches
 	}
+	fmt.Printf("scheduler: %s, batch cap %d | %d hardware steps | SLO attainment %.1f%%, goodput %.2f fps, deadline misses %d\n",
+		sched.Name(), bm, steps, 100*res.Aggregate.SLOAttained,
+		res.Aggregate.Goodput, res.Aggregate.DeadlineMisses)
 	deg := cfg.Degrade.Policy
 	if deg != nil {
 		fmt.Printf("degrade: %s | %d degradations, %d restorations | mean budget %.3f, accuracy proxy %.3f\n",
@@ -289,20 +283,16 @@ func printFleetSummary(cfg serve.Config, res serve.Result) {
 	}
 	fmt.Println()
 
-	classHeaders := []string{"class", "sessions", "arrived", "served", "dropped", "queries", "fps_per_stream", "p50_ms", "p99_ms", "realtime_sessions"}
-	if sched != nil {
-		classHeaders = append(classHeaders, "slo_pct", "goodput_fps", "queue_p99_ms")
-	}
+	classHeaders := []string{"class", "sessions", "arrived", "served", "dropped", "queries", "fps_per_stream", "p50_ms", "p99_ms", "realtime_sessions",
+		"slo_pct", "goodput_fps", "queue_p99_ms"}
 	if deg != nil {
 		classHeaders = append(classHeaders, "mean_budget", "acc_proxy", "degradations", "restorations")
 	}
 	classTab := report.NewTable("serving: per-class metrics", classHeaders...)
 	for _, cm := range append(res.PerClass, res.Aggregate) {
 		row := []any{cm.Class, cm.Sessions, cm.FramesArrived, cm.FramesServed,
-			cm.FramesDropped, cm.QueriesServed, cm.MeanFPS, 1000 * cm.P50, 1000 * cm.P99, cm.RealTimeSessions}
-		if sched != nil {
-			row = append(row, 100*cm.SLOAttained, cm.Goodput, 1000*cm.QueueP99)
-		}
+			cm.FramesDropped, cm.QueriesServed, cm.MeanFPS, 1000 * cm.P50, 1000 * cm.P99, cm.RealTimeSessions,
+			100 * cm.SLOAttained, cm.Goodput, 1000 * cm.QueueP99}
 		if deg != nil {
 			row = append(row, cm.MeanBudget, cm.AccuracyProxy, cm.Degradations, cm.Restorations)
 		}
@@ -440,7 +430,7 @@ func main() {
 	kvCapacity := flag.String("kv-capacity", "0", "serving: per-device KV budget in GB, or 'auto' (0 disables the memory-pressure plane)")
 	spill := flag.String("spill", "none", "serving: spill policy, e.g. 'spill(evict=lru,pages=16)' (see -list-policies)")
 	pageTokens := flag.Int("page-tokens", 0, "serving: KV page size in tokens (0 = default 256)")
-	scheduler := flag.String("scheduler", "none", "serving: continuous-batching scheduler (fifo | edf | priority; 'none' keeps the serial batch-1 timeline)")
+	scheduler := flag.String("scheduler", "none", "serving: continuous-batching scheduler (fifo | edf | priority; 'none' is batch-1 fifo)")
 	batchMax := flag.Int("batch-max", 0, "serving: max frames coalesced per hardware step (0 = default 8; needs -scheduler)")
 	sloMS := flag.Float64("slo-ms", 0, "serving: default per-frame deadline in milliseconds (0 = one frame interval; needs -scheduler)")
 	degradeSpec := flag.String("degrade", "none", "serving: degradation controller, e.g. 'pressure(lo=0.1,hi=0.3)' or 'hybrid' ('none' disables; see -list-policies)")
@@ -641,15 +631,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "recorded %d sessions to %s (replay with -scenario)\n", len(replay.Trace), *recordTrace)
 	}
 
-	sched := cfg.Scheduler.Policy
 	fmt.Printf("%s + %s | %d device(s), %s balancer | %d sessions over %gs | %s, fleet utilization %.0f%%\n",
 		cfg.Dev.Name, cfg.Pol.Name, sc.Devices, cfg.Balancer.Name(), len(res.PerStream), sc.Duration, verdict(res), 100*res.Utilization)
 	printFleetSummary(cfg, res)
 
-	headers := []string{"device", "sessions", "frames", "queries", "util_pct", "peak_kv"}
-	if sched != nil {
-		headers = append(headers, "batches", "qwait_ms")
-	}
+	headers := []string{"device", "sessions", "frames", "queries", "util_pct", "peak_kv", "batches", "qwait_ms"}
 	if res.Memory.CapacityPages > 0 {
 		headers = append(headers, "pages_in", "pages_out", "pagein_ms", "pageout_ms", "queued", "rejected")
 	}
@@ -659,10 +645,8 @@ func main() {
 	}
 	devTab := report.NewTable("serving: per-device metrics", headers...)
 	for d, dm := range res.PerDevice {
-		row := []any{d, dm.Sessions, dm.FramesServed, dm.QueriesServed, 100 * dm.Utilization, dm.PeakResidentKV}
-		if sched != nil {
-			row = append(row, dm.Batches, 1000*dm.MeanQueueWait)
-		}
+		row := []any{d, dm.Sessions, dm.FramesServed, dm.QueriesServed, 100 * dm.Utilization, dm.PeakResidentKV,
+			dm.Batches, 1000 * dm.MeanQueueWait}
 		if res.Memory.CapacityPages > 0 {
 			row = append(row, dm.PagesIn, dm.PagesOut, 1000*dm.PageInTime, 1000*dm.PageOutTime,
 				dm.SessionsQueued, dm.SessionsRejected)

@@ -12,7 +12,7 @@ type View struct {
 	// Nodes is the configured cluster size; Active the nodes in service.
 	Nodes, Active int
 	// Backlog is the mean queued seconds per in-service device (how far
-	// behind real time the fleet's timelines run).
+	// behind real time the fleet's timelines run; see serve.FleetOps.Backlog).
 	Backlog float64
 	// Attainment is the frame SLO attainment over the frames that arrived
 	// since the previous tick (1 when none arrived).

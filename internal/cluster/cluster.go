@@ -405,9 +405,7 @@ func (r *clusterRun) autoscale(now float64, ops *serve.FleetOps) {
 			continue
 		}
 		up++
-		if w := devs[i].Free - now; w > 0 {
-			backlog += w
-		}
+		backlog += ops.Backlog(i)
 	}
 	if up > 0 {
 		backlog /= float64(up)

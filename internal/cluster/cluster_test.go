@@ -250,23 +250,35 @@ func TestAutoscalerScalesOut(t *testing.T) {
 	// Start on one node with an overloading population; the queue scaler
 	// must bring node b into service and node b must end up doing work.
 	// The rebalancer is what physically moves sessions onto the node the
-	// scaler brings up — scale-out alone only makes it routable.
-	cfg := Config{
-		Nodes:           twoNodes(),
-		Base:            baseServe(24),
-		Autoscaler:      mustAutoscaler(t, "queue(hi=0.5,lo=0.01)"),
-		InitialNodes:    1,
-		Rebalance:       RebalanceConfig{MaxMoves: 6, Slack: 1},
-		ControlInterval: 1,
-	}
-	cfg.Base.Stream.FPS = 2
-	res := Run(cfg)
-	if res.PerNode[1].FramesServed == 0 {
-		t.Fatalf("autoscaler never used node b: %+v", res.PerNode)
-	}
-	// Deterministic.
-	if !reflect.DeepEqual(res, Run(cfg)) {
-		t.Fatal("autoscaled run not deterministic")
+	// scaler brings up — scale-out alone only makes it routable. The
+	// scaler's backlog must count queued work, not just the step in flight,
+	// under every policy. Both cases serve one frame per step: at edf's
+	// default batch cap node a absorbs this population on its own.
+	for _, spec := range []string{"none", "edf"} {
+		t.Run(spec, func(t *testing.T) {
+			sched, err := serve.ParseScheduler(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{
+				Nodes:           twoNodes(),
+				Base:            baseServe(24),
+				Autoscaler:      mustAutoscaler(t, "queue(hi=0.5,lo=0.01)"),
+				InitialNodes:    1,
+				Rebalance:       RebalanceConfig{MaxMoves: 6, Slack: 1},
+				ControlInterval: 1,
+			}
+			cfg.Base.Stream.FPS = 2
+			cfg.Base.Scheduler = serve.SchedulerConfig{Policy: sched, BatchMax: 1}
+			res := Run(cfg)
+			if res.PerNode[1].FramesServed == 0 {
+				t.Fatalf("autoscaler never used node b: %+v", res.PerNode)
+			}
+			// Deterministic.
+			if !reflect.DeepEqual(res, Run(cfg)) {
+				t.Fatal("autoscaled run not deterministic")
+			}
+		})
 	}
 }
 

@@ -61,7 +61,7 @@ func TestMemoryExperimentParallelByteIdentical(t *testing.T) {
 }
 
 // TestSLOExperimentParallelByteIdentical: the slo experiment drives the
-// scheduler plane's batched, deadline-ordered device loop — its rendered
+// device loop with batched, deadline-ordered steps — its rendered
 // output must be byte-identical across worker counts 1, 4 and GOMAXPROCS.
 func TestSLOExperimentParallelByteIdentical(t *testing.T) {
 	render := func(workers int) string {

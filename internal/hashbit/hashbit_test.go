@@ -333,96 +333,3 @@ func TestHammingAngleEstimate(t *testing.T) {
 		t.Fatalf("disagreement fraction %v, want ~%v", got, want)
 	}
 }
-
-func TestActiveWindowLRU(t *testing.T) {
-	w := NewActiveWindow(2)
-	if ev := w.Touch(0); ev != -1 {
-		t.Fatal("first insert should not evict")
-	}
-	w.Touch(1)
-	// Touch 0 again: it becomes most recent; inserting 2 evicts 1.
-	w.Touch(0)
-	if ev := w.Touch(2); ev != 1 {
-		t.Fatalf("evicted %d, want 1", ev)
-	}
-	if !w.Contains(0) || !w.Contains(2) || w.Contains(1) {
-		t.Fatalf("window contents wrong: %v", w.Active())
-	}
-	if w.Len() != 2 {
-		t.Fatal("window length wrong")
-	}
-}
-
-func TestActiveWindowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewActiveWindow(0)
-}
-
-func TestWindowedClustererBoundsComparisons(t *testing.T) {
-	const dim, tokens = 32, 8
-	rng := mathx.NewRNG(44)
-	base := NewClusterer(dim, 32, 7, rng.Split())
-	wc := NewWindowedClusterer(base, 4)
-	// Feed many dissimilar frames: the table grows but the active window
-	// stays capped at 4.
-	for f := 0; f < 10; f++ {
-		keys := tensor.NewMatrix(tokens, dim)
-		keys.Randomize(rng, 1)
-		wc.AddFrame(keys, tokens, f*tokens)
-		if wc.Window.Len() > 4 {
-			t.Fatalf("active window exceeded cap: %d", wc.Window.Len())
-		}
-	}
-	if wc.Table.NumTokens() != 80 {
-		t.Fatalf("table tokens = %d, want 80", wc.Table.NumTokens())
-	}
-	if wc.Table.NumClusters() <= 4 {
-		t.Fatal("table should retain inactive clusters beyond the window")
-	}
-}
-
-func TestWindowedClustererStillGroupsSimilar(t *testing.T) {
-	const dim, tokens = 32, 8
-	rng := mathx.NewRNG(45)
-	base := NewClusterer(dim, 32, 7, rng.Split())
-	wc := NewWindowedClusterer(base, 64)
-	f1 := tensor.NewMatrix(tokens, dim)
-	f1.Randomize(rng, 1)
-	f2 := f1.Clone()
-	for i := range f2.Data {
-		f2.Data[i] += rng.Norm32() * 0.02
-	}
-	wc.AddFrame(f1, tokens, 0)
-	n1 := wc.Table.NumClusters()
-	wc.AddFrame(f2, tokens, tokens)
-	if wc.Table.NumClusters()-n1 > tokens/4 {
-		t.Fatal("windowed clusterer failed to group similar frames")
-	}
-}
-
-func TestInsertIntoUpdatesMean(t *testing.T) {
-	tab := NewHCTable(4)
-	sig := make(Signature, 1)
-	tab.Insert(0, []float32{2, 4}, sig)
-	tab.InsertInto(0, 1, []float32{4, 8})
-	c := tab.Clusters[0]
-	if c.Count() != 2 || c.RepKey[0] != 3 || c.RepKey[1] != 6 {
-		t.Fatalf("InsertInto mean wrong: %+v", c)
-	}
-	if tab.ClusterOf(1) != 0 {
-		t.Fatal("token mapping missing")
-	}
-}
-
-func TestInsertIntoPanicsOnBadID(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHCTable(1).InsertInto(0, 0, []float32{1})
-}

@@ -275,19 +275,6 @@ func (t *HCTable) MemoryOverheadBytes(keyDim, sigBits int) int {
 	return len(t.Clusters)*perCluster + t.nTokens*4
 }
 
-// InsertInto adds a token directly to a known cluster (bypassing the
-// nearest-signature search); the windowed clusterer uses it after matching
-// against the active set only. It returns the cluster ID.
-func (t *HCTable) InsertInto(clusterID, tokenIdx int, key []float32) int {
-	if clusterID < 0 || clusterID >= len(t.Clusters) {
-		panic(fmt.Sprintf("hashbit: cluster ID %d out of range", clusterID))
-	}
-	c := t.Clusters[clusterID]
-	c.addMember(tokenIdx, key)
-	t.noteMember(c, tokenIdx)
-	return clusterID
-}
-
 // insertNewCluster founds a cluster unconditionally and returns (id, 0).
 func (t *HCTable) insertNewCluster(tokenIdx int, key []float32, sig Signature) (int, int) {
 	c := &Cluster{

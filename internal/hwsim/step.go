@@ -43,8 +43,8 @@ func (r StepReq) scale() float64 {
 //     attention FLOPs and KV bytes against each stream's own cache, KV
 //     prediction, and KV fetch traffic.
 //
-// A single-request step delegates to Chunk at batch 1, so a batch-1
-// scheduler reproduces the serial per-frame timeline bit for bit; the
+// A single-request step delegates to Chunk at batch 1, so a batch-1 step
+// costs exactly what FrameLatency(n, kv, 1) does for its one stream; the
 // multi-request path below mirrors Chunk's per-stream formulas (frame.go) —
 // keep the two in sync. Requests with no new tokens are ignored. The caller
 // is responsible for per-stream OOM admission (see Sim.OOM); a step whose

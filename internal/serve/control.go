@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -98,6 +97,17 @@ func (o *FleetOps) SessionsOn(d int) []int { return o.e.sessionsOn(d) }
 // KV returns session s's current KV length in tokens.
 func (o *FleetOps) KV(s int) int { return o.e.kv[s] }
 
+// Backlog returns the seconds of work device d has waiting at the tick: the
+// larger of the in-flight step's remaining time and the age of the oldest
+// item on its ready heap (0 when idle).
+func (o *FleetOps) Backlog(d int) float64 {
+	b := o.e.devs[d].Free - o.at
+	for _, it := range o.e.ready[d] {
+		b = max(b, o.at-it.at)
+	}
+	return max(b, 0)
+}
+
 // Drain takes device d out of service gracefully: the device stops
 // receiving new sessions, and every resident session migrates live to a
 // destination the run's balancer picks among the remaining up devices —
@@ -168,8 +178,8 @@ func (e *engine) takeDown(d int, at float64, fail bool) {
 	e.devs[d].Down = true
 	e.nDown++
 	e.observeDevice(EventDeviceDown, at, d)
-	if fail && e.sched != nil {
-		e.sched.dropReady(d, at)
+	if fail {
+		e.dropReady(d, at)
 	}
 	for _, s := range e.sessionsOn(d) {
 		dst := e.placeAvailable(s, at)
@@ -273,15 +283,8 @@ func (e *engine) migrateSession(s, dst int, at float64, lossy bool) {
 		e.devMetrics[dst].MigrationTime += dstT
 	}
 	e.sessions[s].device = dst
-	if e.plane == nil {
-		e.devs[dst].ResidentKV += e.kv[s]
-		e.trackPeak(dst)
-	} else {
-		e.plane.state[s] = e.admit(s, dst, at)
-	}
-	if e.sched != nil {
-		e.sched.moveReady(s, src, dst, at)
-	}
+	e.admit(s, dst, at)
+	e.moveReady(s, src, dst, at)
 	e.observeMigration(at, s, dst, cost)
 }
 
@@ -317,50 +320,4 @@ func (e *engine) observeMigration(at float64, s, dst int, cost float64) {
 		Class: e.classes[e.sessions[s].class].Name, Device: dst,
 		Latency: cost, KV: e.kv[s],
 	})
-}
-
-// moveReady re-homes session s's queued ready items from device src to dst,
-// keeping their policy keys and arrival order, and wakes dst up.
-func (r *schedRun) moveReady(s, src, dst int, at float64) {
-	kept := r.ready[src][:0]
-	var moved []readyItem
-	for _, it := range r.ready[src] {
-		if it.session == s {
-			moved = append(moved, it)
-		} else {
-			kept = append(kept, it)
-		}
-	}
-	if len(moved) == 0 {
-		return
-	}
-	r.ready[src] = kept
-	heap.Init(&r.ready[src])
-	r.ready[dst] = append(r.ready[dst], moved...)
-	heap.Init(&r.ready[dst])
-	if !r.stepScheduled[dst] {
-		t := at
-		if r.devs[dst].Free > t {
-			t = r.devs[dst].Free
-		}
-		r.scheduleStep(dst, t)
-	}
-}
-
-// dropReady drops every queued item on device d (device failure): frames
-// and queries account as dropped and their pending slots resolve.
-func (r *schedRun) dropReady(d int, at float64) {
-	e := r.engine
-	// Drain in heap order so the drop events observe deterministically.
-	for r.ready[d].Len() > 0 {
-		it := heap.Pop(&r.ready[d]).(readyItem)
-		if it.query {
-			e.metrics[it.session].QueriesDropped++
-			e.observe(EventQueryDropped, it.at, it.session, latencyNone)
-		} else {
-			e.metrics[it.session].FramesDropped++
-			e.observe(EventFrameDropped, it.at, it.session, latencyNone)
-		}
-		r.resolve(it.session, at)
-	}
 }

@@ -36,7 +36,7 @@ func TestControlDisabledReducesExactly(t *testing.T) {
 
 func TestControlNoopControllerIsInvisible(t *testing.T) {
 	// A controller that ticks but does nothing must reduce byte-identically,
-	// on both the serial and the scheduled timeline.
+	// under both the zero scheduler (batch-1 fifo) and batched edf.
 	for _, sched := range []string{"", "edf"} {
 		base := controlConfig(4)
 		ticked := controlConfig(4)
@@ -182,8 +182,8 @@ func TestActivateRestoresService(t *testing.T) {
 }
 
 func TestScheduledDrainMovesQueuedWork(t *testing.T) {
-	// Under the scheduler plane, a drained device's queued ready items move
-	// with their sessions and serve at the destination.
+	// A drained device's queued ready items move with their sessions and
+	// serve at the destination.
 	cfg := controlConfig(4)
 	p, err := ParseScheduler("fifo")
 	if err != nil {

@@ -177,7 +177,7 @@ func TestDegradePressureFiresUnderTightPool(t *testing.T) {
 
 // TestDegradeWorkerInvariance pins determinism: the enabled plane's decisions
 // live on the single-threaded device loop, so results are byte-identical for
-// any worker count — with and without the scheduler plane.
+// any worker count — under the zero scheduler and batched edf alike.
 func TestDegradeWorkerInvariance(t *testing.T) {
 	for _, sched := range []string{"", "edf"} {
 		cfg := kvConfig(8, 2, 120*pageBytes250, "spill(evict=lru,pages=4)")

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"strings"
 
 	"vrex/internal/hwsim"
@@ -15,36 +14,45 @@ import (
 // frame times.
 const DefaultBatchMax = 8
 
-// SchedulerConfig configures the per-device continuous-batching scheduler
-// plane. When enabled, frame and query arrivals queue per device and the
-// device forms one hardware step whenever it is free: ready frames coalesce
-// (up to BatchMax) into a single batched step priced by hwsim.Step — one
-// weight read and one fixed host overhead for the whole batch — while
-// queries (prefill + full answer) always execute as solo steps. The policy
-// orders the ready queue; per-class deadlines (StreamClass.SLO) drive the
-// edf policy and the SLO/goodput metrics.
+// SchedulerConfig configures each device's continuous-batching scheduler.
+// Frame and query arrivals queue per device and the device forms one
+// hardware step whenever it is free: ready frames coalesce (up to BatchMax)
+// into a single batched step priced by hwsim.Step — one weight read and one
+// fixed host overhead for the whole batch — while queries (prefill + full
+// answer) always execute as solo steps. Work joins the device timeline when
+// its step forms, so admission paging can land ahead of queued frames and a
+// session's resident KV grows at service time; a departed session's pages
+// stay held until its queued work drains. The policy orders the ready
+// queue; per-class deadlines (StreamClass.SLO) drive the edf policy and the
+// SLO/goodput metrics.
 //
-// The zero value (nil Policy) disables the plane entirely: Run executes the
-// original serial arrival-order timeline byte for byte. An enabled scheduler
-// with the fifo policy and BatchMax 1 reproduces that serial timeline's
-// latencies, drops and service decisions exactly (steps form in arrival
-// order at the same instants); only resident-KV high-water accounting can
-// shift, because the plane counts KV growth at service rather than arrival
-// time and holds a departed session's pages until its queued work drains.
+// The zero value (nil Policy) is fifo with BatchMax 1: one item per step,
+// in arrival order.
 type SchedulerConfig struct {
-	// Policy orders ready work at each batch-formation point; nil disables
-	// the scheduler plane. Build one with ParseScheduler ("fifo", "edf",
-	// "priority") or implement Scheduler directly.
+	// Policy orders ready work at each step-formation point; nil is fifo at
+	// batch 1 (BatchMax is then ignored). Build one with ParseScheduler
+	// ("fifo", "edf", "priority") or implement Scheduler directly.
 	Policy Scheduler
-	// BatchMax caps the frames coalesced into one hardware step
-	// (DefaultBatchMax when 0, 1 restores one-item steps).
+	// BatchMax caps the frames coalesced into one hardware step under a
+	// non-nil Policy (DefaultBatchMax when 0, 1 restores one-item steps).
 	BatchMax int
 	// SLO is the default frame deadline in seconds for classes that leave
 	// StreamClass.SLO unset; 0 falls back to one frame interval (1/FPS).
 	SLO float64
 }
 
-func (c SchedulerConfig) enabled() bool { return c.Policy != nil }
+// Effective returns the policy and frames-per-step cap a run uses: fifo at
+// batch 1 for a nil Policy, otherwise Policy with BatchMax (DefaultBatchMax
+// when 0).
+func (c SchedulerConfig) Effective() (Scheduler, int) {
+	if c.Policy == nil {
+		return fifoSched{}, 1
+	}
+	if c.BatchMax <= 0 {
+		return c.Policy, DefaultBatchMax
+	}
+	return c.Policy, c.BatchMax
+}
 
 // WorkItem is the scheduling policy's view of one queued frame or query.
 type WorkItem struct {
@@ -116,7 +124,7 @@ func RegisterScheduler(name string, f func(*policyspec.Spec) (Scheduler, error))
 func SchedulerNames() []string { return schedulers.Names() }
 
 // ParseScheduler builds a scheduling policy from a policyspec string
-// ("fifo", "edf", "priority"); "" and "none" return nil (plane disabled).
+// ("fifo", "edf", "priority"); "" and "none" return nil (batch-1 fifo).
 func ParseScheduler(spec string) (Scheduler, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || strings.EqualFold(spec, "none") {
@@ -142,176 +150,68 @@ type readyItem struct {
 	query   bool
 }
 
-// readyHeap orders by (policy key, arrival time, schedule sequence): policy
-// first, arrival order within a key — seq alone is not arrival order (it
-// numbers per-session event blocks) and only breaks exact-time ties, exactly
-// as the global event heap does.
-type readyHeap []readyItem
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+// before orders a ready heap by (policy key, arrival time, schedule
+// sequence): policy first, arrival order within a key — seq alone is not
+// arrival order (it numbers per-session event blocks) and only breaks
+// exact-time ties, exactly as the event heap does.
+func (a readyItem) before(b readyItem) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.seq < b.seq
 }
 
-// batchMember is a frame admitted into the step under formation, with the
-// page-movement time its admission charged.
-type batchMember struct {
-	it     readyItem
-	paging float64
+// enqueue puts a frame or query arrival on its device's ready heap and
+// wakes the device. Work whose session sits on a down device (it could not
+// be moved off, or every device is down) or holds no pages (queued or
+// rejected on the memory-pressure plane) drops on arrival.
+func (e *engine) enqueue(ev event) {
+	s, query := ev.session, ev.kind == evQuery
+	sess := &e.sessions[s]
+	d := sess.device
+	if !query {
+		e.metrics[s].FramesArrived++
+	}
+	if e.devs[d].Down || e.plane != nil && e.plane.state[s] != sessAdmitted {
+		e.drop(s, ev.at, query)
+		return
+	}
+	it := readyItem{at: ev.at, seq: ev.seq, session: s, query: query}
+	it.key = e.sched.Key(WorkItem{
+		Session: s, Class: sess.class,
+		Priority: e.classes[sess.class].Priority, Query: query,
+		Arrival: ev.at, Deadline: ev.at + e.slo[sess.class],
+	})
+	e.ready[d].push(it)
+	e.pending[s]++
+	e.wake(d, ev.at)
 }
 
-// schedRun is the scheduler plane's per-run state on top of the engine:
-// per-device ready heaps, at most one pending wake-up per device, and the
-// per-session pending-work counts that defer a departed session's KV release
-// until its queued work drains.
-type schedRun struct {
-	*engine
-	sched    Scheduler
-	batchMax int
-	events   *eventHeap
-	ready    []readyHeap
-	// stepScheduled marks devices with a wake-up already on the event heap.
-	stepScheduled []bool
-	// stepSeq numbers wake-ups above every arrival's seq, so at equal
-	// timestamps arrivals enqueue before the batch forms.
-	stepSeq int
-	pending []int
-	ended   []bool
-	// reqs / members are per-step scratch buffers reused across batch
-	// formations.
-	reqs    []hwsim.StepReq
-	members []batchMember
-}
-
-// runScheduled is the continuous-batching timeline: arrivals enqueue onto
-// their device's ready heap and the device forms policy-ordered steps
-// whenever it is free.
-func (e *engine) runScheduled(events *eventHeap) {
-	batchMax := e.cfg.Scheduler.BatchMax
-	if batchMax <= 0 {
-		batchMax = DefaultBatchMax
-	}
-	r := &schedRun{
-		engine: e, sched: e.cfg.Scheduler.Policy, batchMax: batchMax,
-		events:        events,
-		ready:         make([]readyHeap, e.nDev),
-		stepScheduled: make([]bool, e.nDev),
-		stepSeq:       events.Len(),
-		pending:       make([]int, len(e.sessions)),
-		ended:         make([]bool, len(e.sessions)),
-		reqs:          make([]hwsim.StepReq, 0, batchMax),
-	}
-	e.sched = r
-	for events.Len() > 0 {
-		ev := heap.Pop(events).(event)
-		if ev.kind == evStep {
-			d := ev.session
-			r.stepScheduled[d] = false
-			r.formBatch(d, ev.at)
-			continue
-		}
-		if ev.kind == evControl {
-			e.handleControl(ev.at)
-			continue
-		}
-		sess := &e.sessions[ev.session]
-		switch ev.kind {
-		case evStart:
-			e.startSession(ev)
-			continue
-		case evEnd:
-			d := sess.device
-			e.devs[d].ActiveSessions--
-			e.devs[d].ClassSessions[sess.class]--
-			e.alive[ev.session] = false
-			if r.pending[ev.session] > 0 {
-				// Queued work outlives the session: hold its KV (and pool
-				// pages) until the last pending item resolves.
-				r.ended[ev.session] = true
-			} else {
-				e.releaseSession(ev.session, ev.at)
-			}
-			e.observe(EventSessionEnd, ev.at, ev.session, latencyNone)
-			continue
-		}
-		m := &e.metrics[ev.session]
-		if e.devs[sess.device].Down {
-			// The session could not be moved off its failed device (or every
-			// device is down): its work drops until service resumes.
-			if ev.kind == evFrame {
-				m.FramesArrived++
-				m.FramesDropped++
-				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
-			} else {
-				m.QueriesDropped++
-				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
-			}
-			continue
-		}
-		if e.plane != nil && e.plane.state[ev.session] != sessAdmitted {
-			// Queued or rejected sessions hold no pages: their frames drop
-			// and their queries go unanswered until admission.
-			if ev.kind == evFrame {
-				m.FramesArrived++
-				m.FramesDropped++
-				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
-			} else {
-				m.QueriesDropped++
-				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
-			}
-			continue
-		}
-		if ev.kind == evFrame {
-			m.FramesArrived++
-		}
-		d := sess.device
-		it := readyItem{at: ev.at, seq: ev.seq, session: ev.session, query: ev.kind == evQuery}
-		it.key = r.sched.Key(WorkItem{
-			Session: ev.session, Class: sess.class,
-			Priority: e.classes[sess.class].Priority, Query: it.query,
-			Arrival: ev.at, Deadline: ev.at + e.slo[sess.class],
-		})
-		heap.Push(&r.ready[d], it)
-		r.pending[ev.session]++
-		if !r.stepScheduled[d] {
-			t := ev.at
-			if e.devs[d].Free > t {
-				t = e.devs[d].Free
-			}
-			r.scheduleStep(d, t)
-		}
+// wake schedules device d's next step at the later of `at` and the time it
+// frees up, unless a wake-up is already pending.
+func (e *engine) wake(d int, at float64) {
+	if !e.stepScheduled[d] {
+		e.scheduleStep(d, max(at, e.devs[d].Free))
 	}
 }
 
 // scheduleStep pushes device d's next wake-up at time t; the caller
 // guarantees no wake-up is pending.
-func (r *schedRun) scheduleStep(d int, t float64) {
-	heap.Push(r.events, event{at: t, session: d, kind: evStep, seq: r.stepSeq})
-	r.stepSeq++
-	r.stepScheduled[d] = true
+func (e *engine) scheduleStep(d int, t float64) {
+	e.events.push(event{at: t, session: d, kind: evStep, seq: e.stepSeq})
+	e.stepSeq++
+	e.stepScheduled[d] = true
 }
 
 // resolve retires one pending item (served or dropped) for session s,
 // releasing the session's KV once it has departed and drained.
-func (r *schedRun) resolve(s int, at float64) {
-	r.pending[s]--
-	if r.ended[s] && r.pending[s] == 0 {
-		r.releaseSession(s, at)
+func (e *engine) resolve(s int, at float64) {
+	e.pending[s]--
+	if e.ended[s] && e.pending[s] == 0 {
+		e.releaseSession(s, at)
 	}
 }
 
@@ -319,97 +219,107 @@ func (r *schedRun) resolve(s int, at float64) {
 // items in policy order, dropping stale or unallocatable frames, until one
 // hardware step forms — a frame batch up to batchMax, or a solo query — then
 // charge it and schedule the next wake-up at the step's completion.
-func (r *schedRun) formBatch(d int, at float64) {
-	e := r.engine
-	q := &r.ready[d]
-	if q.Len() == 0 {
+func (e *engine) formBatch(d int, at float64) {
+	q := &e.ready[d]
+	if len(*q) == 0 {
 		return
 	}
 	if e.devs[d].Down {
 		// The device died with work queued (it could not be moved): drop it.
-		r.dropReady(d, at)
+		e.dropReady(d, at)
 		return
 	}
 	if e.devs[d].Free > at {
 		// The device picked up work (admission paging) after this wake-up
-		// was scheduled; form the batch when it actually frees up.
-		r.scheduleStep(d, e.devs[d].Free)
+		// was scheduled; form the step when it actually frees up.
+		e.scheduleStep(d, e.devs[d].Free)
 		return
 	}
-	for q.Len() > 0 {
-		head := heap.Pop(q).(readyItem)
+	for len(*q) > 0 {
+		head := q.pop()
 		if head.query {
-			if r.serveQuery(d, head, at) {
+			if e.serveQuery(d, head, at) {
 				break
 			}
 			continue // dropped without occupying the device; keep picking
 		}
-		paging, ok := r.admitFrame(d, head, at)
+		paging, ok := e.admitFrame(d, head, at)
 		if !ok {
 			continue
 		}
-		members := append(r.members[:0], batchMember{it: head, paging: paging})
+		members := append(e.members[:0], head)
 		// Extend the step with ready frames in strict policy order: a query
 		// at the front ends the batch rather than being overtaken.
-		for len(members) < r.batchMax && q.Len() > 0 && !(*q)[0].query {
-			it := heap.Pop(q).(readyItem)
-			p, ok := r.admitFrame(d, it, at)
-			if !ok {
-				continue
+		for len(members) < e.batchMax && len(*q) > 0 && !(*q)[0].query {
+			it := q.pop()
+			if p, ok := e.admitFrame(d, it, at); ok {
+				members = append(members, it)
+				paging += p
 			}
-			members = append(members, batchMember{it: it, paging: p})
 		}
-		r.serveFrames(d, members, at)
-		r.members = members[:0]
+		e.serveFrames(d, members, paging, at)
+		e.members = members[:0]
 		break
 	}
-	if q.Len() > 0 {
-		r.scheduleStep(d, e.devs[d].Free)
+	if len(*q) > 0 {
+		e.scheduleStep(d, e.devs[d].Free)
 	}
 }
 
-// admitFrame runs the engine's shared per-frame admission for a batch
-// candidate at formation time `at` (which is the member's service start,
-// exactly as the serial timeline measures the drop threshold); on failure
-// the dropped frame's pending slot resolves.
-func (r *schedRun) admitFrame(d int, it readyItem, at float64) (paging float64, ok bool) {
-	paging, ok = r.admitFrameAt(it.session, d, it.at, at)
+// admitFrame applies per-frame admission to a step candidate as the step
+// forms at `at`, the member's service start: the drop threshold (measured
+// from arrival to `at`), the device-memory check, and — with the
+// memory-pressure plane — reserving pages for the frame's new tokens and
+// making the session fully resident. The returned page-movement time lands
+// on the device timeline before the step. A failed frame drops and its
+// pending slot resolves.
+func (e *engine) admitFrame(d int, it readyItem, at float64) (paging float64, ok bool) {
+	s := it.session
+	e.degradeDecide(s, d, it.at)
+	sc := e.classes[e.sessions[s].class].Stream
+	stale := e.cfg.DropThreshold > 0 && at-it.at > e.cfg.DropThreshold*(1/sc.FPS)
+	ok = !stale && !e.simFor(d, s).OOM(e.kv[s], 1)
+	if ok && e.plane != nil {
+		pool := e.plane.pools[d]
+		var growSpill float64
+		if growSpill, ok = pool.Grow(s, sc.TokensPerFrame, it.at); ok {
+			pageIn, pageOut := pool.Touch(s, it.at)
+			paging = growSpill + pageIn + pageOut
+			e.profPaging(d, at, growSpill+pageOut, pageIn)
+		}
+	}
 	if !ok {
-		r.resolve(it.session, at)
+		e.drop(s, it.at, false)
+		e.resolve(s, at)
 	}
 	return paging, ok
 }
 
 // serveFrames charges one coalesced frame step: the batch's page movement
-// lands on the device timeline once, before the step, and every member
-// completes at the step's end. Each member's latency is measured against the
-// captured completion time, so a member's session teardown (resolve can
-// charge drain paging onto the device) never bleeds into a batchmate's
-// sample. The batch-formed event follows the members' served events and
-// carries the head session's post-step KV, matching the query step's
-// convention.
-func (r *schedRun) serveFrames(d int, members []batchMember, at float64) {
-	e := r.engine
+// (paging, summed over the members' admissions) lands on the device
+// timeline once, before the step, and every member completes at the step's
+// end. Each member's latency is measured against the captured completion
+// time, so a member's session teardown (resolve can charge drain paging
+// onto the device) never bleeds into a batchmate's sample. The batch-formed
+// event follows the members' served events and carries the head session's
+// post-step KV, matching the query step's convention.
+func (e *engine) serveFrames(d int, members []readyItem, paging, at float64) {
 	dev := &e.devs[d]
-	start := at
-	if dev.Free > start {
-		start = dev.Free
-	}
-	paging := 0.0
-	reqs := r.reqs[:0]
-	for _, mb := range members {
-		sc := e.classes[e.sessions[mb.it.session].class].Stream
+	start := max(at, dev.Free)
+	reqs := e.reqs[:0]
+	for _, it := range members {
+		sc := e.classes[e.sessions[it.session].class].Stream
 		req := hwsim.StepReq{
-			NewTokens: sc.TokensPerFrame, KVLen: e.kv[mb.it.session],
+			NewTokens: sc.TokensPerFrame, KVLen: e.kv[it.session],
 			Stage: hwsim.StageFramePhase,
 		}
 		if e.deg != nil {
 			// Per-member budget scale: degraded members cheapen the coalesced
-			// step (and the serial OOM fallback below inherits it per request).
-			req.RatioScale = e.budgetOf(mb.it.session)
+			// step (and the one-request-at-a-time OOM fallback below inherits
+			// it per request).
+			req.RatioScale = e.budgetOf(it.session)
 		}
 		reqs = append(reqs, req)
-		paging += mb.paging
 	}
 	b := e.sims[d].Step(reqs)
 	total := b.Total
@@ -427,41 +337,100 @@ func (r *schedRun) serveFrames(d int, members []batchMember, at float64) {
 	e.profCharge(paging + total)
 	done := dev.Free
 	e.devMetrics[d].Batches++
-	for _, mb := range members {
-		s := mb.it.session
+	for _, it := range members {
+		s := it.session
 		sc := e.classes[e.sessions[s].class].Stream
 		e.kv[s] += sc.TokensPerFrame
 		dev.ResidentKV += sc.TokensPerFrame
 		e.trackPeak(d)
 		e.metrics[s].FramesServed++
 		e.devMetrics[d].FramesServed++
-		lat := done - mb.it.at
+		lat := done - it.at
 		e.latencies[s] = append(e.latencies[s], lat)
-		e.observe(EventFrameServed, mb.it.at, s, lat)
-		e.served(s, d, mb.it.at, start-mb.it.at, lat, true)
-		r.resolve(s, at)
+		e.observe(EventFrameServed, it.at, s, lat)
+		e.served(s, d, it.at, start-it.at, lat, true)
+		e.resolve(s, at)
 	}
-	e.observeBatch(at, d, members[0].it.session, len(members), total)
-	r.reqs = reqs[:0]
+	e.observeBatch(at, d, members[0].session, len(members), total)
+	e.reqs = reqs[:0]
 }
 
-// serveQuery charges one solo query step through the engine's shared query
-// pricing (exactly the serial timeline's arithmetic); it reports whether the
-// device was occupied (false when the query dropped on KV allocation
-// failure). The batch-formed event follows the query's served event, since
-// the step's service time is only known after pricing.
-func (r *schedRun) serveQuery(d int, it readyItem, at float64) bool {
-	e := r.engine
-	start := at
-	if e.devs[d].Free > start {
-		start = e.devs[d].Free
+// serveQuery charges one solo query step formed at `at` — prefill plus the
+// full answer, KV growing token by token. It reports whether the device was
+// occupied (false when the memory-pressure plane could not allocate the KV
+// growth and the query dropped). The batch-formed event follows the query's
+// served event, since the step's service time is only known after pricing.
+func (e *engine) serveQuery(d int, it readyItem, at float64) bool {
+	s := it.session
+	e.degradeDecide(s, d, it.at)
+	sc := e.classes[e.sessions[s].class].Stream
+	dev := &e.devs[d]
+	start := max(at, dev.Free)
+	paging := 0.0
+	if e.plane != nil {
+		pool := e.plane.pools[d]
+		growSpill, ok := pool.Grow(s, sc.QueryTokens+sc.AnswerTokens, it.at)
+		if !ok {
+			e.drop(s, it.at, true)
+			e.resolve(s, at)
+			return false
+		}
+		pageIn, pageOut := pool.Touch(s, it.at)
+		paging = growSpill + pageIn + pageOut
+		e.profPaging(d, start, growSpill+pageOut, pageIn)
 	}
-	total, ok := e.serveQueryAt(it.session, d, it.at, start)
-	if ok {
-		e.observeBatch(at, d, it.session, 1, total)
+	sim := e.simFor(d, s)
+	total := sim.Chunk(sc.QueryTokens, e.kv[s], 1, hwsim.StageTextPhase).Total
+	e.kv[s] += sc.QueryTokens
+	for i := 0; i < sc.AnswerTokens; i++ {
+		total += sim.TPOT(e.kv[s], 1).Total
+		e.kv[s]++
 	}
-	r.resolve(it.session, at)
-	return ok
+	dev.Free = start + paging + total
+	dev.Busy += paging + total
+	e.profCharge(paging + total)
+	dev.ResidentKV += sc.QueryTokens + sc.AnswerTokens
+	e.trackPeak(d)
+	e.metrics[s].QueriesServed++
+	e.devMetrics[d].QueriesServed++
+	e.devMetrics[d].Batches++
+	e.observe(EventQueryServed, it.at, s, dev.Free-it.at)
+	e.served(s, d, it.at, start-it.at, dev.Free-it.at, false)
+	e.observeBatch(at, d, s, 1, total)
+	e.resolve(s, at)
+	return true
+}
+
+// moveReady re-homes session s's queued ready items from device src to dst,
+// keeping their policy keys and arrival order, and wakes dst up.
+func (e *engine) moveReady(s, src, dst int, at float64) {
+	n := len(e.ready[dst])
+	kept := e.ready[src][:0]
+	for _, it := range e.ready[src] {
+		if it.session == s {
+			e.ready[dst] = append(e.ready[dst], it)
+		} else {
+			kept = append(kept, it)
+		}
+	}
+	if len(e.ready[dst]) == n {
+		return
+	}
+	e.ready[src] = kept
+	e.ready[src].init()
+	e.ready[dst].init()
+	e.wake(dst, at)
+}
+
+// dropReady drops every queued item on device d (device failure): frames
+// and queries account as dropped and their pending slots resolve.
+func (e *engine) dropReady(d int, at float64) {
+	// Drain in heap order so the drop events observe deterministically.
+	for len(e.ready[d]) > 0 {
+		it := e.ready[d].pop()
+		e.drop(it.session, it.at, it.query)
+		e.resolve(it.session, at)
+	}
 }
 
 // observeBatch emits an EventBatchFormed for a step of `size` items headed

@@ -45,29 +45,13 @@ func TestParseScheduler(t *testing.T) {
 	}
 }
 
-// stripPeaks zeroes the resident-KV high-water marks, the one account the
-// scheduler plane legitimately shifts: it counts KV growth at service rather
-// than arrival time and holds a departed session's pages until its queued
-// work drains, so a frame in flight across a departure moves the peak (the
-// SchedulerConfig contract documents this). Everything else must match
-// exactly.
-func stripPeaks(res Result) Result {
-	res.PerDevice = append([]DeviceMetrics(nil), res.PerDevice...)
-	for d := range res.PerDevice {
-		res.PerDevice[d].PeakResidentKV = 0
-	}
-	res.Memory.PeakResidentKV = 0
-	return res
-}
-
-// TestBatch1FifoMatchesSerial is the simulator-correctness anchor: a batch-1
-// FIFO scheduler must reproduce the pre-scheduler serial timeline exactly —
-// underloaded fleets with queries, an overloaded single device with drops,
-// and the KV memory-pressure plane with active spilling — across worker
-// counts 1, 4 and GOMAXPROCS (mirroring pressure_test.go). Latencies, drop
-// decisions, paging and utilization are compared bit for bit; only the
-// resident-KV peaks are normalised (see stripPeaks).
-func TestBatch1FifoMatchesSerial(t *testing.T) {
+// TestZeroSchedulerIsBatch1Fifo pins the zero SchedulerConfig's meaning: a
+// nil policy is fifo with a batch cap of 1, whatever BatchMax says.
+// Underloaded fleets with queries, an overloaded single device with drops,
+// and the KV memory-pressure plane with active spilling must match bit for
+// bit — resident-KV peaks included — across worker counts 1, 4 and
+// GOMAXPROCS (mirroring pressure_test.go).
+func TestZeroSchedulerIsBatch1Fifo(t *testing.T) {
 	scenarios := map[string]Config{}
 
 	under := mixConfig(6, 2)
@@ -87,16 +71,18 @@ func TestBatch1FifoMatchesSerial(t *testing.T) {
 	for name, cfg := range scenarios {
 		t.Run(name, func(t *testing.T) {
 			for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				serial := cfg
-				serial.Workers = w
-				sched := serial
-				sched.Scheduler = SchedulerConfig{Policy: mustScheduler(t, "fifo"), BatchMax: 1}
-				a, b := Run(serial), Run(sched)
-				if !reflect.DeepEqual(stripPeaks(a), stripPeaks(b)) {
-					t.Fatalf("workers=%d: batch-1 fifo diverged from serial timeline:\nserial %+v\nsched  %+v",
-						w, a.Aggregate, b.Aggregate)
+				zero := cfg
+				zero.Workers = w
+				fifo := zero
+				fifo.Scheduler = SchedulerConfig{Policy: mustScheduler(t, "fifo"), BatchMax: 1}
+				ignored := zero
+				ignored.Scheduler.BatchMax = 8
+				a, b, c := Run(zero), Run(fifo), Run(ignored)
+				if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
+					t.Fatalf("workers=%d: zero scheduler diverged from batch-1 fifo:\nzero %+v\nfifo %+v\nbatch-max 8 %+v",
+						w, a.Aggregate, b.Aggregate, c.Aggregate)
 				}
-				if b.Aggregate.FramesServed == 0 {
+				if a.Aggregate.FramesServed == 0 {
 					t.Fatal("scenario served nothing")
 				}
 			}
@@ -263,11 +249,12 @@ func TestBatchObserverConsistent(t *testing.T) {
 }
 
 // TestDroppedEventLatencyIsNaN pins the Observer sentinel contract: events
-// that carry no completion latency report NaN, never a fake zero sample.
+// that carry no completion latency report NaN, never a fake zero sample;
+// batch-formed events, which every step emits, carry its service time.
 func TestDroppedEventLatencyIsNaN(t *testing.T) {
 	cfg := baseConfig(hwsim.AGXOrin(), hwsim.FlexGenModel(), 4)
 	cfg.Stream.StartKV = 20000
-	drops, serves := 0, 0
+	drops, serves, steps := 0, 0, 0
 	cfg.Observer = ObserverFunc(func(e Event) {
 		switch e.Kind {
 		case EventFrameServed, EventQueryServed, EventDeadlineMissed:
@@ -275,6 +262,12 @@ func TestDroppedEventLatencyIsNaN(t *testing.T) {
 				t.Fatalf("served event latency %v", e.Latency)
 			}
 			serves++
+		case EventBatchFormed:
+			// Every step reports its service time and member count.
+			if !(e.Latency > 0) || math.IsInf(e.Latency, 0) || e.Batch < 1 {
+				t.Fatalf("batch-formed event latency %v batch %d, want finite positive and >= 1", e.Latency, e.Batch)
+			}
+			steps++
 		default:
 			if !math.IsNaN(e.Latency) {
 				t.Fatalf("%v event latency %v, want NaN sentinel", e.Kind, e.Latency)
@@ -285,14 +278,14 @@ func TestDroppedEventLatencyIsNaN(t *testing.T) {
 		}
 	})
 	Run(cfg)
-	if drops == 0 || serves == 0 {
-		t.Fatalf("scenario must both drop and serve: drops=%d serves=%d", drops, serves)
+	if drops == 0 || serves == 0 || steps == 0 {
+		t.Fatalf("scenario must drop, serve and step: drops=%d serves=%d steps=%d", drops, serves, steps)
 	}
 }
 
-// TestSerialSLOAccounting: the SLO/queue metrics exist on the serial
-// timeline too (one hardware step per served item), so scheduler sweeps have
-// an apples-to-apples batch-1 reference.
+// TestSerialSLOAccounting: the SLO/queue metrics hold on the zero
+// scheduler's batch-1 timeline (one hardware step per served item), so
+// scheduler sweeps have an apples-to-apples batch-1 reference.
 func TestSerialSLOAccounting(t *testing.T) {
 	cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 2)
 	cfg.Stream.QueryEvery = 7
@@ -310,7 +303,7 @@ func TestSerialSLOAccounting(t *testing.T) {
 	}
 	dm := res.PerDevice[0]
 	if dm.Batches != agg.FramesServed+agg.QueriesServed {
-		t.Fatalf("serial timeline: %d steps for %d served items", dm.Batches, agg.FramesServed+agg.QueriesServed)
+		t.Fatalf("batch-1 timeline: %d steps for %d served items", dm.Batches, agg.FramesServed+agg.QueriesServed)
 	}
 	if dm.MeanQueueWait < 0 {
 		t.Fatalf("negative mean queue wait %v", dm.MeanQueueWait)

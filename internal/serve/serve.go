@@ -2,8 +2,10 @@
 // Scenario API: a fleet of devices serves concurrent video sessions drawn
 // from a weighted mix of stream classes, frames arrive in real time, queries
 // interleave, whole sessions arrive and depart (open-loop churn), and a
-// pluggable balancer places each session on a device. The scheduler
-// processes work in arrival order with optional frame dropping under
+// pluggable balancer places each session on a device. Each device queues its
+// sessions' frames and queries and, whenever it is free, forms its next
+// hardware step from them in scheduler-policy order (batch-1 fifo unless a
+// Config.Scheduler says otherwise), with optional frame dropping under
 // backlog. It quantifies the paper's closing claim — "clear potential for
 // scalable deployment in large-scale server environments" — by measuring how
 // many concurrent real-time streams each system sustains (the `scale` and
@@ -15,7 +17,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -139,11 +140,9 @@ type Config struct {
 	// The zero value disables it and Run reduces exactly to the unpooled
 	// simulation.
 	KV KVConfig
-	// Scheduler enables the per-device continuous-batching scheduler plane:
-	// ready frames from co-resident sessions coalesce into one hardware step
-	// under a pluggable, deadline-aware policy (see SchedulerConfig). The
-	// zero value disables it and Run reduces exactly to the serial
-	// arrival-order batch-1 timeline.
+	// Scheduler picks the policy that orders each device's ready work and how
+	// many frames coalesce into one hardware step (see SchedulerConfig). The
+	// zero value serves one item per step in arrival order (batch-1 fifo).
 	Scheduler SchedulerConfig
 	// Degrade enables the accuracy-aware graceful-degradation plane: a
 	// controller shrinks KV-pressured or deadline-missing sessions' retrieval
@@ -288,9 +287,10 @@ type DeviceMetrics struct {
 	// the device's physical pool). Tracked whether or not the
 	// memory-pressure plane is enabled.
 	PeakResidentKV int
-	// Batches counts hardware steps the device executed: one per served
-	// frame or query on the serial timeline, one per coalesced step under
-	// the scheduler plane (so FramesServed/Batches is the mean frame batch).
+	// Batches counts hardware steps the device executed: a solo query or a
+	// coalesced frame batch each count one (so FramesServed/Batches bounds
+	// the mean frame batch from below; with a batch cap of 1 every served
+	// item is its own step).
 	Batches int
 	// MeanQueueWait is the mean time served frames and queries spent queued
 	// before service started on this device.
@@ -338,10 +338,10 @@ const (
 	evFrame        // video frame arrival
 	evQuery        // user query arrival
 	evEnd          // session leaves: balancer state release
-	// evStep is a scheduler-plane wake-up: the device is (or becomes) free
-	// and forms its next batch. Step events carry the device index in the
-	// session field and draw seq numbers above every arrival's, so at equal
-	// timestamps arrivals enqueue before the batch forms.
+	// evStep is a device wake-up: the device is (or becomes) free and forms
+	// its next step. Step events carry the device index in the session field
+	// and draw seq numbers above every arrival's, so at equal timestamps
+	// arrivals enqueue before the step forms.
 	evStep
 	// evControl is a fleet-controller tick (session field unused, -1).
 	// Control events draw seq numbers above every arrival's but below the
@@ -350,7 +350,7 @@ const (
 	evControl
 )
 
-// event is one arrival (or, under the scheduler plane, a device wake-up).
+// event is one arrival, controller tick or device wake-up.
 type event struct {
 	at      float64
 	session int
@@ -358,23 +358,12 @@ type event struct {
 	seq     int
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders the event heap: by time, then schedule sequence.
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.seq < b.seq
 }
 
 // Derived-seed domains: each randomness consumer hashes its own salt into
@@ -626,7 +615,7 @@ func Run(cfg Config) Result {
 		evs = append(evs, event{at: sess.end, session: s, kind: evEnd})
 		return evs
 	})
-	var events eventHeap
+	var events minHeap[event]
 	seq := 0
 	for _, evs := range perSession {
 		for _, ev := range evs {
@@ -635,8 +624,8 @@ func Run(cfg Config) Result {
 			events = append(events, ev)
 		}
 	}
-	// Controller ticks seq above every arrival (and below the scheduler's
-	// step range, which starts at the heap length): at equal timestamps a
+	// Controller ticks seq above every arrival (and below the step range,
+	// which starts at the heap length): at equal timestamps a
 	// tick sees the arrivals that just landed and runs before batches form.
 	if cfg.Control.enabled() {
 		for _, t := range cfg.Control.tickTimes(cfg.Duration) {
@@ -644,22 +633,30 @@ func Run(cfg Config) Result {
 			seq++
 		}
 	}
-	heap.Init(&events)
+	events.init()
 
+	sched, batchMax := cfg.Scheduler.Effective()
 	e := &engine{
 		cfg: cfg, classes: classes, sims: sims, sessions: sessions,
 		nDev: nDev, bal: bal,
-		kv:         make([]int, len(sessions)),
-		metrics:    make([]StreamMetrics, len(sessions)),
-		latencies:  make([][]float64, len(sessions)),
-		waits:      make([][]float64, len(sessions)),
-		devs:       make([]DeviceState, nDev),
-		devMetrics: make([]DeviceMetrics, nDev),
-		waitSum:    make([]float64, nDev),
-		waitN:      make([]int, nDev),
-		slo:        make([]float64, len(classes)),
-		alive:      make([]bool, len(sessions)),
-		resident:   make([]bool, len(sessions)),
+		events: events, sched: sched, batchMax: batchMax,
+		ready:         make([]minHeap[readyItem], nDev),
+		stepScheduled: make([]bool, nDev),
+		stepSeq:       seq,
+		pending:       make([]int, len(sessions)),
+		ended:         make([]bool, len(sessions)),
+		reqs:          make([]hwsim.StepReq, 0, batchMax),
+		kv:            make([]int, len(sessions)),
+		metrics:       make([]StreamMetrics, len(sessions)),
+		latencies:     make([][]float64, len(sessions)),
+		waits:         make([][]float64, len(sessions)),
+		devs:          make([]DeviceState, nDev),
+		devMetrics:    make([]DeviceMetrics, nDev),
+		waitSum:       make([]float64, nDev),
+		waitN:         make([]int, nDev),
+		slo:           make([]float64, len(classes)),
+		alive:         make([]bool, len(sessions)),
+		resident:      make([]bool, len(sessions)),
 	}
 	for s := range e.kv {
 		e.kv[s] = classes[sessions[s].class].Stream.StartKV
@@ -699,11 +696,7 @@ func Run(cfg Config) Result {
 	}
 	e.deg = newDegradePlane(cfg, len(sessions), nDev)
 
-	if cfg.Scheduler.enabled() {
-		e.runScheduled(&events)
-	} else {
-		e.runSerial(&events)
-	}
+	e.run()
 	kv, metrics, latencies := e.kv, e.metrics, e.latencies
 	devs, devMetrics, plane := e.devs, e.devMetrics, e.plane
 
@@ -763,10 +756,11 @@ func Run(cfg Config) Result {
 	return res
 }
 
-// engine bundles one Run's mutable state so the serial and scheduled event
-// loops (this file / scheduler.go) share the same arrival, admission and
-// accounting machinery. Both loops are single-threaded; Workers parallelism
-// stays confined to schedule construction and metric reduction.
+// engine bundles one Run's mutable state: the event loop (run), session
+// placement and admission, the per-device ready heaps and step formation
+// (scheduler.go), and the accounting behind Result. The loop is
+// single-threaded; Workers parallelism stays confined to schedule
+// construction and metric reduction.
 type engine struct {
 	cfg     Config
 	classes []StreamClass
@@ -797,18 +791,37 @@ type engine struct {
 	// disabled — every pricing path then uses the unscaled sims).
 	deg *degradePlane
 
+	// events is the run's event heap: arrivals, controller ticks and device
+	// wake-ups.
+	events minHeap[event]
+	// sched orders each device's ready heap; batchMax caps the frames per
+	// step (both resolved from Config.Scheduler).
+	sched    Scheduler
+	batchMax int
+	ready    []minHeap[readyItem]
+	// stepScheduled marks devices with a wake-up already on the event heap;
+	// stepSeq numbers wake-ups above every arrival's seq, so at equal
+	// timestamps arrivals enqueue before the step forms.
+	stepScheduled []bool
+	stepSeq       int
+	// pending counts each session's queued items; ended marks departed
+	// sessions whose KV release waits for that count to reach zero.
+	pending []int
+	ended   []bool
+	// reqs / members are per-step scratch buffers reused across steps.
+	reqs    []hwsim.StepReq
+	members []readyItem
+
 	// Control-plane state, all idle without a controller: alive marks
 	// sessions between their start and end events, resident marks sessions
-	// holding a device slot (start to KV release — under the scheduler plane
-	// release can outlive the end event), nDown counts out-of-service
-	// devices, upScratch is the filtered-fleet scratch for placement, sched
-	// points at the scheduler plane's run state (nil on the serial
-	// timeline), and mig accumulates migration totals.
+	// holding a device slot (start to KV release, which can outlive the end
+	// event while queued work drains), nDown counts out-of-service devices,
+	// upScratch is the filtered-fleet scratch for placement, and mig
+	// accumulates migration totals.
 	alive     []bool
 	resident  []bool
 	nDown     int
 	upScratch []DeviceState
-	sched     *schedRun
 	mig       MigrationMetrics
 
 	// Telemetry-plane hooks, both nil with Config.Telemetry zero: tel
@@ -844,10 +857,7 @@ func (e *engine) chargePaging(d int, now, dur float64, kind StallKind) {
 	if dur <= 0 {
 		return
 	}
-	start := e.devs[d].Free
-	if now > start {
-		start = now
-	}
+	start := max(now, e.devs[d].Free)
 	e.devs[d].Free = start + dur
 	e.devs[d].Busy += dur
 	if e.prof != nil {
@@ -859,27 +869,36 @@ func (e *engine) chargePaging(d int, now, dur float64, kind StallKind) {
 	}
 }
 
-// admit runs admission control for session s on device d: reject when
-// the working set can never fit, queue when the pool is full and
-// spilling is disabled, otherwise allocate (spilling cold sessions).
-func (e *engine) admit(s, d int, at float64) int {
+// admit gives session s's KV to device d. Without the memory-pressure
+// plane it simply becomes resident; with it, admission control rejects the
+// session when its working set can never fit, queues it when the pool is
+// full and spilling is disabled, and otherwise allocates (spilling cold
+// sessions).
+func (e *engine) admit(s, d int, at float64) {
+	if e.plane == nil {
+		e.devs[d].ResidentKV += e.kv[s]
+		e.trackPeak(d)
+		return
+	}
 	pool := e.plane.pools[d]
 	if !pool.Fits(e.kv[s]) {
+		e.plane.state[s] = sessRejected
 		e.devMetrics[d].SessionsRejected++
 		e.observe(EventSessionRejected, at, s, latencyNone)
-		return sessRejected
+		return
 	}
 	spill, ok := pool.Admit(s, e.kv[s], at)
 	if !ok {
+		e.plane.state[s] = sessQueued
 		e.plane.queues[d] = append(e.plane.queues[d], s)
 		e.devMetrics[d].SessionsQueued++
 		e.observe(EventSessionQueued, at, s, latencyNone)
-		return sessQueued
+		return
 	}
+	e.plane.state[s] = sessAdmitted
 	e.chargePaging(d, at, spill, StallPageOut)
 	e.devs[d].ResidentKV += e.kv[s]
 	e.trackPeak(d)
-	return sessAdmitted
 }
 
 // drainQueue admits waiting sessions in FIFO order after pages freed;
@@ -935,29 +954,24 @@ func (e *engine) startSession(ev event) {
 	e.devs[d].ClassSessions[sess.class]++
 	e.devMetrics[d].Sessions++
 	e.observe(EventSessionStart, ev.at, ev.session, latencyNone)
-	if e.plane == nil {
-		e.devs[d].ResidentKV += e.kv[ev.session]
-		e.trackPeak(d)
-	} else {
-		e.plane.state[ev.session] = e.admit(ev.session, d, ev.at)
-	}
+	e.admit(ev.session, d, ev.at)
 }
 
 // releaseSession returns session s's KV to device d: the balancer-visible
 // resident count drops and (with the plane) its pages free up, unblocking
-// the admission queue. On the serial timeline this happens at the evEnd
-// event; the scheduler plane defers it until the session's queued work has
-// drained (see schedRun.resolve).
+// the admission queue. It runs at the session's end event, or — when queued
+// work outlives the session — once its last pending item resolves (see
+// resolve).
 func (e *engine) releaseSession(s int, at float64) {
 	d := e.sessions[s].device
 	if e.plane == nil {
 		e.devs[d].ResidentKV -= e.kv[s]
-	} else if e.plane.state[s] == sessAdmitted {
-		e.devs[d].ResidentKV -= e.kv[s]
-		e.plane.pools[d].Release(s)
-		e.drainQueue(d, at)
-	}
-	if e.plane != nil {
+	} else {
+		if e.plane.state[s] == sessAdmitted {
+			e.devs[d].ResidentKV -= e.kv[s]
+			e.plane.pools[d].Release(s)
+			e.drainQueue(d, at)
+		}
 		e.plane.state[s] = sessGone
 	}
 	if e.deg != nil && e.deg.level[s] > 0 {
@@ -982,170 +996,55 @@ func (e *engine) served(s, d int, at, wait, lat float64, frame bool) {
 	e.degradeServed(s, lat, frame)
 }
 
-// runSerial is the original batch-1 timeline: every arrival is charged to
-// its device in global arrival order, one hardware step per frame or query.
-func (e *engine) runSerial(events *eventHeap) {
-	for events.Len() > 0 {
-		ev := heap.Pop(events).(event)
-		if ev.kind == evControl {
-			e.handleControl(ev.at)
-			continue
-		}
-		sess := &e.sessions[ev.session]
-		sc := e.classes[sess.class].Stream
+// run is the serving event loop: arrivals enqueue onto their device's ready
+// heap, and each device forms its next policy-ordered step whenever it is
+// free (a wake-up event).
+func (e *engine) run() {
+	for len(e.events) > 0 {
+		ev := e.events.pop()
 		switch ev.kind {
+		case evStep:
+			e.stepScheduled[ev.session] = false
+			e.formBatch(ev.session, ev.at)
+		case evControl:
+			e.handleControl(ev.at)
 		case evStart:
 			e.startSession(ev)
-			continue
 		case evEnd:
-			d := sess.device
-			e.devs[d].ActiveSessions--
-			e.alive[ev.session] = false
-			e.releaseSession(ev.session, ev.at)
-			e.devs[d].ClassSessions[sess.class]--
-			e.observe(EventSessionEnd, ev.at, ev.session, latencyNone)
-			continue
-		}
-		m := &e.metrics[ev.session]
-		dev := &e.devs[sess.device]
-		if dev.Down {
-			// The session could not be moved off its failed device (or every
-			// device is down): its work drops until service resumes.
-			if ev.kind == evFrame {
-				m.FramesArrived++
-				m.FramesDropped++
-				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
-			} else {
-				m.QueriesDropped++
-				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
-			}
-			continue
-		}
-		if e.plane != nil && e.plane.state[ev.session] != sessAdmitted {
-			// Queued or rejected sessions hold no pages: their frames drop
-			// and their queries go unanswered until admission.
-			if ev.kind == evFrame {
-				m.FramesArrived++
-				m.FramesDropped++
-				e.observe(EventFrameDropped, ev.at, ev.session, latencyNone)
-			} else {
-				m.QueriesDropped++
-				e.observe(EventQueryDropped, ev.at, ev.session, latencyNone)
-			}
-			continue
-		}
-		start := dev.Free
-		if ev.at > start {
-			start = ev.at
-		}
-		if ev.kind == evFrame {
-			m.FramesArrived++
-			paging, ok := e.admitFrameAt(ev.session, sess.device, ev.at, start)
-			if !ok {
-				continue
-			}
-			b := e.simFor(sess.device, ev.session).FrameLatency(sc.TokensPerFrame, e.kv[ev.session], 1)
-			dev.Free = start + paging + b.Total
-			dev.Busy += paging + b.Total
-			e.profCharge(paging + b.Total)
-			e.kv[ev.session] += sc.TokensPerFrame
-			dev.ResidentKV += sc.TokensPerFrame
-			e.trackPeak(sess.device)
-			m.FramesServed++
-			e.devMetrics[sess.device].FramesServed++
-			e.devMetrics[sess.device].Batches++
-			e.latencies[ev.session] = append(e.latencies[ev.session], dev.Free-ev.at)
-			e.observe(EventFrameServed, ev.at, ev.session, dev.Free-ev.at)
-			e.served(ev.session, sess.device, ev.at, start-ev.at, dev.Free-ev.at, true)
-		} else {
-			e.serveQueryAt(ev.session, sess.device, ev.at, start)
+			e.endSession(ev.session, ev.at)
+		case evFrame, evQuery:
+			e.enqueue(ev)
 		}
 	}
 }
 
-// admitFrameAt applies per-frame admission for session s on device d: the
-// drop threshold (measured from arrival to service start), the
-// device-memory check, and — with the memory-pressure plane — reserving
-// pages for the frame's new tokens and making the session fully resident
-// (the returned page-movement time lands on the device timeline before the
-// frame's step, like any other work). Failures drop the frame with its
-// accounting. Both event loops admit frames through this one method, so the
-// scheduled and serial timelines can never drift apart on the drop/OOM/page
-// rules.
-func (e *engine) admitFrameAt(s, d int, arrival, start float64) (paging float64, ok bool) {
-	e.degradeDecide(s, d, arrival)
-	sc := e.classes[e.sessions[s].class].Stream
-	drop := func() {
+// endSession handles an evEnd arrival: the session leaves its device's
+// balancer-visible counts, and its KV is released now or, when queued work
+// outlives the session, once that work resolves.
+func (e *engine) endSession(s int, at float64) {
+	sess := &e.sessions[s]
+	d := sess.device
+	e.devs[d].ActiveSessions--
+	e.devs[d].ClassSessions[sess.class]--
+	e.alive[s] = false
+	if e.pending[s] > 0 {
+		e.ended[s] = true
+	} else {
+		e.releaseSession(s, at)
+	}
+	e.observe(EventSessionEnd, at, s, latencyNone)
+}
+
+// drop accounts one frame or query of session s, arrived at `at`, that will
+// never be served.
+func (e *engine) drop(s int, at float64, query bool) {
+	if query {
+		e.metrics[s].QueriesDropped++
+		e.observe(EventQueryDropped, at, s, latencyNone)
+	} else {
 		e.metrics[s].FramesDropped++
-		e.observe(EventFrameDropped, arrival, s, latencyNone)
+		e.observe(EventFrameDropped, at, s, latencyNone)
 	}
-	if e.cfg.DropThreshold > 0 && start-arrival > e.cfg.DropThreshold*(1/sc.FPS) {
-		drop()
-		return 0, false
-	}
-	if e.simFor(d, s).OOM(e.kv[s], 1) {
-		drop()
-		return 0, false
-	}
-	if e.plane != nil {
-		pool := e.plane.pools[d]
-		growSpill, ok := pool.Grow(s, sc.TokensPerFrame, arrival)
-		if !ok {
-			drop()
-			return 0, false
-		}
-		pageIn, pageOut := pool.Touch(s, arrival)
-		paging = growSpill + pageIn + pageOut
-		e.profPaging(d, start, growSpill+pageOut, pageIn)
-	}
-	return paging, true
-}
-
-// serveQueryAt prices one query — prefill plus the full answer, KV growing
-// token by token — for session s on device d: arrival is the query's arrival
-// time (the pool's touch stamps and the latency baseline), start its service
-// start. Both event loops charge queries through this one method, so the
-// scheduled and serial timelines can never drift apart on query arithmetic.
-// It returns the step's service time and whether the device was occupied
-// (false when the memory-pressure plane could not allocate the KV growth —
-// the query drops).
-func (e *engine) serveQueryAt(s, d int, arrival, start float64) (total float64, ok bool) {
-	e.degradeDecide(s, d, arrival)
-	sc := e.classes[e.sessions[s].class].Stream
-	m := &e.metrics[s]
-	paging := 0.0
-	if e.plane != nil {
-		pool := e.plane.pools[d]
-		growSpill, ok := pool.Grow(s, sc.QueryTokens+sc.AnswerTokens, arrival)
-		if !ok {
-			m.QueriesDropped++
-			e.observe(EventQueryDropped, arrival, s, latencyNone)
-			return 0, false
-		}
-		pageIn, pageOut := pool.Touch(s, arrival)
-		paging = growSpill + pageIn + pageOut
-		e.profPaging(d, start, growSpill+pageOut, pageIn)
-	}
-	dev := &e.devs[d]
-	sim := e.simFor(d, s)
-	q := sim.Chunk(sc.QueryTokens, e.kv[s], 1, hwsim.StageTextPhase)
-	total = q.Total
-	e.kv[s] += sc.QueryTokens
-	for i := 0; i < sc.AnswerTokens; i++ {
-		total += sim.TPOT(e.kv[s], 1).Total
-		e.kv[s]++
-	}
-	dev.Free = start + paging + total
-	dev.Busy += paging + total
-	e.profCharge(paging + total)
-	dev.ResidentKV += sc.QueryTokens + sc.AnswerTokens
-	e.trackPeak(d)
-	m.QueriesServed++
-	e.devMetrics[d].QueriesServed++
-	e.devMetrics[d].Batches++
-	e.observe(EventQueryServed, arrival, s, dev.Free-arrival)
-	e.served(s, d, arrival, start-arrival, dev.Free-arrival, false)
-	return total, true
 }
 
 func clampUtil(u float64) float64 {

@@ -112,9 +112,6 @@ type TelemetryConfig struct {
 	Profile *PhaseProfile
 }
 
-// enabled reports whether any telemetry hook is attached.
-func (t TelemetryConfig) enabled() bool { return t.Sink != nil || t.Profile != nil }
-
 // --- engine hooks ---
 
 // observing reports whether any event consumer is attached; observe sites

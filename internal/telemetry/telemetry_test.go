@@ -49,8 +49,8 @@ func monotone(ts []float64) bool {
 }
 
 // TestEventsReorderedAtFlush is the satellite regression for the
-// Event.Time documentation gap: the scheduler plane delivers events out of
-// time order, and the collector must not assume sorted input — Events()
+// Event.Time documentation gap: the engine delivers served events when their
+// step forms, out of time order, and the collector must not assume sorted input — Events()
 // stable-sorts at flush.
 func TestEventsReorderedAtFlush(t *testing.T) {
 	cfg := schedConfig(t)

@@ -54,7 +54,7 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 	meta(pidDevices, "devices")
 	meta(pidSessions, "sessions")
 
-	// Device lanes: batches (scheduler plane) and stalls as complete slices.
+	// Device lanes: steps (batch-formed events) and stalls as complete slices.
 	devLanes := map[int][]traceEvent{}
 	for _, ev := range c.Events() {
 		if ev.Kind != serve.EventBatchFormed {
