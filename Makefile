@@ -23,7 +23,7 @@ COVER_FLOOR ?= 60
 # Fuzz smoke budget for `make fuzz-smoke` (native Go fuzzing).
 FUZZTIME ?= 20s
 
-.PHONY: build test test-race bench bench-smoke bench-json bench-perf bench-compare cover examples fmt fmt-check vet scenario-lint scenarios fuzz-smoke perfbench-check ci
+.PHONY: build test test-race bench bench-smoke bench-json bench-perf bench-compare cover examples fmt fmt-check vet scenario-lint scenarios telemetry-check fuzz-smoke perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,24 @@ scenario-lint:
 scenarios:
 	$(GO) run ./cmd/vrex-bench -exp scenarios -quick -parallel 1 | \
 		diff -u internal/experiments/testdata/golden/quick/scenarios.txt -
+
+# The telemetry plane's nil-perturbation and composition guarantee, end to
+# end on a committed scenario that pages KV (pressure.vrex; flash-crowd has
+# no KV pool, so no stalls): the bare run and the run with -trace-out,
+# -metrics-out and -record-trace attached together must print byte-identical
+# stdout, the trace must be valid JSON, and the recorded replay must lint.
+# Outputs stay in telemetry-check/; the scenarios CI job uploads the trace and
+# metrics.
+telemetry-check:
+	@mkdir -p telemetry-check
+	$(GO) build -o telemetry-check/vrex-sim ./cmd/vrex-sim
+	telemetry-check/vrex-sim -scenario scenarios/pressure.vrex > telemetry-check/bare.txt
+	telemetry-check/vrex-sim -scenario scenarios/pressure.vrex \
+		-trace-out telemetry-check/trace.json -metrics-out telemetry-check/metrics.prom \
+		-record-trace telemetry-check/replay.vrex > telemetry-check/wired.txt
+	cmp telemetry-check/bare.txt telemetry-check/wired.txt
+	python3 -m json.tool telemetry-check/trace.json > /dev/null
+	telemetry-check/vrex-sim -scenario-lint telemetry-check/replay.vrex
 
 # Native-fuzz smoke over the scenario parser: replays the committed seed
 # corpus, then fuzzes for FUZZTIME looking for parse/marshal fixed-point
@@ -123,6 +141,6 @@ vet:
 	$(GO) run ./cmd/vrex-vet ./...
 
 # Same steps as the workflow: build, vet, gofmt, race tests, examples,
-# scenario lint + suite golden, benchmark correctness checks, bench smoke +
-# JSON artifact.
-ci: build vet fmt-check test-race examples scenario-lint scenarios perfbench-check bench-smoke bench-json
+# scenario lint + suite golden, telemetry nil-perturbation check, benchmark
+# correctness checks, bench smoke + JSON artifact.
+ci: build vet fmt-check test-race examples scenario-lint scenarios telemetry-check perfbench-check bench-smoke bench-json

@@ -119,17 +119,19 @@ func telemetryBenchConfig() serve.Config {
 }
 
 // BenchmarkTelemetryOverhead isolates the cost of the telemetry hooks at both
-// levels. step/* prices the hot simulation path (hwsim.Chunk) with phase
-// attribution detached vs attached — the nil check is free and the attached
-// accumulation is a handful of float adds, ≤1% of a step. run/* prices a whole
-// serving run with the plane disabled vs a full collector + profile attached;
-// the delta there is event buffering, the price of keeping every observation.
+// levels. step/* prices the hot simulation path (a frame-phase hwsim.Chunk)
+// with phase attribution detached vs attached: the nil check and the
+// attached handful of float adds are both below what a shared machine
+// resolves (see EXPERIMENTS.md "Telemetry" for a -count=10 capture). run/*
+// prices a whole serving run with the plane disabled vs a full collector +
+// profile attached; the delta there is event buffering, the price of keeping
+// every observation.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("step/nil", func(b *testing.B) {
 		sim := hwsim.NewSim(hwsim.VRex8(), hwsim.Llama3_8B(), hwsim.ReSVModel())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = sim.Chunk(10, 40000, 1, 10)
+			_ = sim.Chunk(10, 40000, 1, hwsim.StageFramePhase)
 		}
 	})
 	b.Run("step/profiled", func(b *testing.B) {
@@ -137,7 +139,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		sim.Phases = &hwsim.PhaseAccount{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = sim.Chunk(10, 40000, 1, 10)
+			_ = sim.Chunk(10, 40000, 1, hwsim.StageFramePhase)
 		}
 	})
 	b.Run("run/nil", func(b *testing.B) {

@@ -375,7 +375,7 @@ func (t *telemetryOut) attach(cfg *serve.Config) {
 }
 
 // emit writes the requested exports after the run.
-func (t *telemetryOut) emit(duration float64) {
+func (t *telemetryOut) emit() {
 	if t.col == nil {
 		return
 	}
@@ -398,7 +398,7 @@ func (t *telemetryOut) emit(duration float64) {
 		if err != nil {
 			fail("-metrics-out: %v", err)
 		}
-		t.col.Metrics(1, duration).WritePrometheus(f)
+		t.col.Metrics().WritePrometheus(f)
 		if err := f.Close(); err != nil {
 			fail("-metrics-out: %v", err)
 		}
@@ -604,7 +604,7 @@ func main() {
 		ccfg.Base.Workers = *par
 		tele.attach(&ccfg.Base)
 		runCluster(sc, ccfg)
-		tele.emit(sc.Duration)
+		tele.emit()
 		return
 	}
 
@@ -657,5 +657,5 @@ func main() {
 		devTab.AddRow(row...)
 	}
 	devTab.Render(os.Stdout)
-	tele.emit(sc.Duration)
+	tele.emit()
 }

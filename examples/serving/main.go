@@ -20,7 +20,8 @@ func main() {
 		sc.QueryEvery = 0
 		return serve.Config{
 			Dev: dev, Pol: pol, Streams: 1, Duration: 15,
-			Stream: sc, DropThreshold: 4, Seed: 42,
+			Classes:       []serve.StreamClass{{Name: "default", Weight: 1, Stream: sc}},
+			DropThreshold: 4, Seed: 42,
 		}
 	}
 	systems := []struct {
@@ -45,7 +46,7 @@ func main() {
 	fmt.Println("3 streams at 20K KV on V-Rex8, with interleaved queries:")
 	cfg := mk(hwsim.VRex8(), hwsim.ReSVModel(), 20000)
 	cfg.Streams = 3
-	cfg.Stream.QueryEvery = 10
+	cfg.Classes[0].Stream.QueryEvery = 10
 	res := serve.Run(cfg)
 	for i, m := range res.PerStream {
 		fmt.Printf("  stream %d: %.1f FPS, p50 %.0f ms, p99 %.0f ms, %d queries, %d dropped\n",

@@ -8,8 +8,8 @@ import (
 )
 
 // Exhaustive supersedes the runtime numEventKinds-sentinel tests: every
-// switch over a *Kind enum (serve.EventKind, serve.StallKind,
-// hwsim.StageKind, ...) must cover all of the enum's constants or carry an
+// switch over a *Kind enum (serve.EventKind, hwsim.StageKind,
+// hwsim.PredKind, ...) must cover all of the enum's constants or carry an
 // explicit default clause. Sentinel bounds constants (unexported, named
 // num<...>) are not required.
 var Exhaustive = &Analyzer{

@@ -51,7 +51,7 @@ func TestSuiteComplete(t *testing.T) {
 }
 
 // TestVetWiredIntoCI is the smoke test that replaced the runtime
-// numEventKinds/StallKind sentinel tests: exhaustiveness (and the rest of the
+// numEventKinds sentinel tests: exhaustiveness (and the rest of the
 // invariants) are enforced statically now, so what needs pinning is that the
 // static check actually runs — in the Makefile vet target and the CI workflow.
 func TestVetWiredIntoCI(t *testing.T) {

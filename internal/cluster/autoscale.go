@@ -14,8 +14,9 @@ type View struct {
 	// Backlog is the mean queued seconds per in-service device (how far
 	// behind real time the fleet's timelines run; see serve.FleetOps.Backlog).
 	Backlog float64
-	// Attainment is the frame SLO attainment over the frames that arrived
-	// since the previous tick (1 when none arrived).
+	// Attainment is the frame SLO attainment over the frame outcomes (served,
+	// missed, dropped) reported since the previous tick, whatever those
+	// frames' arrival times (1 when none were reported).
 	Attainment float64
 }
 

@@ -83,10 +83,10 @@ type Config struct {
 	// Base is the serving configuration every node shares: workload, classes,
 	// churn, KV plane, scheduler, seed. Its Devices, DevSpecs, Dev, Balancer,
 	// Control and Migration fields are owned by the cluster compiler and
-	// overwritten; everything else passes through — including Telemetry,
-	// whose sink sees the flattened fleet's raw event/stall streams (device
-	// indices are global, in node declaration order) and whose profile
-	// attributes the whole cluster's device-seconds.
+	// overwritten; everything else passes through. Observer sees the
+	// flattened fleet's event stream, stalls included (device indices are
+	// global, in node declaration order), after the cluster's own window
+	// accounting; Profile attributes the whole cluster's device-seconds.
 	Base serve.Config
 	// Router places arriving sessions on nodes; nil defaults to round-robin.
 	Router Router
@@ -585,11 +585,7 @@ func Run(cfg Config) Result {
 	if inner == nil {
 		inner = func() serve.Balancer { return serve.NewRoundRobin() }
 	}
-	nClasses := len(sc.Classes)
-	if nClasses == 0 {
-		nClasses = 1
-	}
-	comp := newCompositeBalancer(cfg.Nodes, router, inner, nClasses)
+	comp := newCompositeBalancer(cfg.Nodes, router, inner, len(sc.Classes))
 	sc.Balancer = comp
 	sc.Migration = serve.MigrationConfig{Cost: migrationPricer(cfg, comp.devNode)}
 

@@ -20,7 +20,7 @@ func baseServe(streams int) serve.Config {
 		Pol:           hwsim.ReSVModel(),
 		Streams:       streams,
 		Duration:      20,
-		Stream:        sc,
+		Classes:       []serve.StreamClass{{Name: "default", Weight: 1, Stream: sc}},
 		DropThreshold: 4,
 		Seed:          1,
 	}
@@ -268,7 +268,7 @@ func TestAutoscalerScalesOut(t *testing.T) {
 				Rebalance:       RebalanceConfig{MaxMoves: 6, Slack: 1},
 				ControlInterval: 1,
 			}
-			cfg.Base.Stream.FPS = 2
+			cfg.Base.Classes[0].Stream.FPS = 2
 			cfg.Base.Scheduler = serve.SchedulerConfig{Policy: sched, BatchMax: 1}
 			res := Run(cfg)
 			if res.PerNode[1].FramesServed == 0 {

@@ -52,9 +52,6 @@ func (o Options) evaluator(mcfg model.Config, wcfg workload.Config) *accuracy.Ev
 	return ev
 }
 
-// DefaultOptions returns the full-fidelity settings.
-func DefaultOptions() Options { return Options{Sessions: 10, Seed: 7} }
-
 func (o Options) sessions() int {
 	if o.Sessions > 0 {
 		if o.Quick && o.Sessions > 2 {

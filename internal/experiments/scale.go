@@ -24,7 +24,8 @@ func ScaleServing(opts Options) []*report.Table {
 		sc.StartKV = kv
 		return serve.Config{
 			Dev: dev, Pol: pol, Streams: 1, Duration: duration,
-			Stream: sc, DropThreshold: 4, Seed: opts.Seed,
+			Classes:       []serve.StreamClass{{Name: "default", Weight: 1, Stream: sc}},
+			DropThreshold: 4, Seed: opts.Seed,
 			Workers: opts.Parallel,
 		}
 	}

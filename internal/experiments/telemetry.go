@@ -27,7 +27,8 @@ import (
 //     engine-charged time exactly — the simulated-time "profiler" view;
 //   - stalls by device: where the paging/migration time sat;
 //   - span summary: sessions reconstructed from the event stream, lifecycle
-//     balance, per-span tallies against the Result counters;
+//     balance, per-span tallies against the Result counters, and the peak of
+//     the span intervals against the metrics registry's session gauge;
 //   - exporter footprint: series/sample counts of the Prometheus exposition
 //     and slice/mark counts of the Chrome trace (both deterministic).
 func TelemetryObservability(opts Options) []*report.Table {
@@ -91,7 +92,7 @@ func TelemetryObservability(opts Options) []*report.Table {
 
 	attr := telemetry.AttributionTable(prof)
 
-	m := col.Metrics(1, duration)
+	m := col.Metrics()
 	stalls := report.NewTable("Stall seconds by device and kind",
 		"device", "kind", "seconds")
 	for d, kinds := range m.StallSeconds {
@@ -125,7 +126,7 @@ func TelemetryObservability(opts Options) []*report.Table {
 	spanTab.AddRow("balanced", balanced, agg.Sessions)
 	spanTab.AddRow("frames_served", frames, agg.FramesServed)
 	spanTab.AddRow("migrations", migs, mig.Live+mig.Lossy)
-	spanTab.AddRow("peak_active", m.PeakActive, m.PeakActive)
+	spanTab.AddRow("peak_active", peakConcurrent(spans), m.PeakActive)
 
 	var prom, trace bytes.Buffer
 	m.WritePrometheus(&prom)
@@ -148,4 +149,27 @@ func TelemetryObservability(opts Options) []*report.Table {
 	export.AddRow("events", len(col.Events()), "engine observations")
 
 	return []*report.Table{attr, stalls, spanTab, export}
+}
+
+// peakConcurrent sweeps the spans' presence intervals for the most sessions
+// present at once; all starts and ends at one instant apply before the
+// count is sampled, like the metrics registry's session gauge.
+func peakConcurrent(spans []telemetry.Span) int {
+	type edge struct {
+		at    float64
+		delta int
+	}
+	edges := make([]edge, 0, 2*len(spans))
+	for _, sp := range spans {
+		edges = append(edges, edge{sp.Start, 1}, edge{sp.End, -1})
+	}
+	sort.Slice(edges, func(i, j int) bool { return edges[i].at < edges[j].at })
+	peak, n := 0, 0
+	for i, e := range edges {
+		n += e.delta
+		if i+1 == len(edges) || edges[i+1].at != e.at { //vrex:float-eq same-instant grouping wants bit equality of span bounds
+			peak = max(peak, n)
+		}
+	}
+	return peak
 }

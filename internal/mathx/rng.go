@@ -51,6 +51,26 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// Exp returns an exponential variate with the given mean (see
+// ExpFromUniform).
+func (r *RNG) Exp(mean float64) float64 {
+	return ExpFromUniform(r.Float64(), mean)
+}
+
+// ExpFromUniform maps a uniform draw in [0, 1) through the exponential
+// inverse CDF, clamped strictly away from 0: a draw of exactly 0 would
+// otherwise yield a zero inter-arrival gap or a zero-length session
+// lifetime, producing simultaneous events whose heap order is only
+// tie-break-dependent. The clamp is far below any simulated timescale, so
+// every other draw is unchanged.
+func ExpFromUniform(u, mean float64) float64 {
+	d := -mean * math.Log(1-u)
+	if d <= 0 {
+		return mean * 1e-12
+	}
+	return d
+}
+
 // Float32 returns a uniform float32 in [0, 1).
 func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) / (1 << 24)

@@ -664,16 +664,6 @@ func (r rateModel) varying() bool {
 	return r.base.Kind == "diurnal" || r.base.Kind == "flash"
 }
 
-// expDraw mirrors the serve churn plane's exponential sampler (clamped away
-// from 0 so no two arrivals collide exactly).
-func expDraw(rng *mathx.RNG, mean float64) float64 {
-	d := -mean * math.Log(1-rng.Float64())
-	if d <= 0 {
-		return mean * 1e-12
-	}
-	return d
-}
-
 // churn compiles the load shape into serve.ChurnConfig. Constant-rate
 // Poisson arrivals, exponential lifetimes and a static class mix compile to
 // the plain rate fields with nil hooks — the exact objects the legacy CLI
@@ -718,7 +708,7 @@ func (s *Scenario) churn() serve.ChurnConfig {
 		if lmax := rm.max(); lmax > 0 {
 			cc.Arrivals = func(rng *mathx.RNG, duration float64) []float64 {
 				var times []float64
-				for t := expDraw(rng, 1/lmax); t < duration; t += expDraw(rng, 1/lmax) {
+				for t := rng.Exp(1 / lmax); t < duration; t += rng.Exp(1 / lmax) {
 					if rng.Float64()*lmax < rm.at(t) {
 						times = append(times, t)
 					}

@@ -271,8 +271,8 @@ func (e *engine) migrateSession(s, dst int, at float64, lossy bool) {
 		if e.cfg.Migration.Cost != nil {
 			srcT, dstT = e.cfg.Migration.Cost(src, dst, e.kv[s])
 		}
-		e.chargePaging(src, at, srcT, StallMigrateSend)
-		e.chargePaging(dst, at, dstT, StallMigrateRecv)
+		e.chargePaging(src, at, srcT, EventMigrateSend)
+		e.chargePaging(dst, at, dstT, EventMigrateRecv)
 		cost = srcT + dstT
 		e.mig.Live++
 		e.mig.Tokens += e.kv[s]
@@ -302,20 +302,20 @@ func (e *engine) removeQueued(d, s int) {
 
 // observeDevice emits a device-lifecycle event (no session attached).
 func (e *engine) observeDevice(kind EventKind, at float64, d int) {
-	if !e.observing() {
+	if e.cfg.Observer == nil {
 		return
 	}
-	e.emit(Event{Kind: kind, Time: at, Session: -1, Device: d, Latency: latencyNone})
+	e.cfg.Observer.Observe(Event{Kind: kind, Time: at, Session: -1, Device: d, Latency: latencyNone})
 }
 
 // observeMigration emits EventSessionMigrated with the destination device
 // and the total timeline seconds the move cost (NaN never occurs; lossy
 // moves report 0).
 func (e *engine) observeMigration(at float64, s, dst int, cost float64) {
-	if !e.observing() {
+	if e.cfg.Observer == nil {
 		return
 	}
-	e.emit(Event{
+	e.cfg.Observer.Observe(Event{
 		Kind: EventSessionMigrated, Time: at, Session: s,
 		Class: e.classes[e.sessions[s].class].Name, Device: dst,
 		Latency: cost, KV: e.kv[s],

@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vrex/internal/hwsim"
@@ -13,7 +14,7 @@ func controlConfig(streams int) Config {
 	cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), streams)
 	// 1 FPS: one VRex8 sustains ~5.8 frames/s, so a whole drained fleet can
 	// consolidate onto one device without overload.
-	cfg.Stream.FPS = 1
+	cfg.Classes[0].Stream.FPS = 1
 	cfg.Devices = 2
 	return cfg
 }
@@ -215,7 +216,7 @@ func TestScheduledFailDropsQueuedWork(t *testing.T) {
 	// queued frames drop and their sessions restart elsewhere.
 	cfg := baseConfig(hwsim.AGXOrin(), hwsim.FlexGenModel(), 6)
 	cfg.Devices = 2
-	cfg.Stream.StartKV = 20000
+	cfg.Classes[0].Stream.StartKV = 20000
 	p, err := ParseScheduler("fifo")
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +269,8 @@ func TestHeterogeneousDevSpecs(t *testing.T) {
 		t.Fatal("DevSpecs of all Dev must reproduce the homogeneous fleet")
 	}
 	mixed := cfg
-	mixed.Stream.StartKV = 20000
+	mixed.Classes = slices.Clone(cfg.Classes)
+	mixed.Classes[0].Stream.StartKV = 20000
 	mixed.DevSpecs = []hwsim.DeviceSpec{hwsim.VRex8(), hwsim.AGXOrin()}
 	res := Run(mixed)
 	var fast, slow []int

@@ -227,10 +227,10 @@ func (e *engine) degradeServed(s int, lat float64, frame bool) {
 // observeDegrade emits a budget-transition event with the budget scale
 // before and after the step.
 func (e *engine) observeDegrade(kind EventKind, at float64, s int, before, after float64) {
-	if !e.observing() {
+	if e.cfg.Observer == nil {
 		return
 	}
-	e.emit(Event{
+	e.cfg.Observer.Observe(Event{
 		Kind: kind, Time: at, Session: s,
 		Class: e.classes[e.sessions[s].class].Name, Device: e.sessions[s].device,
 		Latency: latencyNone, KV: e.kv[s],

@@ -21,15 +21,15 @@ func TestHookPoissonExponentialEquivalence(t *testing.T) {
 	hooked := base
 	hooked.Churn.Arrivals = func(rng *mathx.RNG, duration float64) []float64 {
 		var times []float64
-		for at := expDraw(rng, 1/base.Churn.ArrivalRate); at < duration; at += expDraw(rng, 1/base.Churn.ArrivalRate) {
+		for at := rng.Exp(1 / base.Churn.ArrivalRate); at < duration; at += rng.Exp(1 / base.Churn.ArrivalRate) {
 			times = append(times, at)
 		}
 		return times
 	}
 	hooked.Churn.Lifetime = func(rng *mathx.RNG, ordinal int, start float64) float64 {
-		return expDraw(rng, base.Churn.MeanLifetime)
+		return rng.Exp(base.Churn.MeanLifetime)
 	}
-	classes := base.classes()
+	classes := base.Classes
 	var total float64
 	for _, c := range classes {
 		total += c.Weight
@@ -109,7 +109,7 @@ func TestHookWorkerInvariance(t *testing.T) {
 	cfg.Duration = 10
 	cfg.Churn.Arrivals = func(rng *mathx.RNG, duration float64) []float64 {
 		var times []float64
-		for at := expDraw(rng, 1.3); at < duration; at += expDraw(rng, 1.3) {
+		for at := rng.Exp(1.3); at < duration; at += rng.Exp(1.3) {
 			times = append(times, at)
 		}
 		return times

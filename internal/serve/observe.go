@@ -55,6 +55,20 @@ const (
 	// EventRestored: the degradation plane restored one quantized step of
 	// the session's retrieval budget (pressure cleared with hysteresis).
 	EventRestored
+	// The four stall kinds report non-compute occupation of a device
+	// timeline: Time is the stall's start (after queueing behind in-flight
+	// work), Latency its duration, Device the charged device, and Session -1.
+	// Their durations sum to the PhaseProfile's paging and migration buckets.
+	//
+	// EventPageIn: spilled KV pages read back before service.
+	EventPageIn
+	// EventPageOut: KV pages spilled to the backing store (admission spills,
+	// reclaim on growth, queue drains).
+	EventPageOut
+	// EventMigrateSend: the source leg of a live session migration.
+	EventMigrateSend
+	// EventMigrateRecv: the destination leg of a live session migration.
+	EventMigrateRecv
 	// numEventKinds bounds the kind space; tests iterate [0, numEventKinds)
 	// to keep String() and the telemetry exporters exhaustive.
 	numEventKinds
@@ -95,6 +109,14 @@ func (k EventKind) String() string {
 		return "degraded"
 	case EventRestored:
 		return "restored"
+	case EventPageIn:
+		return "kv-page-in"
+	case EventPageOut:
+		return "kv-page-out"
+	case EventMigrateSend:
+		return "migration-send"
+	case EventMigrateRecv:
+		return "migration-recv"
 	}
 	return "unknown"
 }
@@ -107,7 +129,8 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind EventKind
 	// Time is the arrival time of the underlying work (not its completion);
-	// for EventBatchFormed it is the step's start time.
+	// for EventBatchFormed and the stall kinds it is the step's or stall's
+	// start time.
 	Time    float64
 	Session int
 	// Class is the session's stream class name; Device its fleet member
@@ -115,8 +138,9 @@ type Event struct {
 	Class  string
 	Device int
 	// Latency is the completion latency (queueing + service) for
-	// EventFrameServed / EventQueryServed / EventDeadlineMissed and the
-	// step's service time for EventBatchFormed. For every other kind —
+	// EventFrameServed / EventQueryServed / EventDeadlineMissed, the
+	// step's service time for EventBatchFormed and the stall's duration for
+	// the stall kinds (EventPageIn ... EventMigrateRecv). For every other kind —
 	// including dropped frames and queries, which never complete — it is
 	// NaN, so a dropped event can never be mistaken for a real zero-latency
 	// sample (test with math.IsNaN, not == 0).
@@ -137,7 +161,8 @@ type Event struct {
 var latencyNone = math.NaN()
 
 // Observer receives scheduling events; wire one through Config.Observer to
-// collect custom metrics without touching the engine.
+// collect custom metrics without touching the engine. It is the engine's only
+// hook: device stalls arrive as events too.
 type Observer interface {
 	Observe(Event)
 }

@@ -2,14 +2,13 @@ package serve
 
 import "testing"
 
-// Switch exhaustiveness over EventKind and StallKind is enforced statically
-// now: the `exhaustive` analyzer in internal/analysis (run by `make vet` and
-// the CI vet job via cmd/vrex-vet) rejects any switch over a *Kind enum that
-// neither covers every constant nor opts out with an explicit default. The
-// former runtime sentinel loops that re-derived coverage from numEventKinds /
-// numStallKinds are gone; what remains below is the one property the static
-// check cannot see through String()'s default clause — that the name tables
-// are collision-free and out-of-range values read "unknown".
+// Switch exhaustiveness over EventKind is enforced statically: the
+// `exhaustive` analyzer in internal/analysis (run by `make vet` and the CI
+// vet job via cmd/vrex-vet) rejects any switch over a *Kind enum that neither
+// covers every constant nor opts out with an explicit default. What remains
+// below is the one property the static check cannot see through String()'s
+// default clause — that the name table is collision-free and out-of-range
+// values read "unknown".
 
 // TestEventKindNamesDistinct pins the EventKind label table: unique names
 // per kind, "unknown" beyond the sentinel.
@@ -26,25 +25,6 @@ func TestEventKindNamesDistinct(t *testing.T) {
 		seen[name] = k
 	}
 	if EventKind(numEventKinds).String() != "unknown" {
-		t.Fatal("out-of-range kinds must read unknown")
-	}
-}
-
-// TestStallKindNamesDistinct is the same guard for the telemetry plane's
-// stall classification.
-func TestStallKindNamesDistinct(t *testing.T) {
-	seen := make(map[string]StallKind, numStallKinds)
-	for k := StallKind(0); k < numStallKinds; k++ {
-		name := k.String()
-		if name == "unknown" {
-			t.Fatalf("StallKind(%d) has no String() case", int(k))
-		}
-		if prev, dup := seen[name]; dup {
-			t.Fatalf("StallKind(%d) and StallKind(%d) share the name %q", int(prev), int(k), name)
-		}
-		seen[name] = k
-	}
-	if StallKind(numStallKinds).String() != "unknown" {
 		t.Fatal("out-of-range kinds must read unknown")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // barrier.
 func TestRunParallelEquivalence(t *testing.T) {
 	cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 6)
-	cfg.Stream.QueryEvery = 7
+	cfg.Classes[0].Stream.QueryEvery = 7
 	cfg.Workers = 1
 	seq := Run(cfg)
 	for _, w := range []int{2, 8} {

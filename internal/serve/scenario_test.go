@@ -27,17 +27,6 @@ func mixConfig(streams, devices int) Config {
 	}
 }
 
-func TestLegacyConfigEqualsSingleClassMix(t *testing.T) {
-	legacy := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 4)
-	legacy.Stream.QueryEvery = 9
-	viaClasses := legacy
-	viaClasses.Classes = []StreamClass{{Name: "default", Weight: 1, Stream: legacy.Stream}}
-	a, b := Run(legacy), Run(viaClasses)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("single-class mix diverged from legacy Stream config:\n%+v\n%+v", a, b)
-	}
-}
-
 func TestMixAssignsAllClasses(t *testing.T) {
 	res := Run(mixConfig(16, 1))
 	if len(res.PerClass) != 2 {
@@ -276,7 +265,7 @@ func TestScenarioParallelEquivalence(t *testing.T) {
 // true as streams are added, and the bisection answer matches a linear scan.
 func TestMaxRealTimeStreamsMonotone(t *testing.T) {
 	cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 1)
-	cfg.Stream.StartKV = 10000
+	cfg.Classes[0].Stream.StartKV = 10000
 	cfg.Duration = 10
 	const limit = 10
 	linear := 0

@@ -285,7 +285,7 @@ func (e *engine) admitFrame(d int, it readyItem, at float64) (paging float64, ok
 		if growSpill, ok = pool.Grow(s, sc.TokensPerFrame, it.at); ok {
 			pageIn, pageOut := pool.Touch(s, it.at)
 			paging = growSpill + pageIn + pageOut
-			e.profPaging(d, at, growSpill+pageOut, pageIn)
+			e.pagingStalls(d, at, growSpill+pageOut, pageIn)
 		}
 	}
 	if !ok {
@@ -377,7 +377,7 @@ func (e *engine) serveQuery(d int, it readyItem, at float64) bool {
 		}
 		pageIn, pageOut := pool.Touch(s, it.at)
 		paging = growSpill + pageIn + pageOut
-		e.profPaging(d, start, growSpill+pageOut, pageIn)
+		e.pagingStalls(d, start, growSpill+pageOut, pageIn)
 	}
 	sim := e.simFor(d, s)
 	total := sim.Chunk(sc.QueryTokens, e.kv[s], 1, hwsim.StageTextPhase).Total
@@ -437,10 +437,10 @@ func (e *engine) dropReady(d int, at float64) {
 // by session `head`, with the step's service time (excluding queued page
 // movement) as Latency.
 func (e *engine) observeBatch(at float64, d, head, size int, service float64) {
-	if !e.observing() {
+	if e.cfg.Observer == nil {
 		return
 	}
-	e.emit(Event{
+	e.cfg.Observer.Observe(Event{
 		Kind: EventBatchFormed, Time: at, Session: head,
 		Class: e.classes[e.sessions[head].class].Name, Device: d,
 		Latency: service, KV: e.kv[head], Batch: size,

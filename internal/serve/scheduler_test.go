@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vrex/internal/hwsim"
+	"vrex/internal/mathx"
 )
 
 func mustScheduler(t testing.TB, spec string) Scheduler {
@@ -61,8 +62,8 @@ func TestZeroSchedulerIsBatch1Fifo(t *testing.T) {
 	scenarios["underloaded fleet + queries"] = under
 
 	over := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 10)
-	over.Stream.StartKV = 20000
-	over.Stream.QueryEvery = 9
+	over.Classes[0].Stream.StartKV = 20000
+	over.Classes[0].Stream.QueryEvery = 9
 	scenarios["overloaded device + drops"] = over
 
 	spill := kvConfig(2, 1, 30*pageBytes250, "spill(evict=lru,pages=4)")
@@ -116,7 +117,7 @@ func TestSchedulerParallelEquivalence(t *testing.T) {
 func TestBatchingImprovesThroughputAtHighLoad(t *testing.T) {
 	mk := func(batch int) Config {
 		cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 10)
-		cfg.Stream.StartKV = 20000
+		cfg.Classes[0].Stream.StartKV = 20000
 		cfg.Scheduler = SchedulerConfig{Policy: mustScheduler(t, "fifo"), BatchMax: batch}
 		return cfg
 	}
@@ -146,7 +147,7 @@ func TestEDFMonotoneAttainment(t *testing.T) {
 	prev := math.Inf(1)
 	for _, slo := range []float64{2, 1, 0.5, 0.25} {
 		cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 8)
-		cfg.Stream.StartKV = 20000
+		cfg.Classes[0].Stream.StartKV = 20000
 		cfg.Scheduler = SchedulerConfig{Policy: mustScheduler(t, "edf"), BatchMax: 4, SLO: slo}
 		res := Run(cfg)
 		if res.Aggregate.SLOAttained > prev {
@@ -253,7 +254,7 @@ func TestBatchObserverConsistent(t *testing.T) {
 // batch-formed events, which every step emits, carry its service time.
 func TestDroppedEventLatencyIsNaN(t *testing.T) {
 	cfg := baseConfig(hwsim.AGXOrin(), hwsim.FlexGenModel(), 4)
-	cfg.Stream.StartKV = 20000
+	cfg.Classes[0].Stream.StartKV = 20000
 	drops, serves, steps := 0, 0, 0
 	cfg.Observer = ObserverFunc(func(e Event) {
 		switch e.Kind {
@@ -288,7 +289,7 @@ func TestDroppedEventLatencyIsNaN(t *testing.T) {
 // scheduler sweeps have an apples-to-apples batch-1 reference.
 func TestSerialSLOAccounting(t *testing.T) {
 	cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 2)
-	cfg.Stream.QueryEvery = 7
+	cfg.Classes[0].Stream.QueryEvery = 7
 	res := Run(cfg)
 	agg := res.Aggregate
 	if agg.SLOAttained < 0 || agg.SLOAttained > 1 {
@@ -327,6 +328,7 @@ func TestSchedulerValidation(t *testing.T) {
 		"negative scheduler slo": func(c *Config) {
 			c.Scheduler = SchedulerConfig{Policy: fifo, SLO: -0.5}
 		},
+		"no classes":         func(c *Config) { c.Classes = nil },
 		"negative class slo": func(c *Config) { c.Classes[0].SLO = -1 },
 		"zero fps":           func(c *Config) { c.Classes[0].Stream.FPS = 0 },
 		"negative fps":       func(c *Config) { c.Classes[0].Stream.FPS = -2 },
@@ -351,11 +353,11 @@ func TestSchedulerValidation(t *testing.T) {
 // exactly 0 can no longer produce zero-gap arrivals or zero-length
 // lifetimes, while ordinary draws are untouched.
 func TestExpDrawNeverZero(t *testing.T) {
-	if d := expFromUniform(0, 5); d <= 0 {
+	if d := mathx.ExpFromUniform(0, 5); d <= 0 {
 		t.Fatalf("zero draw yields non-positive gap %v", d)
 	}
 	for _, u := range []float64{1e-300, 1e-17, 0.25, 0.5, 0.999999} {
-		d := expFromUniform(u, 5)
+		d := mathx.ExpFromUniform(u, 5)
 		if d <= 0 {
 			t.Fatalf("u=%v: non-positive gap %v", u, d)
 		}

@@ -11,9 +11,9 @@
 // many concurrent real-time streams each system sustains (the `scale` and
 // `fleet` experiments).
 //
-// A Config with no Classes, no Churn and at most one device reduces exactly
-// to the original single-device, homogeneous-stream simulation: the golden
-// tests in internal/experiments pin that path byte-for-byte.
+// A Config with one stream class, no Churn and at most one device reduces
+// exactly to the original single-device, homogeneous-stream simulation: the
+// golden tests in internal/experiments pin that path byte-for-byte.
 package serve
 
 import (
@@ -127,11 +127,8 @@ type Config struct {
 	Streams int
 	// Duration is the simulated wall-clock seconds.
 	Duration float64
-	// Stream shapes every session when Classes is empty (the original
-	// homogeneous API, kept for back-compat).
-	Stream StreamConfig
-	// Classes, when non-empty, is the weighted mix sessions draw their shape
-	// from; it takes precedence over Stream.
+	// Classes is the weighted mix sessions draw their shape from (at least
+	// one class; a homogeneous run is a one-class mix).
 	Classes []StreamClass
 	// Churn adds open-loop session arrivals/departures.
 	Churn ChurnConfig
@@ -163,13 +160,12 @@ type Config struct {
 	// Migration prices live session moves the controller triggers; the zero
 	// value makes moves free (see MigrationConfig).
 	Migration MigrationConfig
-	// Observer, when non-nil, receives every scheduling event in
-	// deterministic order (see Event).
+	// Observer, when non-nil, receives every scheduling event and device
+	// stall in deterministic order (see Event).
 	Observer Observer
-	// Telemetry attaches the observability plane: an event/stall sink and a
-	// phase-attribution profile (see TelemetryConfig). The zero value
-	// disables it and Run prices and observes exactly as before.
-	Telemetry TelemetryConfig
+	// Profile, when non-nil, accumulates the run's phase attribution (see
+	// PhaseProfile). Nil leaves pricing exactly as without it.
+	Profile *PhaseProfile
 	// DropThreshold: a frame still queued after this many frame intervals
 	// is dropped (<= 0 disables dropping).
 	DropThreshold float64
@@ -184,14 +180,6 @@ type Config struct {
 	// arrivals in global order — and results are identical for any worker
 	// count.
 	Workers int
-}
-
-// classes returns the effective mix: Classes, or the legacy single Stream.
-func (cfg *Config) classes() []StreamClass {
-	if len(cfg.Classes) > 0 {
-		return cfg.Classes
-	}
-	return []StreamClass{{Name: "default", Weight: 1, Stream: cfg.Stream}}
 }
 
 // StreamMetrics summarises one session.
@@ -381,25 +369,6 @@ const (
 	churnSessionSalt = 0x05E551035
 )
 
-// expDraw samples an exponential with the given mean.
-func expDraw(rng *mathx.RNG, mean float64) float64 {
-	return expFromUniform(rng.Float64(), mean)
-}
-
-// expFromUniform maps a uniform draw in [0, 1) through the exponential
-// inverse CDF, clamped strictly away from 0: a draw of exactly 0 would
-// otherwise yield a zero inter-arrival gap or a zero-length session
-// lifetime, producing simultaneous events whose heap order is only
-// tie-break-dependent. The clamp is far below any simulated timescale, so
-// every other draw is unchanged.
-func expFromUniform(u, mean float64) float64 {
-	d := -mean * math.Log(1-u)
-	if d <= 0 {
-		return mean * 1e-12
-	}
-	return d
-}
-
 // session is one video session's static plan: its class, presence window,
 // jitter seed and (once assigned) device.
 type session struct {
@@ -458,7 +427,7 @@ func buildSessions(cfg Config, classes []StreamClass) []session {
 			if cfg.Churn.MeanLifetime <= 0 {
 				return cfg.Duration
 			}
-			life = expDraw(mathx.NewRNG(parallel.SeedFor(domain^lifeSeedSalt, i)), cfg.Churn.MeanLifetime)
+			life = mathx.NewRNG(parallel.SeedFor(domain^lifeSeedSalt, i)).Exp(cfg.Churn.MeanLifetime)
 		}
 		end := start + life
 		if end > cfg.Duration {
@@ -494,7 +463,7 @@ func buildSessions(cfg Config, classes []StreamClass) []session {
 		domain := cfg.Seed ^ churnSessionSalt
 		rng := mathx.NewRNG(parallel.SeedFor(cfg.Seed^churnSeedSalt, 0))
 		i := 0
-		for t := expDraw(rng, 1/cfg.Churn.ArrivalRate); t < cfg.Duration; t += expDraw(rng, 1/cfg.Churn.ArrivalRate) {
+		for t := rng.Exp(1 / cfg.Churn.ArrivalRate); t < cfg.Duration; t += rng.Exp(1 / cfg.Churn.ArrivalRate) {
 			sessions = append(sessions, session{
 				class: pickClass(domain, i, t), start: t, end: endOf(domain, i, t),
 				device: -1, seed: parallel.SeedFor(domain, i),
@@ -505,7 +474,10 @@ func buildSessions(cfg Config, classes []StreamClass) []session {
 	return sessions
 }
 
-func validate(cfg Config, classes []StreamClass) {
+func validate(cfg Config) {
+	if len(cfg.Classes) == 0 {
+		panic("serve: config has no stream classes")
+	}
 	if cfg.Duration <= 0 || (cfg.Streams <= 0 && !cfg.Churn.hasArrivals()) {
 		panic(fmt.Sprintf("serve: invalid config streams=%d duration=%v arrival_rate=%v",
 			cfg.Streams, cfg.Duration, cfg.Churn.ArrivalRate))
@@ -513,7 +485,7 @@ func validate(cfg Config, classes []StreamClass) {
 	if cfg.Streams < 0 || cfg.Churn.ArrivalRate < 0 || cfg.Churn.MeanLifetime < 0 || cfg.Devices < 0 {
 		panic(fmt.Sprintf("serve: negative config field: %+v", cfg))
 	}
-	for _, c := range classes {
+	for _, c := range cfg.Classes {
 		// Real-time classes divide by FPS (the frame schedule and the drop
 		// threshold's frame-interval scale), so NaN/Inf must fail here, not
 		// corrupt the timeline: `!(x > 0)` also catches NaN.
@@ -565,8 +537,8 @@ func validate(cfg Config, classes []StreamClass) {
 
 // Run executes the serving simulation.
 func Run(cfg Config) Result {
-	classes := cfg.classes()
-	validate(cfg, classes)
+	validate(cfg)
+	classes := cfg.Classes
 	sessions := buildSessions(cfg, classes)
 	nDev := cfg.Devices
 	if nDev <= 0 {
@@ -675,17 +647,15 @@ func Run(cfg Config) Result {
 		}
 		e.slo[c] = v
 	}
-	e.tel = cfg.Telemetry.Sink
-	e.prof = cfg.Telemetry.Profile
 	var pageAcct *kvpool.Account
-	if e.prof != nil {
+	if prof := cfg.Profile; prof != nil {
 		// One compute-phase account across the fleet: homogeneous fleets
 		// share a sim, heterogeneous ones each point at the same account,
 		// and degradation-scaled copies inherit the pointer via Scaled.
 		for d := range sims {
-			sims[d].Phases = &e.prof.Sim
+			sims[d].Phases = &prof.Sim
 		}
-		pageAcct = &e.prof.Pages
+		pageAcct = &prof.Pages
 	}
 	e.plane = newKVPlane(cfg, nDev, len(sessions), pageAcct)
 	if e.plane != nil {
@@ -823,19 +793,13 @@ type engine struct {
 	nDown     int
 	upScratch []DeviceState
 	mig       MigrationMetrics
-
-	// Telemetry-plane hooks, both nil with Config.Telemetry zero: tel
-	// receives events and device stalls alongside cfg.Observer, prof
-	// accumulates the run's phase attribution.
-	tel  TelemetrySink
-	prof *PhaseProfile
 }
 
 func (e *engine) observe(kind EventKind, at float64, s int, latency float64) {
-	if !e.observing() {
+	if e.cfg.Observer == nil {
 		return
 	}
-	e.emit(Event{
+	e.cfg.Observer.Observe(Event{
 		Kind: kind, Time: at, Session: s,
 		Class: e.classes[e.sessions[s].class].Name, Device: e.sessions[s].device,
 		Latency: latency, KV: e.kv[s],
@@ -851,22 +815,17 @@ func (e *engine) trackPeak(d int) {
 
 // chargePaging occupies device d's serving timeline with page movement
 // starting no earlier than now: spills and reloads ride the same PCIe
-// link the device fetches KV over, so they serialise with service. kind
-// classifies the occupation for the telemetry plane.
-func (e *engine) chargePaging(d int, now, dur float64, kind StallKind) {
+// link the device fetches KV over, so they serialise with service. kind is
+// the stall event kind that reports the occupation.
+func (e *engine) chargePaging(d int, now, dur float64, kind EventKind) {
 	if dur <= 0 {
 		return
 	}
 	start := max(now, e.devs[d].Free)
 	e.devs[d].Free = start + dur
 	e.devs[d].Busy += dur
-	if e.prof != nil {
-		e.prof.addStall(kind, dur)
-		e.prof.Charged += dur
-	}
-	if e.tel != nil {
-		e.tel.Stall(d, start, dur, kind)
-	}
+	e.profCharge(dur)
+	e.stall(kind, d, start, dur)
 }
 
 // admit gives session s's KV to device d. Without the memory-pressure
@@ -896,7 +855,7 @@ func (e *engine) admit(s, d int, at float64) {
 		return
 	}
 	e.plane.state[s] = sessAdmitted
-	e.chargePaging(d, at, spill, StallPageOut)
+	e.chargePaging(d, at, spill, EventPageOut)
 	e.devs[d].ResidentKV += e.kv[s]
 	e.trackPeak(d)
 }
@@ -919,7 +878,7 @@ func (e *engine) drainQueue(d int, at float64) {
 		if !ok {
 			break
 		}
-		e.chargePaging(d, at, spill, StallPageOut)
+		e.chargePaging(d, at, spill, EventPageOut)
 		e.plane.state[h] = sessAdmitted
 		e.devs[d].ResidentKV += e.kv[h]
 		e.trackPeak(d)

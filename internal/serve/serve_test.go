@@ -13,7 +13,7 @@ func baseConfig(dev hwsim.DeviceSpec, pol hwsim.PolicyModel, streams int) Config
 		Dev: dev, Pol: pol,
 		Streams:       streams,
 		Duration:      20,
-		Stream:        sc,
+		Classes:       []StreamClass{{Name: "default", Weight: 1, Stream: sc}},
 		DropThreshold: 4,
 		Seed:          1,
 	}
@@ -29,7 +29,7 @@ func TestSingleStreamVRexRealTime(t *testing.T) {
 	if m.AchievedFPS < 1.8 {
 		t.Fatalf("achieved FPS %v, want ~2", m.AchievedFPS)
 	}
-	if m.FinalKV <= cfg.Stream.StartKV {
+	if m.FinalKV <= cfg.Classes[0].Stream.StartKV {
 		t.Fatal("KV must grow as frames are served")
 	}
 	if m.P50 <= 0 || m.P99 < m.P50 {
@@ -41,7 +41,7 @@ func TestBacklogDropsFrames(t *testing.T) {
 	// AGX+FlexGen at a large cache cannot keep up with 2 FPS x 4 streams;
 	// frames must drop.
 	cfg := baseConfig(hwsim.AGXOrin(), hwsim.FlexGenModel(), 4)
-	cfg.Stream.StartKV = 20000
+	cfg.Classes[0].Stream.StartKV = 20000
 	res := Run(cfg)
 	if res.RealTime {
 		t.Fatal("overloaded GPU should not be real-time")
@@ -57,10 +57,10 @@ func TestBacklogDropsFrames(t *testing.T) {
 
 func TestDroppedFramesDontGrowKV(t *testing.T) {
 	cfg := baseConfig(hwsim.AGXOrin(), hwsim.FlexGenModel(), 4)
-	cfg.Stream.StartKV = 20000
+	cfg.Classes[0].Stream.StartKV = 20000
 	res := Run(cfg)
 	for s, m := range res.PerStream {
-		want := cfg.Stream.StartKV + m.FramesServed*cfg.Stream.TokensPerFrame
+		want := cfg.Classes[0].Stream.StartKV + m.FramesServed*cfg.Classes[0].Stream.TokensPerFrame
 		if m.FinalKV != want {
 			t.Fatalf("stream %d KV %d, want %d (served %d)", s, m.FinalKV, want, m.FramesServed)
 		}
@@ -70,7 +70,7 @@ func TestDroppedFramesDontGrowKV(t *testing.T) {
 func TestVRexSustainsMoreStreamsThanGPU(t *testing.T) {
 	mk := func(dev hwsim.DeviceSpec, pol hwsim.PolicyModel) Config {
 		c := baseConfig(dev, pol, 1)
-		c.Stream.StartKV = 10000
+		c.Classes[0].Stream.StartKV = 10000
 		c.Duration = 10
 		return c
 	}
@@ -83,7 +83,7 @@ func TestVRexSustainsMoreStreamsThanGPU(t *testing.T) {
 
 func TestQueriesServed(t *testing.T) {
 	cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 1)
-	cfg.Stream.QueryEvery = 5
+	cfg.Classes[0].Stream.QueryEvery = 5
 	res := Run(cfg)
 	if res.PerStream[0].QueriesServed == 0 {
 		t.Fatal("queries should be served")

@@ -6,22 +6,10 @@ import (
 	"testing"
 )
 
-// recordingSink captures the full event and stall streams.
-type recordingSink struct {
-	events []Event
-	stalls []stallRec
-}
+// recorder captures the full event stream, device stalls included.
+type recorder struct{ events []Event }
 
-type stallRec struct {
-	device     int
-	start, dur float64
-	kind       StallKind
-}
-
-func (r *recordingSink) Observe(ev Event) { r.events = append(r.events, ev) }
-func (r *recordingSink) Stall(device int, start, dur float64, kind StallKind) {
-	r.stalls = append(r.stalls, stallRec{device, start, dur, kind})
-}
+func (r *recorder) Observe(ev Event) { r.events = append(r.events, ev) }
 
 // telemetryConfig is a deliberately stressed run exercising every charge
 // path at once: KV pool small enough to spill, EDF batching, a degradation
@@ -29,7 +17,6 @@ func (r *recordingSink) Stall(device int, start, dur float64, kind StallKind) {
 func telemetryConfig(t *testing.T) Config {
 	t.Helper()
 	cfg := kvConfig(10, 2, 40*pageBytes250, "spill(evict=lru,pages=8)")
-	cfg.Stream.FPS = 1
 	p, err := ParseScheduler("edf")
 	if err != nil {
 		t.Fatal(err)
@@ -54,12 +41,12 @@ func telemetryConfig(t *testing.T) Config {
 }
 
 // TestTelemetryDoesNotPerturbResult pins the plane's observer-only
-// contract: attaching a sink and a profile leaves every Result field
+// contract: attaching an observer and a profile leaves every Result field
 // byte-identical to the bare run.
 func TestTelemetryDoesNotPerturbResult(t *testing.T) {
 	bare := Run(telemetryConfig(t))
 	wired := telemetryConfig(t)
-	wired.Telemetry = TelemetryConfig{Sink: &recordingSink{}, Profile: &PhaseProfile{}}
+	wired.Observer, wired.Profile = &recorder{}, &PhaseProfile{}
 	if got := Run(wired); !reflect.DeepEqual(bare, got) {
 		t.Fatal("attaching telemetry changed the result")
 	}
@@ -68,12 +55,12 @@ func TestTelemetryDoesNotPerturbResult(t *testing.T) {
 // TestPhaseProfileConservation pins the attribution invariant on a run that
 // exercises compute, paging and migration charges: the phase buckets sum to
 // exactly the device-seconds the engine charged (within float tolerance),
-// and the sink's stall stream reconciles with the paging/migration buckets.
+// and the stall events reconcile with the paging/migration buckets.
 func TestPhaseProfileConservation(t *testing.T) {
 	cfg := telemetryConfig(t)
-	sink := &recordingSink{}
+	rec := &recorder{}
 	prof := &PhaseProfile{}
-	cfg.Telemetry = TelemetryConfig{Sink: sink, Profile: prof}
+	cfg.Observer, cfg.Profile = rec, prof
 	res := Run(cfg)
 
 	if prof.Charged <= 0 || prof.Sim.Steps == 0 {
@@ -93,22 +80,26 @@ func TestPhaseProfileConservation(t *testing.T) {
 	if res.Migrations.Live == 0 {
 		t.Fatal("expected live migrations")
 	}
-	// Sink stalls reconcile with the profile's non-compute buckets.
-	sums := make(map[StallKind]float64)
-	for _, st := range sink.stalls {
-		if st.dur <= 0 {
-			t.Fatalf("non-positive stall: %+v", st)
+	// Stall events reconcile with the profile's non-compute buckets.
+	sums := make(map[EventKind]float64)
+	for _, ev := range rec.events {
+		switch ev.Kind {
+		case EventPageIn, EventPageOut, EventMigrateSend, EventMigrateRecv:
+			if ev.Session != -1 || !(ev.Latency > 0) {
+				t.Fatalf("stall event must have session -1 and a positive duration: %+v", ev)
+			}
+			sums[ev.Kind] += ev.Latency
+		default:
 		}
-		sums[st.kind] += st.dur
 	}
 	for _, chk := range []struct {
-		kind StallKind
+		kind EventKind
 		want float64
 	}{
-		{StallPageIn, prof.PageIn},
-		{StallPageOut, prof.PageOut},
-		{StallMigrateSend, prof.MigrationSend},
-		{StallMigrateRecv, prof.MigrationRecv},
+		{EventPageIn, prof.PageIn},
+		{EventPageOut, prof.PageOut},
+		{EventMigrateSend, prof.MigrationSend},
+		{EventMigrateRecv, prof.MigrationRecv},
 	} {
 		if math.Abs(sums[chk.kind]-chk.want) > 1e-9 {
 			t.Fatalf("%v stalls sum %v, profile bucket %v", chk.kind, sums[chk.kind], chk.want)
@@ -118,49 +109,4 @@ func TestPhaseProfileConservation(t *testing.T) {
 	if prof.Pages.PagesIn == 0 || prof.Pages.PagesOut == 0 {
 		t.Fatalf("mover account empty: %+v", prof.Pages)
 	}
-}
-
-// TestTelemetrySinkSeesObserverStream pins that the sink receives exactly
-// the event stream Config.Observer sees, in the same order, whether or not
-// an Observer is attached alongside.
-func TestTelemetrySinkSeesObserverStream(t *testing.T) {
-	var viaObserver []Event
-	both := telemetryConfig(t)
-	sink := &recordingSink{}
-	both.Observer = ObserverFunc(func(ev Event) { viaObserver = append(viaObserver, ev) })
-	both.Telemetry.Sink = sink
-	Run(both)
-
-	alone := telemetryConfig(t)
-	soloSink := &recordingSink{}
-	alone.Telemetry.Sink = soloSink
-	Run(alone)
-
-	if len(viaObserver) == 0 {
-		t.Fatal("observer saw no events")
-	}
-	if !eventsEqual(viaObserver, sink.events) || !eventsEqual(viaObserver, soloSink.events) {
-		t.Fatal("sink event stream diverged from the observer stream")
-	}
-}
-
-// eventsEqual compares event streams treating NaN latencies as equal.
-func eventsEqual(a, b []Event) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		nx, ny := math.IsNaN(x.Latency), math.IsNaN(y.Latency)
-		if nx != ny {
-			return false
-		}
-		if nx {
-			x.Latency, y.Latency = 0, 0
-		}
-		if x != y {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's observability plane: it consumes the
-// serving engine's event and stall streams (serve.TelemetrySink) and renders
-// them as a metrics registry (counters, gauges, log-bucket latency
-// histograms, windowed time-series; Prometheus text exposition or
-// report tables), per-session spans and Chrome trace-event JSON loadable in
+// serving engine's event stream (serve.Observer; device stalls arrive as
+// stall events) and renders it as a metrics registry (counters, gauges,
+// log-bucket latency histograms and stall seconds; Prometheus text
+// exposition), per-session spans and Chrome trace-event JSON loadable in
 // Perfetto / chrome://tracing, and a sorted phase-attribution table over the
 // engine's PhaseProfile. Everything is simulated-time and deterministic:
 // identical runs (any Workers setting) produce byte-identical exports.
@@ -14,15 +14,7 @@ import (
 	"vrex/internal/serve"
 )
 
-// DeviceStall is one non-compute occupation of a device timeline (KV paging
-// or a migration leg), as reported by the engine.
-type DeviceStall struct {
-	Device     int
-	Start, Dur float64
-	Kind       serve.StallKind
-}
-
-// Collector implements serve.TelemetrySink by buffering the raw streams.
+// Collector is a serve.Observer that buffers the raw event stream.
 // The engine's delivery order is deterministic but — documented on
 // serve.Event — not globally time-monotone (served events surface when
 // their step forms, after later arrivals), so
@@ -30,7 +22,6 @@ type DeviceStall struct {
 // assuming sorted input.
 type Collector struct {
 	events []serve.Event
-	stalls []DeviceStall
 	// sorted caches the stable time-sort of events (invalidated on append).
 	sorted []serve.Event
 }
@@ -39,10 +30,19 @@ type Collector struct {
 func NewCollector() *Collector { return &Collector{} }
 
 // Attach wires the collector and a fresh phase profile into cfg and returns
-// the profile; run the config, then export.
+// the profile; run the config, then export. An Observer already on cfg keeps
+// receiving the identical stream: the collector is chained behind it.
 func (c *Collector) Attach(cfg *serve.Config) *serve.PhaseProfile {
 	prof := &serve.PhaseProfile{}
-	cfg.Telemetry = serve.TelemetryConfig{Sink: c, Profile: prof}
+	cfg.Profile = prof
+	if prev := cfg.Observer; prev != nil {
+		cfg.Observer = serve.ObserverFunc(func(ev serve.Event) {
+			prev.Observe(ev)
+			c.Observe(ev)
+		})
+	} else {
+		cfg.Observer = c
+	}
 	return prof
 }
 
@@ -50,11 +50,6 @@ func (c *Collector) Attach(cfg *serve.Config) *serve.PhaseProfile {
 func (c *Collector) Observe(ev serve.Event) {
 	c.events = append(c.events, ev)
 	c.sorted = nil
-}
-
-// Stall implements serve.TelemetrySink.
-func (c *Collector) Stall(device int, start, dur float64, kind serve.StallKind) {
-	c.stalls = append(c.stalls, DeviceStall{Device: device, Start: start, Dur: dur, Kind: kind})
 }
 
 // Events returns the event stream stable-sorted by time: equal-time events
@@ -74,12 +69,3 @@ func (c *Collector) Events() []serve.Event {
 
 // Raw returns the events in engine delivery order (shared; do not mutate).
 func (c *Collector) Raw() []serve.Event { return c.events }
-
-// Stalls returns the stall stream stable-sorted by start time (shared; do
-// not mutate the records).
-func (c *Collector) Stalls() []DeviceStall {
-	out := make([]DeviceStall, len(c.stalls))
-	copy(out, c.stalls)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}

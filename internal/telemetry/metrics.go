@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"vrex/internal/report"
 	"vrex/internal/serve"
 )
 
@@ -41,58 +40,20 @@ type Counter struct {
 	Count  int
 }
 
-// Window is one fixed-width slice of the run's time-series, in the style of
-// cluster.Window.
-type Window struct {
-	// Start is the window's start time in simulated seconds.
-	Start float64
-	// Event counts inside the window.
-	FramesServed, FramesDropped, DeadlineMisses, QueriesServed int
-	Degraded, Restored, Migrations                             int
-	// ActiveSessions is the session-count gauge sampled at the window's end.
-	ActiveSessions int
-}
-
-// Metrics is the registry computed from a collector's streams.
+// Metrics is the registry computed from a collector's stream.
 type Metrics struct {
 	Counters   []Counter
 	Histograms []Histogram
-	Windows    []Window
-	// WindowWidth is the window size in seconds.
-	WindowWidth float64
 	// StallSeconds[d] maps stall kind name to charged seconds on device d.
 	StallSeconds []map[string]float64
-	// PeakActive / FinalActive are the session gauge's extremes.
+	// PeakActive / FinalActive are the concurrent-session gauge's peak (over
+	// every instant of the run) and its value at the end.
 	PeakActive, FinalActive int
 }
 
-// Metrics folds the collected streams into the registry. width is the
-// time-series window size (<= 0 collapses to one window over the whole
-// duration).
-func (c *Collector) Metrics(width, duration float64) *Metrics {
-	if width <= 0 || width > duration {
-		width = duration
-	}
-	nW := int(math.Ceil(duration / width))
-	if nW < 1 {
-		nW = 1
-	}
-	m := &Metrics{WindowWidth: width, Windows: make([]Window, nW)}
-	for w := range m.Windows {
-		m.Windows[w].Start = float64(w) * width
-	}
-	idx := func(at float64) int {
-		w := int(at / width)
-		if w >= nW {
-			w = nW - 1
-		}
-		if w < 0 {
-			w = 0
-		}
-		return w
-	}
-	window := func(at float64) *Window { return &m.Windows[idx(at)] }
-
+// Metrics folds the collected stream into the registry.
+func (c *Collector) Metrics() *Metrics {
+	m := &Metrics{}
 	counts := make(map[Counter]int)
 	hists := make(map[[2]string]*Histogram)
 	sample := func(op, class string, lat float64) {
@@ -107,42 +68,26 @@ func (c *Collector) Metrics(width, duration float64) *Metrics {
 		h.Sum += lat
 		h.N++
 	}
-	starts := make([]int, nW)
-	ends := make([]int, nW)
-	for _, ev := range c.Events() {
+	events := c.Events()
+	active := 0
+	for i, ev := range events {
 		counts[Counter{Kind: ev.Kind, Class: ev.Class, Device: ev.Device}]++
-		w := window(ev.Time)
 		switch ev.Kind {
 		case serve.EventSessionStart:
-			starts[idx(ev.Time)]++
+			active++
 		case serve.EventSessionEnd:
-			ends[idx(ev.Time)]++
+			active--
 		case serve.EventFrameServed:
-			w.FramesServed++
 			sample("frame", ev.Class, ev.Latency)
-		case serve.EventFrameDropped:
-			w.FramesDropped++
-		case serve.EventDeadlineMissed:
-			w.DeadlineMisses++
 		case serve.EventQueryServed:
-			w.QueriesServed++
 			sample("query", ev.Class, ev.Latency)
-		case serve.EventDegraded:
-			w.Degraded++
-		case serve.EventRestored:
-			w.Restored++
-		case serve.EventSessionMigrated:
-			w.Migrations++
 		default:
-			// remaining kinds land in Counters above but have no window column
+			// remaining kinds land in Counters above only
 		}
-	}
-	active := 0
-	for w := range m.Windows {
-		active += starts[w] - ends[w]
-		m.Windows[w].ActiveSessions = active
-		if active > m.PeakActive {
-			m.PeakActive = active
+		// Sample the gauge once all events at this instant have applied, so
+		// a session ending exactly when another starts is not double-counted.
+		if i+1 == len(events) || events[i+1].Time != ev.Time { //vrex:float-eq same-instant grouping wants bit equality of event times
+			m.PeakActive = max(m.PeakActive, active)
 		}
 	}
 	m.FinalActive = active
@@ -174,18 +119,18 @@ func (c *Collector) Metrics(width, duration float64) *Metrics {
 		return a.Class < b.Class
 	})
 
-	maxDev := 0
-	for _, st := range c.stalls {
-		if st.Device > maxDev {
-			maxDev = st.Device
+	// Stall seconds sum in delivery order, the order the engine charged them.
+	m.StallSeconds = []map[string]float64{{}}
+	for _, ev := range c.Raw() {
+		switch ev.Kind {
+		case serve.EventPageIn, serve.EventPageOut, serve.EventMigrateSend, serve.EventMigrateRecv:
+			for len(m.StallSeconds) <= ev.Device {
+				m.StallSeconds = append(m.StallSeconds, map[string]float64{})
+			}
+			m.StallSeconds[ev.Device][ev.Kind.String()] += ev.Latency
+		default:
+			// only stalls carry device-timeline seconds
 		}
-	}
-	m.StallSeconds = make([]map[string]float64, maxDev+1)
-	for d := range m.StallSeconds {
-		m.StallSeconds[d] = map[string]float64{}
-	}
-	for _, st := range c.stalls {
-		m.StallSeconds[st.Device][st.Kind.String()] += st.Dur
 	}
 	return m
 }
@@ -238,43 +183,3 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 // formatBound renders a bucket bound compactly and stably (%g keeps
 // 0.0001 .. 13.1072 readable without trailing zeros).
 func formatBound(v float64) string { return fmt.Sprintf("%g", v) }
-
-// CounterTable renders the event counters as a report table.
-func (m *Metrics) CounterTable() *report.Table {
-	t := report.NewTable("Event counters", "kind", "class", "device", "count")
-	for _, c := range m.Counters {
-		t.AddRow(c.Kind.String(), c.Class, c.Device, c.Count)
-	}
-	return t
-}
-
-// HistogramTable renders the non-empty buckets of every latency histogram.
-func (m *Metrics) HistogramTable() *report.Table {
-	t := report.NewTable("Latency histograms (log buckets)", "op", "class", "le_ms", "count", "cum")
-	for _, h := range m.Histograms {
-		cum := 0
-		for i, n := range h.Counts {
-			cum += n
-			if n == 0 {
-				continue
-			}
-			le := "+Inf"
-			if i < len(latencyBounds) {
-				le = formatBound(latencyBounds[i] * 1e3)
-			}
-			t.AddRow(h.Op, h.Class, le, n, cum)
-		}
-	}
-	return t
-}
-
-// WindowTable renders the windowed time-series.
-func (m *Metrics) WindowTable() *report.Table {
-	t := report.NewTable("Windowed series", "t0", "served", "dropped", "missed",
-		"queries", "degraded", "restored", "migrations", "active")
-	for _, w := range m.Windows {
-		t.AddRow(w.Start, w.FramesServed, w.FramesDropped, w.DeadlineMisses,
-			w.QueriesServed, w.Degraded, w.Restored, w.Migrations, w.ActiveSessions)
-	}
-	return t
-}

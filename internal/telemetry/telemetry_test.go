@@ -158,27 +158,23 @@ func TestTraceMonotonePerLane(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistry checks counters, histograms and windows against the
-// run's own Result, and the Prometheus exposition's internal consistency.
+// TestMetricsRegistry checks counters and histograms against the run's own
+// Result, and the Prometheus exposition's internal consistency.
 func TestMetricsRegistry(t *testing.T) {
 	cfg := schedConfig(t)
 	col := NewCollector()
 	col.Attach(&cfg)
 	res := serve.Run(cfg)
 
-	m := col.Metrics(1, cfg.Duration)
-	if len(m.Windows) != 20 {
-		t.Fatalf("want 20 windows, got %d", len(m.Windows))
-	}
-	served, dropped, queries := 0, 0, 0
-	for _, w := range m.Windows {
-		served += w.FramesServed
-		dropped += w.FramesDropped
-		queries += w.QueriesServed
+	m := col.Metrics()
+	byKind := map[serve.EventKind]int{}
+	for _, c := range m.Counters {
+		byKind[c.Kind] += c.Count
 	}
 	agg := res.Aggregate
+	served, dropped, queries := byKind[serve.EventFrameServed], byKind[serve.EventFrameDropped], byKind[serve.EventQueryServed]
 	if served != agg.FramesServed || dropped != agg.FramesDropped || queries != agg.QueriesServed {
-		t.Fatalf("windows (%d/%d/%d) disagree with Result (%d/%d/%d)",
+		t.Fatalf("counters (%d/%d/%d) disagree with Result (%d/%d/%d)",
 			served, dropped, queries, agg.FramesServed, agg.FramesDropped, agg.QueriesServed)
 	}
 	// Histogram sample counts equal served work per op.
@@ -215,9 +211,36 @@ func TestMetricsRegistry(t *testing.T) {
 	}
 	// Determinism: a second export is byte-identical.
 	var again bytes.Buffer
-	col.Metrics(1, cfg.Duration).WritePrometheus(&again)
+	col.Metrics().WritePrometheus(&again)
 	if !bytes.Equal(prom.Bytes(), again.Bytes()) {
 		t.Fatal("Prometheus export is not deterministic")
+	}
+}
+
+// TestPeakActiveIsPerInstant pins the session gauge: its peak is taken at
+// every instant, not only at window ends, and only after all events at one
+// instant apply — a session starting exactly when another ends, even if
+// delivered first, does not count both.
+func TestPeakActiveIsPerInstant(t *testing.T) {
+	col := NewCollector()
+	for _, ev := range []struct {
+		kind serve.EventKind
+		at   float64
+		s    int
+	}{
+		{serve.EventSessionStart, 0, 0},
+		{serve.EventSessionStart, 0.2, 1},
+		{serve.EventSessionStart, 0.4, 2},
+		{serve.EventSessionStart, 0.6, 3},
+		{serve.EventSessionEnd, 0.6, 0},
+		{serve.EventSessionEnd, 0.8, 1},
+		{serve.EventSessionEnd, 0.9, 2},
+	} {
+		col.Observe(serve.Event{Kind: ev.kind, Time: ev.at, Session: ev.s, Latency: math.NaN()})
+	}
+	m := col.Metrics()
+	if m.PeakActive != 3 || m.FinalActive != 1 {
+		t.Fatalf("gauge peak=%d final=%d, want 3 and 1", m.PeakActive, m.FinalActive)
 	}
 }
 
@@ -246,7 +269,9 @@ func TestAttributionTableSorted(t *testing.T) {
 
 // TestCompletenessClusterRun is the satellite coverage test: a
 // churn+spill+degrade+cluster run reconstructs every session's span with a
-// balanced lifecycle, and per-kind event counts match the Result counters.
+// balanced lifecycle, per-kind event counts match the Result counters, and
+// the stall events reconcile with the profile's paging and migration
+// buckets.
 func TestCompletenessClusterRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweep; skipped in -short")
@@ -355,6 +380,8 @@ func TestCompletenessClusterRun(t *testing.T) {
 	if diff := math.Abs(prof.Total() - prof.Charged); diff > 1e-9 {
 		t.Fatalf("cluster attribution leak: %g", diff)
 	}
+	// Stalls pass through the cluster's window observer to the collector.
+	checkStalls(t, col.Raw(), prof)
 	// Spans are internally time-sorted.
 	for _, sp := range spans {
 		ts := make([]float64, 0, len(sp.Events))
@@ -365,4 +392,93 @@ func TestCompletenessClusterRun(t *testing.T) {
 			t.Fatalf("session %d span events not sorted", sp.Session)
 		}
 	}
+}
+
+// checkStalls reconciles a run's stall events with the profile's paging and
+// migration buckets: every stall event has Session -1 and a positive
+// duration, and each kind's durations sum to its bucket.
+func checkStalls(t *testing.T, events []serve.Event, prof *serve.PhaseProfile) {
+	t.Helper()
+	sums := map[serve.EventKind]float64{}
+	for _, ev := range events {
+		switch ev.Kind {
+		case serve.EventPageIn, serve.EventPageOut, serve.EventMigrateSend, serve.EventMigrateRecv:
+			if ev.Session != -1 || !(ev.Latency > 0) {
+				t.Fatalf("stall event must have session -1 and a positive duration: %+v", ev)
+			}
+			sums[ev.Kind] += ev.Latency
+		default:
+		}
+	}
+	for _, chk := range []struct {
+		kind serve.EventKind
+		want float64
+	}{
+		{serve.EventPageIn, prof.PageIn},
+		{serve.EventPageOut, prof.PageOut},
+		{serve.EventMigrateSend, prof.MigrationSend},
+		{serve.EventMigrateRecv, prof.MigrationRecv},
+	} {
+		if chk.want <= 0 {
+			t.Errorf("%v: profile bucket is empty; the scenario lost its pressure", chk.kind)
+		}
+		if math.Abs(sums[chk.kind]-chk.want) > 1e-9 {
+			t.Errorf("%v stalls sum %v, profile bucket %v", chk.kind, sums[chk.kind], chk.want)
+		}
+	}
+}
+
+// TestAttachChainsExistingObserver pins the one-hook contract: Attach on a
+// config that already has an Observer keeps it, and the earlier observer and
+// the collector both see the identical stream, stalls included — the same
+// stream a collector attached alone sees.
+func TestAttachChainsExistingObserver(t *testing.T) {
+	withKV := func() serve.Config {
+		cfg := schedConfig(t)
+		sp, err := kvpool.ParseSpill("spill(evict=lru,pages=8)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ~30 default pages per device: two 5000-token sessions fit, four page.
+		cfg.KV = serve.KVConfig{Capacity: 30 * 256 * 131072, Spill: sp}
+		return cfg
+	}
+	var earlier []serve.Event
+	both := withKV()
+	both.Observer = serve.ObserverFunc(func(ev serve.Event) { earlier = append(earlier, ev) })
+	chained := NewCollector()
+	chained.Attach(&both)
+	serve.Run(both)
+
+	alone := withKV()
+	solo := NewCollector()
+	solo.Attach(&alone)
+	serve.Run(alone)
+
+	stalls := 0
+	for _, ev := range earlier {
+		if ev.Kind == serve.EventPageIn || ev.Kind == serve.EventPageOut {
+			stalls++
+		}
+	}
+	if stalls == 0 {
+		t.Fatal("the run paged no KV; the stream has no stalls to compare")
+	}
+	if !eventsEqual(earlier, chained.Raw()) || !eventsEqual(earlier, solo.Raw()) {
+		t.Fatal("the earlier observer and the collector saw different streams")
+	}
+}
+
+// eventsEqual compares event streams treating NaN latencies as equal.
+func eventsEqual(a, b []serve.Event) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x != y && !(math.IsNaN(x.Latency) && math.IsNaN(y.Latency) && sameButLatency(x, y)) {
+			return false
+		}
+	}
+	return true
 }

@@ -57,22 +57,17 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 	// Device lanes: steps (batch-formed events) and stalls as complete slices.
 	devLanes := map[int][]traceEvent{}
 	for _, ev := range c.Events() {
-		if ev.Kind != serve.EventBatchFormed {
-			continue
+		te := traceEvent{Ph: "X", Pid: pidDevices, Tid: ev.Device, Ts: us(ev.Time), Dur: us(ev.Latency)}
+		switch ev.Kind {
+		case serve.EventBatchFormed:
+			te.Name, te.Cat = fmt.Sprintf("batch x%d", ev.Batch), "batch"
+			te.Args = map[string]any{"head_session": ev.Session, "size": ev.Batch}
+		case serve.EventPageIn, serve.EventPageOut, serve.EventMigrateSend, serve.EventMigrateRecv:
+			te.Name, te.Cat = ev.Kind.String(), "stall"
+		default:
+			continue // session-lane marks below
 		}
-		devLanes[ev.Device] = append(devLanes[ev.Device], traceEvent{
-			Name: fmt.Sprintf("batch x%d", ev.Batch), Ph: "X", Cat: "batch",
-			Pid: pidDevices, Tid: ev.Device,
-			Ts: us(ev.Time), Dur: us(ev.Latency),
-			Args: map[string]any{"head_session": ev.Session, "size": ev.Batch},
-		})
-	}
-	for _, st := range c.Stalls() {
-		devLanes[st.Device] = append(devLanes[st.Device], traceEvent{
-			Name: st.Kind.String(), Ph: "X", Cat: "stall",
-			Pid: pidDevices, Tid: st.Device,
-			Ts: us(st.Start), Dur: us(st.Dur),
-		})
+		devLanes[ev.Device] = append(devLanes[ev.Device], te)
 	}
 	devs := make([]int, 0, len(devLanes))
 	for d := range devLanes {

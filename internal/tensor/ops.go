@@ -68,54 +68,3 @@ func Bf16Round(v float32) float32 {
 	bits &= 0xffff0000
 	return math.Float32frombits(bits)
 }
-
-// Bf16RoundSlice rounds every element of xs to bfloat16 precision in place.
-func Bf16RoundSlice(xs []float32) {
-	for i, v := range xs {
-		xs[i] = Bf16Round(v)
-	}
-}
-
-// QuantizeInt4 quantises xs into 4-bit codes with a single per-group scale
-// and zero-point (asymmetric, group = whole slice), returning the codes and
-// the (scale, minimum) needed to dequantise. This models Oaken-style online
-// 4-bit KV quantisation.
-func QuantizeInt4(xs []float32) (codes []uint8, scale, minv float32) {
-	if len(xs) == 0 {
-		return nil, 0, 0
-	}
-	minv, maxv := xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < minv {
-			minv = v
-		}
-		if v > maxv {
-			maxv = v
-		}
-	}
-	scale = (maxv - minv) / 15
-	if scale == 0 {
-		scale = 1
-	}
-	codes = make([]uint8, len(xs))
-	for i, v := range xs {
-		q := int((v-minv)/scale + 0.5)
-		if q < 0 {
-			q = 0
-		}
-		if q > 15 {
-			q = 15
-		}
-		codes[i] = uint8(q)
-	}
-	return codes, scale, minv
-}
-
-// DequantizeInt4 reverses QuantizeInt4.
-func DequantizeInt4(codes []uint8, scale, minv float32) []float32 {
-	out := make([]float32, len(codes))
-	for i, c := range codes {
-		out[i] = float32(c)*scale + minv
-	}
-	return out
-}

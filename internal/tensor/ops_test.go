@@ -137,56 +137,3 @@ func TestBf16ExactValues(t *testing.T) {
 		}
 	}
 }
-
-func TestInt4RoundTripErrorBound(t *testing.T) {
-	rng := mathx.NewRNG(6)
-	xs := make([]float32, 128)
-	for i := range xs {
-		xs[i] = rng.Norm32()
-	}
-	codes, scale, minv := QuantizeInt4(xs)
-	back := DequantizeInt4(codes, scale, minv)
-	for i := range xs {
-		if math.Abs(float64(back[i]-xs[i])) > float64(scale)/2+1e-6 {
-			t.Fatalf("int4 error exceeds scale/2 at %d: %v vs %v", i, back[i], xs[i])
-		}
-	}
-}
-
-func TestInt4ConstantInput(t *testing.T) {
-	xs := []float32{2, 2, 2}
-	codes, scale, minv := QuantizeInt4(xs)
-	back := DequantizeInt4(codes, scale, minv)
-	for _, v := range back {
-		if v != 2 {
-			t.Fatalf("constant input round-trip failed: %v", back)
-		}
-	}
-}
-
-func TestInt4Empty(t *testing.T) {
-	codes, _, _ := QuantizeInt4(nil)
-	if codes != nil {
-		t.Fatal("empty input should give nil codes")
-	}
-}
-
-func TestInt4CodesInRange(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := mathx.NewRNG(seed)
-		xs := make([]float32, 32)
-		for i := range xs {
-			xs[i] = rng.Norm32() * 10
-		}
-		codes, _, _ := QuantizeInt4(xs)
-		for _, c := range codes {
-			if c > 15 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
