@@ -275,7 +275,7 @@ func printFleetSummary(cfg serve.Config, res serve.Result) {
 	fmt.Printf("scheduler: %s, batch cap %d | %d hardware steps | SLO attainment %.1f%%, goodput %.2f fps, deadline misses %d\n",
 		sched.Name(), bm, steps, 100*res.Aggregate.SLOAttained,
 		res.Aggregate.Goodput, res.Aggregate.DeadlineMisses)
-	deg := cfg.Degrade.Policy
+	deg := cfg.Degrade
 	if deg != nil {
 		fmt.Printf("degrade: %s | %d degradations, %d restorations | mean budget %.3f, accuracy proxy %.3f\n",
 			deg.Name(), res.Aggregate.Degradations, res.Aggregate.Restorations,
@@ -639,7 +639,7 @@ func main() {
 	if res.Memory.CapacityPages > 0 {
 		headers = append(headers, "pages_in", "pages_out", "pagein_ms", "pageout_ms", "queued", "rejected")
 	}
-	degOn := cfg.Degrade.Policy != nil
+	degOn := cfg.Degrade != nil
 	if degOn {
 		headers = append(headers, "degradations", "restorations")
 	}

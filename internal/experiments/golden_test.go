@@ -76,6 +76,17 @@ func TestGoldenQuickOutputs(t *testing.T) {
 	}
 }
 
+// TestGoldenCoversEveryExperiment requires a quick golden for every
+// registered experiment, so none ships unpinned.
+func TestGoldenCoversEveryExperiment(t *testing.T) {
+	for _, id := range IDs() {
+		path := filepath.Join("testdata", "golden", "quick", id+".txt")
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("experiment %s has no quick golden: %v", id, err)
+		}
+	}
+}
+
 // TestGoldenFullScale pins the full-fidelity scale study (the experiment most
 // exposed to the serve redesign) at its non-Quick operating point.
 func TestGoldenFullScale(t *testing.T) {

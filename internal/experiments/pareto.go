@@ -43,7 +43,7 @@ func paretoConfig(opts Options, scheduler, evict, degrader string, duration floa
 	inter.StartKV = 24000
 	back := inter
 	back.StartKV = 48000
-	cfg := serve.Config{
+	return serve.Config{
 		Dev: hwsim.VRex8(), Pol: hwsim.ReSVModel(),
 		Streams: streams, Duration: duration,
 		Classes: []serve.StreamClass{
@@ -61,12 +61,9 @@ func paretoConfig(opts Options, scheduler, evict, degrader string, duration floa
 		KV:            serve.KVConfig{Capacity: 10e9, Spill: sp},
 		Scheduler:     serve.SchedulerConfig{Policy: sched, BatchMax: 4},
 		Balancer:      serve.NewKVPressure(),
+		Degrade:       dp,
 		DropThreshold: 4, Seed: opts.Seed, Workers: opts.Parallel,
 	}
-	if dp != nil {
-		cfg.Degrade = serve.DegradeConfig{Policy: dp.Controller, Step: dp.Step, Floor: dp.Floor}
-	}
-	return cfg
 }
 
 // ParetoFrontier sweeps scheduler x eviction x degradation controller over a

@@ -68,7 +68,7 @@ func TelemetryObservability(opts Options) []*report.Table {
 		// thrash — the pool pages and the pressure degrader fires.
 		KV:            serve.KVConfig{Capacity: 35 * 256 * 131072, Spill: sp},
 		Scheduler:     serve.SchedulerConfig{Policy: sched, BatchMax: 4, SLO: 0.7},
-		Degrade:       serve.DegradeConfig{Policy: dp.Controller, Step: dp.Step, Floor: dp.Floor},
+		Degrade:       dp,
 		DropThreshold: 4, Seed: opts.Seed, Workers: opts.Parallel,
 	}
 	col := telemetry.NewCollector()

@@ -1,10 +1,6 @@
 package hwsim
 
-import (
-	"math"
-
-	"vrex/internal/vision"
-)
+import "vrex/internal/vision"
 
 // Breakdown is the simulated cost of processing one chunk (a video frame or
 // a text step) end to end. "Raw" components are busy times of each engine;
@@ -59,7 +55,7 @@ type Sim struct {
 	// (<= 0 uses the default 16%).
 	ExamineFraction float64
 	// Phases, when non-nil, accumulates each priced chunk/step into a
-	// per-phase time account (telemetry plane). Scaled copies share it.
+	// per-phase time account (telemetry plane).
 	Phases *PhaseAccount
 }
 
@@ -69,231 +65,15 @@ func NewSim(dev DeviceSpec, llm LLMSpec, pol PolicyModel) *Sim {
 	return &Sim{Dev: dev, LLM: llm, Pol: pol, VisionCost: &vc}
 }
 
-// Scaled returns a simulator whose retrieval fetch ratios (frame and text)
-// are multiplied by scale — the degradation plane's pricing hook: a session
-// at budget scale b retrieves b times the tokens per chunk, so its steps are
-// priced through Scaled(b). Scale 1 returns the receiver unchanged; other
-// scales return a shallow copy (Sim holds only value fields plus the shared
-// read-only VisionCost pointer, so the copy is safe and cheap).
-func (s *Sim) Scaled(scale float64) *Sim {
-	if scale == 1 {
-		return s
-	}
-	c := *s
-	c.Pol.FrameRatio *= scale
-	c.Pol.TextRatio *= scale
-	return &c
-}
-
-// rooflineTime returns max(flops-bound, bytes-bound) kernel time.
-func (s *Sim) rooflineTime(flops, eff, bytes float64) float64 {
-	t := 0.0
-	if flops > 0 && eff > 0 {
-		t = flops / (s.Dev.PeakFLOPS * eff)
-	}
-	if bytes > 0 {
-		if bt := s.Dev.Mem.AccessTime(bytes); bt > t {
-			t = bt
-		}
-	}
-	return t
-}
-
-// residentBytes returns the device-memory footprint for an OOM check.
-func (s *Sim) residentBytes(kvLen, batch int) float64 {
-	resident := s.LLM.WeightBytes()
-	kvBytes := s.LLM.KVBytesPerToken() * float64(kvLen) * float64(batch) * s.Pol.quantFactor()
-	if s.Pol.Offloads {
-		// Only the fetched working set + recent window stays resident
-		// (double-buffered).
-		working := kvBytes * s.Pol.FrameRatio * 2 / float64(s.LLM.Layers)
-		resident += working
-	} else {
-		resident += kvBytes
-	}
-	// Activations / workspace: ~2 GB at batch, grows mildly.
-	resident += 2e9 + 0.1e9*float64(batch)
-	return resident
-}
-
 // Chunk simulates one chunk of n new tokens per stream against a cache of
-// kvLen tokens, at the given batch size and stage. Step's multi-request path
-// (step.go) mirrors these per-stream cost formulas for heterogeneous
-// batches; a change here must be mirrored there.
+// kvLen tokens, at the given batch size and stage: batch identical streams
+// priced by the one cost model (cost.go) at full retrieval budget.
+//
+//vrex:noalloc
 func (s *Sim) Chunk(n, kvLen, batch int, stage StageKind) Breakdown {
-	var b Breakdown
-	if batch <= 0 || n <= 0 {
-		return b
-	}
-	if s.residentBytes(kvLen, batch) > s.Dev.MemCapacity {
-		b.OOM = true
-		return b
-	}
-	ratio := s.Pol.ratio(stage)
-	attended := int(ratio*float64(kvLen)+0.5) + n
-	rows := n * batch
-
-	// --- Per-layer compute (summed across layers) ---
-	linFLOPs := s.LLM.LayerLinearFLOPs(rows) * float64(s.LLM.Layers)
-	linBytes := s.LLM.LayerWeightBytes() * float64(s.LLM.Layers)
-	b.LinearTime = s.rooflineTime(linFLOPs, s.Dev.DenseEff, linBytes)
-
-	attnFLOPs := s.LLM.LayerAttnFLOPs(n, attended) * float64(batch) * float64(s.LLM.Layers)
-	attnBytes := s.LLM.LayerKVBytes(attended) * float64(batch) * float64(s.LLM.Layers) * s.Pol.quantFactor()
-	b.AttnTime = s.rooflineTime(attnFLOPs, s.Dev.AttnEff, attnBytes)
-	b.UsefulFLOPs = linFLOPs + attnFLOPs
-
-	// --- KV prediction ---
-	cand := float64(kvLen)
-	if s.Pol.ClusterCompression > 1 {
-		cand /= s.Pol.ClusterCompression
-	}
-	nCand := int(cand + 0.5)
-	predDense := s.LLM.PredFLOPs(rows, nCand) * float64(s.LLM.Layers)
-	var predIrregularOps float64
-	switch s.Pol.Pred {
-	case PredTopK:
-		// GPU top-k: score pass is dense; the sort/selection pass touches
-		// every candidate with data-dependent control flow.
-		predIrregularOps = 8 * float64(rows) * cand * float64(s.LLM.Layers)
-	case PredReSV:
-		// Hamming clustering (bit ops over clusters) + WiCSum thresholding.
-		hamOps := float64(n*batch) * cand * defaultNHp / 8
-		wicOps := 6 * float64(rows*s.LLM.Heads) * cand * wtuExamineFraction(s.ExamineFraction)
-		predIrregularOps = (hamOps + wicOps) * float64(s.LLM.Layers)
-	case PredNone:
-		// no prediction pass: nothing irregular to charge
-	}
-	if s.Pol.Pred != PredNone {
-		if s.Pol.PredOnDevice {
-			irr := predIrregularOps / (s.Dev.PeakFLOPS * s.Dev.IrregularEff)
-			if s.Pol.Pred == PredTopK {
-				// Per-row sort kernels: fixed launch + element-linear cost
-				// (GPU-friendly but still one kernel per query row per layer).
-				irr += float64(rows) * (60e-6 + cand*0.5e-9) * float64(s.LLM.Layers)
-			}
-			if s.Pol.Pred == PredReSV {
-				// ReSV's clustering/thresholding is conditional and
-				// data-dependent (Sec. V): on a GPU it serialises into
-				// latency-bound chains instead of wide kernels. Top-k, by
-				// contrast, is a "computationally regular and GPU-friendly
-				// primitive" (Sec. I) and keeps the parallel rate above.
-				irr = predIrregularOps / gpuSerialOpsPerSec
-			}
-			b.PredRaw = predDense/(s.Dev.PeakFLOPS*s.Dev.DenseEff) + irr
-			// Prediction shares the device with LLM kernels: fully exposed.
-			b.PredExposed = b.PredRaw
-		} else {
-			// DRE path: Q x K_cluster^T runs on the LXE (dense, cheap);
-			// clustering + thresholding run on HCU/WTU concurrently.
-			lxe := predDense / (s.Dev.PeakFLOPS * s.Dev.DenseEff)
-			cyc := DRECycles{
-				HCU: HCUCycles(n*batch, nCand, defaultNHp, s.Dev.Cores),
-				WTU: WTUCycles(rows*s.LLM.Heads, nCand, s.Dev.Cores,
-					wtuExamineFraction(s.ExamineFraction)),
-				KVMU: KVMUCycles(n*batch, s.fetchSegments(kvLen, batch, ratio)),
-			}
-			dre := DRETime(cyc, s.Dev.Freq) * float64(s.LLM.Layers)
-			b.DRETime = dre
-			b.PredRaw = lxe + dre
-			// The LXE score matmul is exposed (tiny); DRE work overlaps with
-			// attention+FFN and is exposed only if it exceeds them.
-			b.PredExposed = lxe
-			if over := dre - (b.LinearTime + b.AttnTime); over > 0 {
-				b.PredExposed += over
-			}
-		}
-	}
-
-	// --- KV fetch ---
-	if s.Pol.Offloads && kvLen > 0 {
-		reuse := s.Pol.ResidentReuse
-		if reuse < 0 {
-			reuse = 0
-		}
-		if reuse > 1 {
-			reuse = 1
-		}
-		fetchTokens := ratio * (1 - reuse) * float64(kvLen) * float64(batch) * float64(s.LLM.Layers)
-		b.FetchBytes = fetchTokens * 2 * float64(s.LLM.KVDim()) * s.LLM.BytesPerElem * s.Pol.quantFactor()
-		segs := int(float64(s.fetchSegments(kvLen, batch, ratio)) * (1 - reuse) * float64(s.LLM.Layers))
-		linkTime := s.Dev.Link.TransferTime(b.FetchBytes, segs)
-		if s.Dev.OffloadSSD != nil {
-			if st := s.Dev.OffloadSSD.ReadTime(b.FetchBytes, segs); st > linkTime {
-				linkTime = st
-			}
-		}
-		b.FetchRaw = linkTime
-		if s.Pol.PrefetchOverlap {
-			// Prefetch overlap (Fig. 5 ii/iii): fetch for layer l+1 overlaps
-			// layer l compute (+ exposed on-device prediction).
-			cover := b.LinearTime + b.AttnTime + b.PredExposed
-			if b.FetchRaw > cover {
-				b.FetchExposed = b.FetchRaw - cover
-			}
-		} else {
-			// Vanilla serial load (Fig. 5 i).
-			b.FetchExposed = b.FetchRaw
-		}
-	}
-
-	// --- Vision tower + host-side frame handling (frame stage only) ---
-	if stage == StageFramePhase && s.VisionCost != nil {
-		vf := s.VisionCost.FLOPs * float64(batch)
-		b.VisionTime = s.rooflineTime(vf, s.Dev.DenseEff, s.VisionCost.WeightBytes)
-		b.VisionTime += s.Dev.FrameOverhead
-		b.UsefulFLOPs += vf
-	}
-
-	b.Total = b.VisionTime + b.LinearTime + b.AttnTime + b.PredExposed + b.FetchExposed
-	b.EnergyJ = s.energy(b)
-	if s.Phases != nil {
-		s.Phases.add(&b)
-	}
-	return b
-}
-
-// gpuSerialOpsPerSec is the effective GPU rate on serialised, data-dependent
-// operation chains (dependent memory loads, divergent branches, dynamic
-// output sizes). Calibrated so ReSV-on-GPU's KV prediction consumes ~48% of
-// frame latency at 40K cache (Fig. 16's AGX+ReSV measurement).
-const gpuSerialOpsPerSec = 5e7
-
-func wtuExamineFraction(override float64) float64 {
-	if override > 0 && override <= 1 {
-		return override
-	}
-	return wtuExamineFr
-}
-
-// fetchSegments returns the number of contiguous segments for one layer's
-// fetch of ratio*kvLen tokens per stream.
-func (s *Sim) fetchSegments(kvLen, batch int, ratio float64) int {
-	tokens := ratio * float64(kvLen) * float64(batch)
-	if tokens <= 0 {
-		return 0
-	}
-	segTokens := s.Pol.SegmentTokens
-	if segTokens < 1 {
-		segTokens = 1
-	}
-	return int(math.Ceil(tokens / segTokens))
-}
-
-// energy integrates the component-power model over the chunk's busy times.
-func (s *Sim) energy(b Breakdown) float64 {
-	active := s.Dev.Power - s.Dev.IdlePower
-	if active < 0 {
-		active = 0
-	}
-	computeBusy := b.VisionTime + b.LinearTime + b.AttnTime + b.PredExposed
-	e := s.Dev.IdlePower*b.Total + active*computeBusy
-	e += s.Dev.Link.Power() * b.FetchRaw
-	if s.Dev.OffloadSSD != nil {
-		e += s.Dev.OffloadSSD.ActivePower * b.FetchRaw
-	}
-	e += s.Dev.Mem.AccessEnergy(b.FetchBytes)
-	return e
+	c := s.newCost()
+	s.addStream(&c, n, kvLen, batch, stage, 1)
+	return s.price(&c)
 }
 
 // FrameLatency simulates processing one video frame (tokensPerFrame new

@@ -400,47 +400,6 @@ func TestBreakdownHelpers(t *testing.T) {
 	}
 }
 
-func TestSRAMCapacities(t *testing.T) {
-	// 32-bit signatures -> 4 bytes each -> 1024 clusters in 4 KB.
-	if got := HCUClusterCapacity(32); got != 1024 {
-		t.Fatalf("HCU capacity = %d, want 1024", got)
-	}
-	if got := HCUClusterCapacity(0); got != 1024 {
-		t.Fatal("default NHp capacity wrong")
-	}
-	// 8 KB / bf16 -> 4096 score entries.
-	if got := WTUClusterCapacity(); got != 4096 {
-		t.Fatalf("WTU capacity = %d, want 4096", got)
-	}
-}
-
-func TestTiledCyclesMatchUntiledWithinCapacity(t *testing.T) {
-	if HCUCyclesTiled(10, 500, 32, 8) != HCUCycles(10, 500, 32, 8) {
-		t.Fatal("within-capacity HCU tiling should be free")
-	}
-	if WTUCyclesTiled(100, 1000, 8, 0.16) != WTUCycles(100, 1000, 8, 0.16) {
-		t.Fatal("within-capacity WTU tiling should be free")
-	}
-}
-
-func TestTiledCyclesPenaltyBeyondCapacity(t *testing.T) {
-	// 5000 clusters > 1024 capacity: tiling must add cycles, but only a
-	// small fraction (the DRE stays effective at 160K-token caches).
-	base := HCUCycles(10, 5000, 32, 8)
-	tiled := HCUCyclesTiled(10, 5000, 32, 8)
-	if tiled <= base {
-		t.Fatal("beyond-capacity tiling must cost extra cycles")
-	}
-	if tiled > base*1.2 {
-		t.Fatalf("tiling overhead too large: %v vs %v", tiled, base)
-	}
-	wbase := WTUCycles(320, 8000, 8, 0.16)
-	wtiled := WTUCyclesTiled(320, 8000, 8, 0.16)
-	if wtiled <= wbase || wtiled > wbase*1.5 {
-		t.Fatalf("WTU tiling overhead out of band: %v vs %v", wtiled, wbase)
-	}
-}
-
 func TestKVBudgetBytes(t *testing.T) {
 	llm := Llama3_8B()
 	for _, dev := range []DeviceSpec{AGXOrin(), A100(), VRex8(), VRex48()} {

@@ -2,8 +2,8 @@ package hwsim
 
 // PhaseAccount accumulates simulated compute time by phase across every
 // Chunk/Step a Sim prices — the telemetry plane's one-level-deep flamegraph
-// of where device-seconds go. Attach one via Sim.Phases; Scaled copies share
-// the pointer, so a fleet of per-budget scaled sims folds into one account.
+// of where device-seconds go. Attach one via Sim.Phases; degraded requests
+// (StepReq.RatioScale) price through the same Sim, so they fold into it too.
 // The five buckets partition Breakdown.Total exactly: Vision + Linear +
 // Attn + Pred + Fetch == sum of Totals (Pred and Fetch record the *exposed*
 // critical-path components, matching what the serving engine charges).

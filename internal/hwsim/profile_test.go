@@ -28,9 +28,8 @@ func TestPhaseAccountPartitionsTotal(t *testing.T) {
 	}
 }
 
-// TestPhaseAccountStepPaths checks both Step paths feed the account exactly
-// once: the batch-1 path delegates to Chunk (which records), and the
-// multi-request path records at its own exit.
+// TestPhaseAccountStepPaths checks one-request and multi-request steps each
+// feed the account exactly once.
 func TestPhaseAccountStepPaths(t *testing.T) {
 	var acct PhaseAccount
 	sim := NewSim(VRex8(), Llama3_8B(), ReSVModel())
@@ -38,7 +37,7 @@ func TestPhaseAccountStepPaths(t *testing.T) {
 
 	one := sim.Step([]StepReq{{NewTokens: 10, KVLen: 5000, Stage: StageFramePhase}})
 	if acct.Steps != 1 {
-		t.Fatalf("after batch-1 step: Steps = %d, want 1 (no double count)", acct.Steps)
+		t.Fatalf("after batch-1 step: Steps = %d, want 1", acct.Steps)
 	}
 	many := sim.Step([]StepReq{
 		{NewTokens: 10, KVLen: 5000, Stage: StageFramePhase},
@@ -65,15 +64,20 @@ func TestPhaseAccountStepPaths(t *testing.T) {
 	}
 }
 
-// TestPhaseAccountSharedByScaled pins that Scaled's shallow copy carries the
-// Phases pointer, so degraded-budget pricing folds into the same account.
-func TestPhaseAccountSharedByScaled(t *testing.T) {
+// TestPhaseAccountRecordsDegraded pins that degraded pricing records into the
+// sim's own account: a request at RatioScale 0.5 counts once and adds
+// exactly its Total, solo and in a batch.
+func TestPhaseAccountRecordsDegraded(t *testing.T) {
 	var acct PhaseAccount
 	sim := NewSim(VRex8(), Llama3_8B(), ReSVModel())
 	sim.Phases = &acct
-	sim.Scaled(0.5).FrameLatency(10, 40000, 1)
-	if acct.Steps != 1 {
-		t.Fatalf("scaled sim did not share the account: Steps = %d, want 1", acct.Steps)
+	r := StepReq{NewTokens: 10, KVLen: 40000, Stage: StageFramePhase, RatioScale: 0.5}
+	want := sim.Step([]StepReq{r}).Total + sim.Step([]StepReq{r, {NewTokens: 1, KVLen: 9000}}).Total
+	if acct.Steps != 2 {
+		t.Fatalf("degraded steps did not record into the sim's account: Steps = %d, want 2", acct.Steps)
+	}
+	if got := acct.Total(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("account total %g != %g", got, want)
 	}
 }
 

@@ -56,7 +56,8 @@ type DeviceSpec struct {
 }
 
 // kvWorkspaceBytes is the activation/workspace floor reserved out of device
-// memory before KV, matching Sim.residentBytes' estimate at batch 1.
+// memory before KV; the cost model's OOM check (Sim.oom) adds 0.1 GB per
+// stream on top of it.
 const kvWorkspaceBytes = 2e9
 
 // KVBudgetBytes returns the device memory left for resident session KV after

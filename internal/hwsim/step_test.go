@@ -2,22 +2,34 @@ package hwsim
 
 import "testing"
 
+// policyCases covers every prediction family: ReSV on the DRE, GPU top-k
+// (on device and offloaded), cluster retrieval, and the dense baseline.
+var policyCases = []struct {
+	dev DeviceSpec
+	pol PolicyModel
+}{
+	{VRex8(), ReSVModel()},
+	{AGXOrin(), FlexGenModel()},
+	{AGXOrin(), ReKVModel()},
+	{A100(), InfiniGenModel()},
+	{AGXOrin(), DenseModel()},
+}
+
+// scaledRef is the test-local reference for StepReq.RatioScale: the same
+// simulator with the policy's fetch ratios pre-multiplied by b.
+func scaledRef(sim *Sim, b float64) *Sim {
+	ref := *sim
+	ref.Pol.FrameRatio *= b
+	ref.Pol.TextRatio *= b
+	return &ref
+}
+
 // TestStepSingleMatchesChunk pins the batch-1 anchor: a one-request step is
 // byte-identical to the corresponding Chunk, for every policy family and
 // both stages — the property the serving plane's batch-1 scheduler
 // equivalence rests on.
 func TestStepSingleMatchesChunk(t *testing.T) {
-	cases := []struct {
-		dev DeviceSpec
-		pol PolicyModel
-	}{
-		{VRex8(), ReSVModel()},
-		{AGXOrin(), FlexGenModel()},
-		{AGXOrin(), ReKVModel()},
-		{A100(), InfiniGenModel()},
-		{AGXOrin(), DenseModel()},
-	}
-	for _, c := range cases {
+	for _, c := range policyCases {
 		sim := NewSim(c.dev, Llama3_8B(), c.pol)
 		for _, kv := range []int{0, 1000, 20000, 40000} {
 			for _, stage := range []StageKind{StageFramePhase, StageTextPhase} {
@@ -120,7 +132,7 @@ func TestStepMixedStages(t *testing.T) {
 func TestStepCombinedOOM(t *testing.T) {
 	sim := NewSim(AGXOrin(), Llama3_8B(), DenseModel())
 	solo := StepReq{NewTokens: 10, KVLen: 60000, Stage: StageFramePhase}
-	if sim.OOM(solo.KVLen, 1) {
+	if sim.OOM(solo) {
 		t.Fatal("solo request should fit")
 	}
 	b := sim.Step([]StepReq{solo, solo})
@@ -129,36 +141,59 @@ func TestStepCombinedOOM(t *testing.T) {
 	}
 }
 
-// TestScaledPricing pins the degradation hook: a scaled simulator fetches
-// fewer tokens so chunks get strictly cheaper, scale 1 is the identity (same
-// pointer, byte-identical costs), and the receiver is never mutated.
+// TestScaledPricing pins the degradation hook: a request at RatioScale b
+// prices exactly like an unscaled request against the reference policy whose
+// fetch ratios are pre-multiplied by b, solo and in a batch, for every
+// policy family and both stages; and a smaller budget is strictly cheaper
+// and fetches proportionally fewer bytes.
 func TestScaledPricing(t *testing.T) {
+	for _, c := range policyCases {
+		sim := NewSim(c.dev, Llama3_8B(), c.pol)
+		for _, b := range []float64{0.7, 0.49, 0.25} {
+			ref := scaledRef(sim, b)
+			for _, stage := range []StageKind{StageFramePhase, StageTextPhase} {
+				plain := []StepReq{
+					{NewTokens: 10, KVLen: 20000, Stage: stage},
+					{NewTokens: 10, KVLen: 35000, Stage: stage},
+				}
+				scaled := append([]StepReq(nil), plain...)
+				for i := range scaled {
+					scaled[i].RatioScale = b
+				}
+				if got, want := sim.Step(scaled[:1]), ref.Step(plain[:1]); got != want {
+					t.Fatalf("%s+%s b=%g stage=%d solo: %+v != reference %+v",
+						c.dev.Name, c.pol.Name, b, stage, got, want)
+				}
+				if got, want := sim.Step(scaled), ref.Step(plain); got != want {
+					t.Fatalf("%s+%s b=%g stage=%d batch: %+v != reference %+v",
+						c.dev.Name, c.pol.Name, b, stage, got, want)
+				}
+			}
+		}
+	}
+
 	sim := NewSim(VRex8(), Llama3_8B(), ReSVModel())
-	before := *sim
-	full := sim.Chunk(10, 40000, 1, StageFramePhase)
-	if sim.Scaled(1) != sim {
-		t.Fatal("Scaled(1) must return the receiver")
-	}
+	req := StepReq{NewTokens: 10, KVLen: 40000, Stage: StageFramePhase}
+	full := sim.Step([]StepReq{req})
 	prev := full.Total
-	for _, scale := range []float64{0.7, 0.49, 0.25} {
-		b := sim.Scaled(scale).Chunk(10, 40000, 1, StageFramePhase)
-		if b.Total >= prev {
-			t.Fatalf("scale %g: total %v not below %v", scale, b.Total, prev)
+	for _, b := range []float64{0.7, 0.49, 0.25} {
+		r := req
+		r.RatioScale = b
+		got := sim.Step([]StepReq{r})
+		if got.Total >= prev {
+			t.Fatalf("scale %g: total %v not below %v", b, got.Total, prev)
 		}
-		if b.FetchBytes >= full.FetchBytes*scale*1.01 {
-			t.Fatalf("scale %g: fetch bytes %v not scaled from %v", scale, b.FetchBytes, full.FetchBytes)
+		if got.FetchBytes >= full.FetchBytes*b*1.01 {
+			t.Fatalf("scale %g: fetch bytes %v not scaled from %v", b, got.FetchBytes, full.FetchBytes)
 		}
-		prev = b.Total
-	}
-	if *sim != before {
-		t.Fatal("Scaled mutated the receiver")
+		prev = got.Total
 	}
 }
 
 // TestStepRatioScale pins the zero-value convention and the per-request
 // scaling path: RatioScale 0 prices identically to an unscaled request (both
-// solo and batched), a scaled solo request matches the Scaled Chunk exactly,
-// and scaling one member of a batch makes the step cheaper.
+// solo and batched), a scaled solo request matches the reference Chunk
+// exactly, and scaling one member of a batch makes the step cheaper.
 func TestStepRatioScale(t *testing.T) {
 	sim := NewSim(VRex8(), Llama3_8B(), ReSVModel())
 	req := StepReq{NewTokens: 10, KVLen: 40000, Stage: StageFramePhase}
@@ -167,7 +202,7 @@ func TestStepRatioScale(t *testing.T) {
 	}
 	scaled := req
 	scaled.RatioScale = 0.5
-	if got, want := sim.Step([]StepReq{scaled}), sim.Scaled(0.5).Chunk(10, 40000, 1, StageFramePhase); got != want {
+	if got, want := sim.Step([]StepReq{scaled}), scaledRef(sim, 0.5).Chunk(10, 40000, 1, StageFramePhase); got != want {
 		t.Fatalf("scaled solo: %+v != %+v", got, want)
 	}
 	full := sim.Step([]StepReq{req, req})
@@ -182,13 +217,52 @@ func TestStepRatioScale(t *testing.T) {
 	}
 }
 
-// TestOOMMatchesChunk: the exported admission check agrees with Chunk's
-// internal one.
-func TestOOMMatchesChunk(t *testing.T) {
-	sim := NewSim(AGXOrin(), Llama3_8B(), DenseModel())
-	for _, kv := range []int{1000, 60000, 150000} {
-		if got, want := sim.OOM(kv, 1), sim.Chunk(10, kv, 1, StageFramePhase).OOM; got != want {
-			t.Fatalf("kv=%d OOM %v, Chunk reports %v", kv, got, want)
+// firstOOM returns the smallest KV length at which a stream at budget scale
+// b no longer fits in the simulator's device memory.
+func firstOOM(sim *Sim, b float64) int {
+	lo, hi := 0, 1<<30 // lo fits, hi does not
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if sim.OOM(StepReq{KVLen: mid, RatioScale: b}) {
+			hi = mid
+		} else {
+			lo = mid
 		}
+	}
+	return hi
+}
+
+// TestOOMMatchesChunk: the exported admission check is the cost model's own
+// resident check — OOM(r) equals Step([]StepReq{r}).OOM (and, unscaled,
+// Chunk's) on both sides of the memory limit, scaled and unscaled, for a
+// resident (Dense) and an offloading (ReSV) policy.
+func TestOOMMatchesChunk(t *testing.T) {
+	for _, pol := range []PolicyModel{DenseModel(), ReSVModel()} {
+		sim := NewSim(AGXOrin(), Llama3_8B(), pol)
+		for _, b := range []float64{0, 0.49} {
+			limit := firstOOM(sim, b)
+			if limit < 10000 {
+				t.Fatalf("%s b=%g: memory limit at %d tokens", pol.Name, b, limit)
+			}
+			for _, kv := range []int{1000, limit - 1, limit, limit + 1, 2 * limit} {
+				r := StepReq{NewTokens: 10, KVLen: kv, Stage: StageFramePhase, RatioScale: b}
+				oom := sim.OOM(r)
+				if want := kv >= limit; oom != want {
+					t.Fatalf("%s b=%g kv=%d: OOM %v, want %v", pol.Name, b, kv, oom, want)
+				}
+				if step := sim.Step([]StepReq{r}).OOM; oom != step {
+					t.Fatalf("%s b=%g kv=%d: OOM %v, Step reports %v", pol.Name, b, kv, oom, step)
+				}
+				if chunk := sim.Chunk(10, kv, 1, StageFramePhase).OOM; b == 0 && oom != chunk {
+					t.Fatalf("%s kv=%d: OOM %v, Chunk reports %v", pol.Name, kv, oom, chunk)
+				}
+			}
+		}
+	}
+	// An offloading policy keeps only the fetched working set resident, so a
+	// degraded budget fits a longer cache.
+	resv := NewSim(AGXOrin(), Llama3_8B(), ReSVModel())
+	if full, degraded := firstOOM(resv, 0), firstOOM(resv, 0.49); degraded <= full {
+		t.Fatalf("ReSV memory limit %d tokens at budget 0.49, %d at full budget", degraded, full)
 	}
 }

@@ -566,12 +566,8 @@ func (s *Scenario) Config() (serve.Config, error) {
 	if sched != nil {
 		cfg.Scheduler = serve.SchedulerConfig{Policy: sched, BatchMax: s.BatchMax, SLO: s.SLOms / 1000}
 	}
-	dp, err := degrade.Parse(s.Degrade)
-	if err != nil {
+	if cfg.Degrade, err = degrade.Parse(s.Degrade); err != nil {
 		return serve.Config{}, err
-	}
-	if dp != nil {
-		cfg.Degrade = serve.DegradeConfig{Policy: dp.Controller, Step: dp.Step, Floor: dp.Floor}
 	}
 	return cfg, nil
 }

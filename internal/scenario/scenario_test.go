@@ -245,7 +245,7 @@ func TestConfigResolvesFullSurface(t *testing.T) {
 	if cfg.Churn.Arrivals == nil || cfg.Churn.Class == nil || cfg.Churn.Lifetime == nil {
 		t.Fatal("time-varying scenario must compile arrival, class and lifetime hooks")
 	}
-	if cfg.Degrade.Policy == nil || cfg.Degrade.Policy.Name() != "hybrid" || cfg.Degrade.Step != 0.8 {
+	if cfg.Degrade == nil || cfg.Degrade.Name() != "hybrid" || cfg.Degrade.Step != 0.8 {
 		t.Fatalf("degrade plane not compiled: %+v", cfg.Degrade)
 	}
 	if cfg.Classes[0].SLO != 0.5 || cfg.Classes[0].Priority != 0 || cfg.Classes[1].Priority != 0 {

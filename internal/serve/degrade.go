@@ -5,51 +5,14 @@ import (
 
 	"vrex/internal/accuracy"
 	"vrex/internal/degrade"
-	"vrex/internal/hwsim"
 )
 
-// DegradeConfig configures the accuracy-aware graceful-degradation plane:
-// a degradation controller (internal/degrade) consulted on the event loop at
-// every frame admission and query service. When a session's device is
-// KV-pressured or the session is deadline-missing, the controller shrinks
-// that session's retrieval budget in bounded quantized steps (each level
-// multiplies the budget by Step, never below Floor) and restores it with
-// hysteresis when pressure clears. Every step is charged on both planes:
-// the hardware step gets cheaper (the session's chunks are priced through
-// hwsim.Sim.Scaled / StepReq.RatioScale, fetching proportionally fewer
-// tokens), and the Proxy curve charges the functional-retrieval quality
-// model, so Result gains per-class accuracy-proxy metrics next to SLO
-// attainment.
-//
-// The zero value (nil Policy) disables the plane entirely: Run reduces
-// byte-identically to the undegraded engine and every new metric stays zero.
-type DegradeConfig struct {
-	// Policy decides per-session target budgets; nil disables the plane.
-	// Build one with degrade.Parse ("static(budget=0.5)", "pressure",
-	// "deadline", "hybrid") or implement degrade.Controller directly.
-	Policy degrade.Controller
-	// Step is the multiplicative budget shrink per degradation level, in
-	// (0, 1); 0 uses degrade.DefaultStep.
-	Step float64
-	// Floor is the minimum budget scale any session can reach, in (0, 1];
-	// 0 uses degrade.DefaultFloor.
-	Floor float64
-	// Proxy maps a budget scale in (0, 1] to the fraction of proxy accuracy
-	// retained at that budget; nil uses accuracy.BudgetRetention (the curve
-	// fitted to the functional ThWics sweep).
-	Proxy func(scale float64) float64
-}
-
-func (c DegradeConfig) enabled() bool { return c.Policy != nil }
-
-// degradePlane is the per-run state of the degradation plane: per-session
-// quantized levels, deadline-streak signals, proxy accounting, and lazily
-// built scaled simulators per (device, level). A nil *degradePlane disables
+// degradePlane is the per-run state of the accuracy-aware graceful-
+// degradation plane (Config.Degrade): per-session quantized levels,
+// deadline-streak signals and proxy accounting. A nil *degradePlane disables
 // the plane.
 type degradePlane struct {
-	pol      degrade.Policy
-	proxy    func(float64) float64
-	maxLevel int
+	pol *degrade.Policy
 	// level is each session's quantized degradation level (0 = full budget).
 	level []int
 	// lastLat is each session's last frame completion latency (NaN until the
@@ -61,32 +24,16 @@ type degradePlane struct {
 	// scale and proxy retention for the MeanBudget / AccuracyProxy metrics.
 	budgetSum, retainSum []float64
 	servedN              []int
-	// scaled caches Sim.Scaled results per device and level so pricing never
-	// allocates on the hot path after warm-up.
-	scaled [][]*hwsim.Sim
 }
 
 // newDegradePlane builds the plane for a run, or returns nil when disabled;
 // the config has already passed validate.
-func newDegradePlane(cfg Config, nSessions, nDev int) *degradePlane {
-	if !cfg.Degrade.enabled() {
+func newDegradePlane(cfg Config, nSessions int) *degradePlane {
+	if cfg.Degrade == nil {
 		return nil
 	}
-	step := cfg.Degrade.Step
-	if step == 0 {
-		step = degrade.DefaultStep
-	}
-	floor := cfg.Degrade.Floor
-	if floor == 0 {
-		floor = degrade.DefaultFloor
-	}
-	proxy := cfg.Degrade.Proxy
-	if proxy == nil {
-		proxy = accuracy.BudgetRetention
-	}
 	p := &degradePlane{
-		pol:       degrade.Policy{Controller: cfg.Degrade.Policy, Step: step, Floor: floor},
-		proxy:     proxy,
+		pol:       cfg.Degrade,
 		level:     make([]int, nSessions),
 		lastLat:   make([]float64, nSessions),
 		miss:      make([]int, nSessions),
@@ -94,9 +41,7 @@ func newDegradePlane(cfg Config, nSessions, nDev int) *degradePlane {
 		budgetSum: make([]float64, nSessions),
 		retainSum: make([]float64, nSessions),
 		servedN:   make([]int, nSessions),
-		scaled:    make([][]*hwsim.Sim, nDev),
 	}
-	p.maxLevel = p.pol.MaxLevel()
 	for s := range p.lastLat {
 		p.lastLat[s] = math.NaN()
 	}
@@ -104,35 +49,14 @@ func newDegradePlane(cfg Config, nSessions, nDev int) *degradePlane {
 }
 
 // budgetOf returns session s's current budget scale (1 with the plane
-// disabled or at level 0).
+// disabled or at level 0). Every step the engine prices for s carries it as
+// the request's hwsim.StepReq.RatioScale, so a degraded session's frames,
+// queries and memory admission are all cheaper at once.
 func (e *engine) budgetOf(s int) float64 {
 	if e.deg == nil {
 		return 1
 	}
 	return e.deg.pol.Budget(e.deg.level[s])
-}
-
-// simFor returns device d's simulator scaled to session s's current budget:
-// the undegraded shared Sim at level 0, a cached Scaled copy otherwise. All
-// engine pricing (frame steps, query chunks, TPOT, OOM admission) goes
-// through it, so a degraded session's work is cheaper everywhere at once.
-func (e *engine) simFor(d, s int) *hwsim.Sim {
-	if e.deg == nil {
-		return e.sims[d]
-	}
-	lvl := e.deg.level[s]
-	if lvl <= 0 {
-		return e.sims[d]
-	}
-	row := e.deg.scaled[d]
-	if row == nil {
-		row = make([]*hwsim.Sim, e.deg.maxLevel+1)
-		e.deg.scaled[d] = row
-	}
-	if row[lvl] == nil {
-		row[lvl] = e.sims[d].Scaled(e.deg.pol.Budget(lvl))
-	}
-	return row[lvl]
 }
 
 // degradeSignals samples the controller inputs for session s on device d at
@@ -210,7 +134,7 @@ func (e *engine) degradeServed(s int, lat float64, frame bool) {
 	}
 	b := dp.pol.Budget(dp.level[s])
 	dp.budgetSum[s] += b
-	dp.retainSum[s] += dp.proxy(b)
+	dp.retainSum[s] += accuracy.BudgetRetention(b)
 	dp.servedN[s]++
 	if frame {
 		if lat > e.slo[e.sessions[s].class] {

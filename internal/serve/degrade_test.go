@@ -10,18 +10,23 @@ import (
 	"vrex/internal/hwsim"
 )
 
-// degradeConfig builds a DegradeConfig around a policyspec string, failing
-// the test on parse errors.
-func degradeConfig(t *testing.T, spec string) DegradeConfig {
+// degradeConfig parses a degradation policyspec string, failing the test on
+// parse errors.
+func degradeConfig(t *testing.T, spec string) *degrade.Policy {
 	t.Helper()
 	p, err := degrade.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p == nil {
-		return DegradeConfig{}
+	return p
+}
+
+// pulsePolicy wraps a pulseCtl in a policy at the default step and floor.
+func pulsePolicy(down int) *degrade.Policy {
+	return &degrade.Policy{
+		Controller: &pulseCtl{down: down, calls: map[int]int{}},
+		Step:       degrade.DefaultStep, Floor: degrade.DefaultFloor,
 	}
-	return DegradeConfig{Policy: p.Controller, Step: p.Step, Floor: p.Floor}
 }
 
 // pulseCtl is a deterministic test controller: each session's first `down`
@@ -125,7 +130,7 @@ func TestDegradeStaticBounded(t *testing.T) {
 // way back to full budget, and the counters balance.
 func TestDegradePulseRestores(t *testing.T) {
 	cfg := mixConfig(4, 1)
-	cfg.Degrade = DegradeConfig{Policy: &pulseCtl{down: 6, calls: map[int]int{}}}
+	cfg.Degrade = pulsePolicy(6)
 	res := Run(cfg)
 	if res.Aggregate.Degradations == 0 || res.Aggregate.Restorations == 0 {
 		t.Fatalf("pulse controller: degradations=%d restorations=%d",
@@ -206,7 +211,7 @@ func TestDegradeWorkerInvariance(t *testing.T) {
 // every step moves the budget by exactly one quantized level.
 func TestDegradeObserverEvents(t *testing.T) {
 	cfg := mixConfig(4, 1)
-	cfg.Degrade = DegradeConfig{Policy: &pulseCtl{down: 3, calls: map[int]int{}}}
+	cfg.Degrade = pulsePolicy(3)
 	var events []Event
 	cfg.Observer = ObserverFunc(func(ev Event) {
 		if ev.Kind == EventDegraded || ev.Kind == EventRestored {
@@ -231,17 +236,20 @@ func TestDegradeObserverEvents(t *testing.T) {
 	}
 }
 
-// TestDegradeValidateRejects pins the config-level guards for out-of-range
-// Step / Floor on an enabled plane.
+// TestDegradeValidateRejects pins the config-level guards on an enabled
+// plane: a policy needs a controller, Step in (0, 1) and Floor in (0, 1].
 func TestDegradeValidateRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
 		want string
 	}{
+		{"no controller", func(c *Config) { c.Degrade.Controller = nil }, "no controller"},
+		{"zero step", func(c *Config) { c.Degrade.Step = 0 }, "degrade step"},
 		{"step>=1", func(c *Config) { c.Degrade.Step = 1 }, "degrade step"},
 		{"negative step", func(c *Config) { c.Degrade.Step = -0.5 }, "degrade step"},
 		{"floor>1", func(c *Config) { c.Degrade.Floor = 1.5 }, "degrade floor"},
+		{"zero floor", func(c *Config) { c.Degrade.Floor = 0 }, "degrade floor"},
 		{"negative floor", func(c *Config) { c.Degrade.Floor = -0.1 }, "degrade floor"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,10 +268,9 @@ func TestDegradeValidateRejects(t *testing.T) {
 			Run(cfg)
 		})
 	}
-	// The same values are fine on a disabled plane (zero Policy ignores them
-	// is NOT allowed — but a fully zero config must pass).
+	// A nil policy disables the plane and passes.
 	cfg := mixConfig(2, 1)
-	cfg.Degrade = DegradeConfig{}
+	cfg.Degrade = nil
 	Run(cfg)
 }
 

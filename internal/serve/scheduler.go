@@ -278,7 +278,7 @@ func (e *engine) admitFrame(d int, it readyItem, at float64) (paging float64, ok
 	e.degradeDecide(s, d, it.at)
 	sc := e.classes[e.sessions[s].class].Stream
 	stale := e.cfg.DropThreshold > 0 && at-it.at > e.cfg.DropThreshold*(1/sc.FPS)
-	ok = !stale && !e.simFor(d, s).OOM(e.kv[s], 1)
+	ok = !stale && !e.sims[d].OOM(e.frameReq(s))
 	if ok && e.plane != nil {
 		pool := e.plane.pools[d]
 		var growSpill float64
@@ -308,18 +308,7 @@ func (e *engine) serveFrames(d int, members []readyItem, paging, at float64) {
 	start := max(at, dev.Free)
 	reqs := e.reqs[:0]
 	for _, it := range members {
-		sc := e.classes[e.sessions[it.session].class].Stream
-		req := hwsim.StepReq{
-			NewTokens: sc.TokensPerFrame, KVLen: e.kv[it.session],
-			Stage: hwsim.StageFramePhase,
-		}
-		if e.deg != nil {
-			// Per-member budget scale: degraded members cheapen the coalesced
-			// step (and the one-request-at-a-time OOM fallback below inherits
-			// it per request).
-			req.RatioScale = e.budgetOf(it.session)
-		}
-		reqs = append(reqs, req)
+		reqs = append(reqs, e.frameReq(it.session))
 	}
 	b := e.sims[d].Step(reqs)
 	total := b.Total
@@ -355,37 +344,65 @@ func (e *engine) serveFrames(d int, members []readyItem, paging, at float64) {
 	e.reqs = reqs[:0]
 }
 
+// frameReq is session s's next frame as a hardware step request, at the
+// session's current retrieval budget.
+func (e *engine) frameReq(s int) hwsim.StepReq {
+	return hwsim.StepReq{
+		NewTokens: e.classes[e.sessions[s].class].Stream.TokensPerFrame,
+		KVLen:     e.kv[s], Stage: hwsim.StageFramePhase, RatioScale: e.budgetOf(s),
+	}
+}
+
 // serveQuery charges one solo query step formed at `at` — prefill plus the
 // full answer, KV growing token by token. It reports whether the device was
-// occupied (false when the memory-pressure plane could not allocate the KV
-// growth and the query dropped). The batch-formed event follows the query's
-// served event, since the step's service time is only known after pricing.
+// occupied: the query drops instead when the session's KV would outgrow
+// device memory during the answer, or when the memory-pressure plane cannot
+// allocate the KV growth. The batch-formed event follows the query's served
+// event, since the step's service time is only known after pricing.
 func (e *engine) serveQuery(d int, it readyItem, at float64) bool {
 	s := it.session
 	e.degradeDecide(s, d, it.at)
 	sc := e.classes[e.sessions[s].class].Stream
+	sim := e.sims[d]
+	req := hwsim.StepReq{
+		NewTokens: sc.QueryTokens, KVLen: e.kv[s],
+		Stage: hwsim.StageTextPhase, RatioScale: e.budgetOf(s),
+	}
+	// The largest KV any of the query's steps prices at is the last decode
+	// token's (the prefill's without an answer); the footprint only grows
+	// with KV, so if that fits, every step does.
+	peak := req
+	if sc.AnswerTokens > 0 {
+		peak.KVLen += sc.QueryTokens + sc.AnswerTokens - 1
+	}
 	dev := &e.devs[d]
 	start := max(at, dev.Free)
 	paging := 0.0
-	if e.plane != nil {
+	ok := !sim.OOM(peak)
+	if ok && e.plane != nil {
 		pool := e.plane.pools[d]
-		growSpill, ok := pool.Grow(s, sc.QueryTokens+sc.AnswerTokens, it.at)
-		if !ok {
-			e.drop(s, it.at, true)
-			e.resolve(s, at)
-			return false
+		var growSpill float64
+		if growSpill, ok = pool.Grow(s, sc.QueryTokens+sc.AnswerTokens, it.at); ok {
+			pageIn, pageOut := pool.Touch(s, it.at)
+			paging = growSpill + pageIn + pageOut
+			e.pagingStalls(d, start, growSpill+pageOut, pageIn)
 		}
-		pageIn, pageOut := pool.Touch(s, it.at)
-		paging = growSpill + pageIn + pageOut
-		e.pagingStalls(d, start, growSpill+pageOut, pageIn)
 	}
-	sim := e.simFor(d, s)
-	total := sim.Chunk(sc.QueryTokens, e.kv[s], 1, hwsim.StageTextPhase).Total
+	if !ok {
+		e.drop(s, it.at, true)
+		e.resolve(s, at)
+		return false
+	}
+	reqs := append(e.reqs[:0], req)
+	total := sim.Step(reqs).Total
 	e.kv[s] += sc.QueryTokens
+	reqs[0].NewTokens = 1
 	for i := 0; i < sc.AnswerTokens; i++ {
-		total += sim.TPOT(e.kv[s], 1).Total
+		reqs[0].KVLen = e.kv[s]
+		total += sim.Step(reqs).Total
 		e.kv[s]++
 	}
+	e.reqs = reqs[:0]
 	dev.Free = start + paging + total
 	dev.Busy += paging + total
 	e.profCharge(paging + total)

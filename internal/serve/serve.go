@@ -21,6 +21,7 @@ import (
 	"math"
 	"sort"
 
+	"vrex/internal/degrade"
 	"vrex/internal/hwsim"
 	"vrex/internal/kvpool"
 	"vrex/internal/mathx"
@@ -141,12 +142,20 @@ type Config struct {
 	// many frames coalesce into one hardware step (see SchedulerConfig). The
 	// zero value serves one item per step in arrival order (batch-1 fifo).
 	Scheduler SchedulerConfig
-	// Degrade enables the accuracy-aware graceful-degradation plane: a
-	// controller shrinks KV-pressured or deadline-missing sessions' retrieval
-	// budgets in bounded quantized steps and restores them with hysteresis
-	// (see DegradeConfig). The zero value disables it and Run reduces exactly
-	// to the undegraded engine.
-	Degrade DegradeConfig
+	// Degrade enables the accuracy-aware graceful-degradation plane: the
+	// policy's controller (internal/degrade) is consulted at every frame
+	// admission and query service, shrinks KV-pressured or deadline-missing
+	// sessions' retrieval budgets in bounded quantized steps (each level
+	// multiplies the budget by Step, never below Floor) and restores them
+	// with hysteresis. Every step is charged on both planes: the session's
+	// hardware steps fetch proportionally fewer tokens
+	// (hwsim.StepReq.RatioScale), and accuracy.BudgetRetention charges the
+	// functional-retrieval quality model, so Result gains per-class
+	// accuracy-proxy metrics next to SLO attainment. Build one with
+	// degrade.Parse ("static(budget=0.5)", "pressure", "deadline",
+	// "hybrid"). Nil disables the plane and Run reduces exactly to the
+	// undegraded engine.
+	Degrade *degrade.Policy
 	// Devices is the fleet size; 0 or 1 simulates a single device.
 	Devices int
 	// Balancer places each arriving session on a device; nil defaults to
@@ -193,9 +202,10 @@ type StreamMetrics struct {
 	FramesServed  int
 	FramesDropped int
 	QueriesServed int
-	// QueriesDropped counts queries lost to the memory-pressure plane (the
-	// session was unadmitted, or its KV growth could not be allocated);
-	// always zero with the plane disabled.
+	// QueriesDropped counts queries never served: the session's KV would
+	// outgrow device memory during the answer, the memory-pressure plane
+	// left the session unadmitted or could not allocate its KV growth, or
+	// the query was queued on a failed device.
 	QueriesDropped int
 	// DeadlineMisses counts served frames that completed after their class
 	// deadline (see StreamClass.SLO); dropped frames are not counted here —
@@ -228,7 +238,7 @@ type ClassMetrics struct {
 	FramesServed  int
 	FramesDropped int
 	QueriesServed int
-	// QueriesDropped counts queries lost to the memory-pressure plane.
+	// QueriesDropped counts queries never served (see StreamMetrics).
 	QueriesDropped int
 	// MeanFPS is the mean per-session achieved FPS (each session's rate over
 	// its own presence window).
@@ -524,13 +534,16 @@ func validate(cfg Config) {
 	if cfg.Control.Interval < 0 || math.IsNaN(cfg.Control.Interval) {
 		panic(fmt.Sprintf("serve: negative control interval %v", cfg.Control.Interval))
 	}
-	if cfg.Degrade.enabled() {
-		// `!(x > 0 && ...)` also catches NaN.
-		if s := cfg.Degrade.Step; s != 0 && !(s > 0 && s < 1) {
-			panic(fmt.Sprintf("serve: degrade step %v must be in (0, 1) or 0 for the default", s))
+	if dp := cfg.Degrade; dp != nil {
+		if dp.Controller == nil {
+			panic("serve: degrade policy has no controller")
 		}
-		if f := cfg.Degrade.Floor; f != 0 && !(f > 0 && f <= 1) {
-			panic(fmt.Sprintf("serve: degrade floor %v must be in (0, 1] or 0 for the default", f))
+		// `!(x > 0 && ...)` also catches NaN.
+		if !(dp.Step > 0 && dp.Step < 1) {
+			panic(fmt.Sprintf("serve: degrade step %v must be in (0, 1)", dp.Step))
+		}
+		if !(dp.Floor > 0 && dp.Floor <= 1) {
+			panic(fmt.Sprintf("serve: degrade floor %v must be in (0, 1]", dp.Floor))
 		}
 	}
 }
@@ -650,8 +663,7 @@ func Run(cfg Config) Result {
 	var pageAcct *kvpool.Account
 	if prof := cfg.Profile; prof != nil {
 		// One compute-phase account across the fleet: homogeneous fleets
-		// share a sim, heterogeneous ones each point at the same account,
-		// and degradation-scaled copies inherit the pointer via Scaled.
+		// share a sim, heterogeneous ones each point at the same account.
 		for d := range sims {
 			sims[d].Phases = &prof.Sim
 		}
@@ -664,7 +676,7 @@ func Run(cfg Config) Result {
 			e.devs[d].FreePages = e.devs[d].CapacityPages
 		}
 	}
-	e.deg = newDegradePlane(cfg, len(sessions), nDev)
+	e.deg = newDegradePlane(cfg, len(sessions))
 
 	e.run()
 	kv, metrics, latencies := e.kv, e.metrics, e.latencies
@@ -758,7 +770,7 @@ type engine struct {
 	slo   []float64
 	plane *kvPlane
 	// deg is the degradation plane's run state (nil with Config.Degrade
-	// disabled — every pricing path then uses the unscaled sims).
+	// disabled — every session then prices at full budget).
 	deg *degradePlane
 
 	// events is the run's event heap: arrivals, controller ticks and device

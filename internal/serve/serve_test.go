@@ -90,6 +90,37 @@ func TestQueriesServed(t *testing.T) {
 	}
 }
 
+// TestQueryOOMDrops: a query on a session whose KV no longer fits in device
+// memory drops like the session's frames, instead of being served in zero
+// time, logging an empty step and growing the KV.
+func TestQueryOOMDrops(t *testing.T) {
+	cfg := baseConfig(hwsim.AGXOrin(), hwsim.DenseModel(), 1)
+	cfg.Duration = 10
+	cfg.Classes[0].Stream.StartKV = 200000
+	cfg.Classes[0].Stream.QueryEvery = 2
+	dropped := 0
+	cfg.Observer = ObserverFunc(func(ev Event) {
+		if ev.Kind == EventQueryDropped {
+			dropped++
+		}
+	})
+	res := Run(cfg)
+	m := res.PerStream[0]
+	if m.FramesServed != 0 || m.FramesDropped != 20 {
+		t.Fatalf("frames: %d served, %d dropped; want 0 and 20", m.FramesServed, m.FramesDropped)
+	}
+	if m.QueriesServed != 0 || m.QueriesDropped != 4 || dropped != 4 {
+		t.Fatalf("queries: %d served, %d dropped, %d drop events; want 0, 4, 4",
+			m.QueriesServed, m.QueriesDropped, dropped)
+	}
+	if b := res.PerDevice[0].Batches; b != 0 {
+		t.Fatalf("%d hardware steps on a session that fits nowhere, want 0", b)
+	}
+	if m.FinalKV != 200000 {
+		t.Fatalf("dropped work grew the KV to %d", m.FinalKV)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 3)
 	a := Run(cfg)

@@ -292,11 +292,10 @@ func TestCompletenessClusterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := degrade.Parse("pressure(lo=0.2,hi=0.5)")
+	deg, err := degrade.Parse("pressure(lo=0.2,hi=0.5)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg := serve.DegradeConfig{Policy: dp.Controller, Step: dp.Step, Floor: dp.Floor}
 	base := serve.Config{
 		Pol:     hwsim.ReSVModel(),
 		Streams: 8, Duration: 30, Classes: mix,
