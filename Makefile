@@ -75,7 +75,8 @@ scenarios:
 # end on a committed scenario that pages KV (pressure.vrex; flash-crowd has
 # no KV pool, so no stalls): the bare run and the run with -trace-out,
 # -metrics-out and -record-trace attached together must print byte-identical
-# stdout, the trace must be valid JSON, and the recorded replay must lint.
+# stdout, the trace must be valid JSON, and the recorded replay must lint. A
+# run under -cpuprofile must print the same stdout too and write a profile.
 # Outputs stay in telemetry-check/; the scenarios CI job uploads the trace and
 # metrics.
 telemetry-check:
@@ -86,6 +87,10 @@ telemetry-check:
 		-trace-out telemetry-check/trace.json -metrics-out telemetry-check/metrics.prom \
 		-record-trace telemetry-check/replay.vrex > telemetry-check/wired.txt
 	cmp telemetry-check/bare.txt telemetry-check/wired.txt
+	telemetry-check/vrex-sim -scenario scenarios/pressure.vrex \
+		-cpuprofile telemetry-check/cpu.pprof > telemetry-check/profiled.txt
+	cmp telemetry-check/bare.txt telemetry-check/profiled.txt
+	test -s telemetry-check/cpu.pprof
 	python3 -m json.tool telemetry-check/trace.json > /dev/null
 	telemetry-check/vrex-sim -scenario-lint telemetry-check/replay.vrex
 

@@ -87,6 +87,10 @@
 // comma-separated list; the points are simulated across -parallel workers
 // (default GOMAXPROCS, 1 = sequential) and printed in argument order, so the
 // output is identical for any worker count.
+//
+// -cpuprofile writes a host CPU profile of the invocation (runtime/pprof
+// format, for go tool pprof) to the named file. It profiles the simulator,
+// not the simulated system, and never changes what vrex-sim prints.
 package main
 
 import (
@@ -96,6 +100,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,6 +153,26 @@ func renderPoint(dev hwsim.DeviceSpec, pol hwsim.PolicyModel, kv, batch, tokens 
 	fmt.Fprintf(&sb, "  DRE busy         : %8.3f ms\n", b.DRETime*1000)
 	fmt.Fprintf(&sb, "  energy           : %8.2f J (%.1f GOPS/W)\n", b.EnergyJ, b.GOPSPerWatt())
 	return sb.String()
+}
+
+// startCPUProfile starts a host CPU profile written to path; stop ends it
+// and closes the file. An exit through fail skips stop, so a failed
+// invocation leaves an incomplete profile.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fail("-cpuprofile: %v", err)
+		}
+	}, nil
 }
 
 func fail(format string, args ...any) {
@@ -449,7 +474,16 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "serving: write run metrics in Prometheus text exposition format to this file")
 	profileRun := flag.Bool("profile", false, "serving: print the simulated-time phase attribution profile after the run")
 	list := flag.Bool("list-policies", false, "list registered policies, balancers and stream classes, then exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of this invocation to this file (read with go tool pprof; the output is unchanged)")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fail("-cpuprofile: %v", err)
+		}
+		defer stop()
+	}
 
 	if *list {
 		listPolicies()

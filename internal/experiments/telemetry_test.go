@@ -11,8 +11,8 @@ import (
 // TestTelemetryWorkerInvariance requires the rendered telemetry experiment —
 // attribution, stalls, spans and exporter footprints — to be byte-identical
 // at Workers 1, 4 and GOMAXPROCS: the observability plane consumes the
-// single-threaded device loop's deterministic streams, so parallelism in
-// schedule construction must never reach the exporters.
+// single-threaded device loop's deterministic streams, so worker
+// parallelism must never reach the exporters.
 func TestTelemetryWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the cluster scenario three times; skipped in -short")

@@ -2,7 +2,8 @@ package mathx
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Softmax writes the softmax of src into dst (which may alias src). It uses
@@ -132,27 +133,89 @@ func Mean(xs []float64) float64 {
 }
 
 // Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It copies xs and is O(n log n).
+// interpolation between closest ranks, ranking NaNs below every number (the
+// sort.Float64s order), so an interpolation that touches a NaN rank is NaN.
+// p <= 0 and p >= 100 return the extremes, an empty xs returns 0 and p = NaN
+// returns NaN. xs is not modified: Percentile copies its numbers and selects
+// only the one or two ranks it interpolates between, in expected O(n) time.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
+	if math.IsNaN(p) {
+		return math.NaN()
 	}
-	if p >= 100 {
-		return c[len(c)-1]
+	var rank float64
+	switch {
+	case p <= 0:
+	case p >= 100:
+		rank = float64(len(xs) - 1)
+	default:
+		rank = p / 100 * float64(len(xs)-1)
 	}
-	rank := p / 100 * float64(len(c)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	c := make([]float64, 0, len(xs))
+	for _, v := range xs {
+		if !math.IsNaN(v) {
+			c = append(c, v)
+		}
+	}
+	nans := len(xs) - len(c)
+	if lo < nans {
+		return math.NaN()
+	}
+	k := lo - nans
+	selectRank(c, k)
 	if lo == hi {
-		return c[lo]
+		return c[k]
 	}
 	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
+	return c[k]*(1-frac) + slices.Min(c[k+1:])*frac
+}
+
+// selectRank reorders xs, which holds no NaN, so that xs[k] is its k-th
+// smallest value, with nothing larger before it and nothing smaller after
+// it. Three-way partitioning around a median-of-three pivot narrows the
+// window holding rank k; once partitions stop shrinking the window (more
+// than log2(n) of them keep over three quarters of it), the window is sorted
+// instead, so the worst case stays O(n log n).
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	for budget := bits.Len(uint(len(xs))); hi-lo > 1; {
+		n := hi - lo
+		if n <= 12 || budget == 0 {
+			slices.Sort(xs[lo:hi])
+			return
+		}
+		a, b, c := xs[lo], xs[lo+n/2], xs[hi-1]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// [lo, lt) < pivot, [lt, i) == pivot, [gt, hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := xs[i]; {
+			case v < pivot:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				xs[i], xs[gt] = xs[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return // xs[k] equals the pivot
+		}
+		if hi-lo > n*3/4 {
+			budget--
+		}
+	}
 }
 
 // Clamp bounds v to [lo, hi].

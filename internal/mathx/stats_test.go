@@ -2,6 +2,8 @@ package mathx
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -186,6 +188,73 @@ func TestPercentile(t *testing.T) {
 	}
 	if Percentile(nil, 50) != 0 {
 		t.Error("empty percentile should be 0")
+	}
+	if got := Percentile(xs, math.NaN()); !math.IsNaN(got) {
+		t.Errorf("Percentile(NaN) = %v, want NaN", got)
+	}
+}
+
+// percentileBySort is the sort-based definition Percentile must match: sort
+// a copy (sort.Float64s puts NaNs first) and interpolate between the closest
+// ranks.
+func percentileBySort(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	if math.IsNaN(p) {
+		return math.NaN()
+	}
+	c := slices.Clone(xs)
+	sort.Float64s(c)
+	if p <= 0 {
+		return c[0]
+	}
+	if p >= 100 {
+		return c[len(c)-1]
+	}
+	rank := p / 100 * float64(len(c)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return c[lo]
+	}
+	frac := rank - float64(lo)
+	return c[lo]*(1-frac) + c[hi]*frac
+}
+
+// TestPercentileMatchesSortReference: on random slices with many duplicates,
+// signed zeros, infinities and NaNs, the selection-based Percentile equals
+// the sort-based definition (NaN matching NaN) and leaves its input as it
+// was.
+func TestPercentileMatchesSortReference(t *testing.T) {
+	rng := NewRNG(11)
+	ps := []float64{-1, 0, 0.5, 50, 99, 99.9, 100, 101, math.NaN()}
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0}
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + rng.Intn(64)
+		distinct := 1 + rng.Intn(n) // few distinct values: many duplicates
+		xs := make([]float64, n)
+		for i := range xs {
+			switch rng.Intn(8) {
+			case 0:
+				xs[i] = specials[rng.Intn(len(specials))]
+			case 1:
+				xs[i] = rng.Norm()
+			default:
+				xs[i] = float64(rng.Intn(distinct))
+			}
+		}
+		orig := slices.Clone(xs)
+		for _, p := range ps {
+			got, want := Percentile(xs, p), percentileBySort(xs, p)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("Percentile(%v, %v) = %v, sort reference says %v", xs, p, got, want)
+			}
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+					t.Fatalf("Percentile(_, %v) modified its input: %v, was %v", p, xs, orig)
+				}
+			}
+		}
 	}
 }
 

@@ -10,11 +10,10 @@ import (
 // Controller sees the live fleet through a FleetOps facade and may drain or
 // fail devices, bring them back, and migrate resident sessions — the
 // primitives the cluster tier builds node faults, autoscaling and
-// rebalancing from. Ticks are events on the run's own heap (after any
-// arrivals at the same instant, before any scheduler step forms), so
-// controller decisions are deterministic for every Workers setting. The zero
-// value disables the plane entirely and Run reduces exactly to the
-// uncontrolled timeline.
+// rebalancing from. Ticks are events on the run's single-threaded event heap
+// (after any arrivals at the same instant, before any scheduler step forms),
+// so controller decisions are deterministic. The zero value disables the
+// plane entirely and Run reduces exactly to the uncontrolled timeline.
 type ControlConfig struct {
 	// Interval adds periodic ticks at Interval, 2*Interval, ... < Duration
 	// (0 disables periodic ticks).

@@ -22,16 +22,21 @@ func cmpReady(a, b readyItem) int {
 // filter and re-init, and requires every pop to return the least remaining
 // value under order. gen builds a value from a unique seq and draws its
 // other fields from a small range, so ties on them are common.
-func checkHeapOrder[T interface{ before(T) bool }](t *testing.T, gen func(rng *mathx.RNG, seq int) T, order func(a, b T) int, drop func(T) bool) {
+func checkHeapOrder[T any, H ~[]T, PH interface {
+	*H
+	push(T)
+	pop() T
+	init()
+}](t *testing.T, gen func(rng *mathx.RNG, seq int) T, order func(a, b T) int, drop func(T) bool) {
 	t.Helper()
 	rng := mathx.NewRNG(7)
 	for trial := 0; trial < 200; trial++ {
-		var h minHeap[T]
+		var h H
 		var ref []T
 		popCheck := func() {
 			t.Helper()
 			slices.SortFunc(ref, order)
-			got := h.pop()
+			got := PH(&h).pop()
 			if order(got, ref[0]) != 0 {
 				t.Fatalf("trial %d: popped %+v, want %+v", trial, got, ref[0])
 			}
@@ -43,7 +48,7 @@ func checkHeapOrder[T interface{ before(T) bool }](t *testing.T, gen func(rng *m
 				popCheck()
 			}
 			x := gen(rng, seq)
-			h.push(x)
+			PH(&h).push(x)
 			ref = append(ref, x)
 		}
 		// Filter in place and re-init, as moveReady does on both devices.
@@ -54,7 +59,7 @@ func checkHeapOrder[T interface{ before(T) bool }](t *testing.T, gen func(rng *m
 			}
 		}
 		h = kept
-		h.init()
+		PH(&h).init()
 		ref = slices.DeleteFunc(ref, drop)
 		for len(ref) > 0 {
 			popCheck()
@@ -67,14 +72,14 @@ func checkHeapOrder[T interface{ before(T) bool }](t *testing.T, gen func(rng *m
 
 func TestMinHeapPopsInSortOrder(t *testing.T) {
 	t.Run("event", func(t *testing.T) {
-		checkHeapOrder(t,
+		checkHeapOrder[event, eventHeap](t,
 			func(rng *mathx.RNG, seq int) event {
 				return event{at: float64(rng.Intn(4)), session: rng.Intn(5), seq: seq}
 			},
 			cmpEvent, func(e event) bool { return e.session == 0 })
 	})
 	t.Run("readyItem", func(t *testing.T) {
-		checkHeapOrder(t,
+		checkHeapOrder[readyItem, readyHeap](t,
 			func(rng *mathx.RNG, seq int) readyItem {
 				return readyItem{key: float64(rng.Intn(3)), at: float64(rng.Intn(4)), session: rng.Intn(5), seq: seq}
 			},
@@ -82,20 +87,35 @@ func TestMinHeapPopsInSortOrder(t *testing.T) {
 	})
 }
 
-// TestMinHeapSteadyStateAllocFree: once the backing array has grown, a
+// TestMinHeapSteadyStateAllocFree: once a heap's backing array has grown, a
 // push/pop pair allocates nothing.
 func TestMinHeapSteadyStateAllocFree(t *testing.T) {
-	h := make(minHeap[event], 0, 64)
+	events := make(eventHeap, 0, 64)
+	ready := make(readyHeap, 0, 64)
 	for i := 0; i < 32; i++ {
-		h.push(event{at: float64(i % 5), seq: i})
+		events.push(event{at: float64(i % 5), seq: i})
+		ready.push(readyItem{key: float64(i % 3), at: float64(i % 5), seq: i})
 	}
 	seq := 32
-	allocs := testing.AllocsPerRun(1000, func() {
-		h.push(event{at: 2, seq: seq})
-		seq++
-		h.pop()
-	})
-	if allocs != 0 {
-		t.Fatalf("push/pop at steady capacity: %v allocs, want 0", allocs)
+	for _, c := range []struct {
+		name    string
+		pushPop func()
+	}{
+		{"event", func() {
+			events.push(event{at: 2, seq: seq})
+			seq++
+			events.pop()
+		}},
+		{"readyItem", func() {
+			ready.push(readyItem{key: 1, at: 2, seq: seq})
+			seq++
+			ready.pop()
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(1000, c.pushPop); allocs != 0 {
+				t.Fatalf("push/pop at steady capacity: %v allocs, want 0", allocs)
+			}
+		})
 	}
 }

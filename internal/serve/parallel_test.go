@@ -8,9 +8,8 @@ import (
 )
 
 // TestRunParallelEquivalence: the serving simulation must produce identical
-// per-stream metrics and utilization for any worker count — schedule
-// construction and metric reduction are sharded, the device loop is the
-// barrier.
+// per-stream metrics and utilization for any worker count — the per-session
+// metric reduction after the device loop is sharded.
 func TestRunParallelEquivalence(t *testing.T) {
 	cfg := baseConfig(hwsim.VRex8(), hwsim.ReSVModel(), 6)
 	cfg.Classes[0].Stream.QueryEvery = 7

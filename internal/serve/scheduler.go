@@ -150,10 +150,10 @@ type readyItem struct {
 	query   bool
 }
 
-// before orders a ready heap by (policy key, arrival time, schedule
-// sequence): policy first, arrival order within a key — seq alone is not
-// arrival order (it numbers per-session event blocks) and only breaks
-// exact-time ties, exactly as the event heap does.
+// before orders a ready heap by (policy key, arrival time, seq): policy
+// first, arrival order within a key — seq alone is not arrival order (it is
+// the arrival's arrivalSeq, session then kind) and only breaks exact-time
+// ties, exactly as the event heap does.
 func (a readyItem) before(b readyItem) bool {
 	if a.key != b.key {
 		return a.key < b.key

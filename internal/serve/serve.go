@@ -19,7 +19,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"vrex/internal/degrade"
 	"vrex/internal/hwsim"
@@ -182,12 +181,11 @@ type Config struct {
 	// from it, so session s's arrival process never depends on how many other
 	// sessions exist or on scheduling order.
 	Seed uint64
-	// Workers advances independent sessions concurrently between the
-	// scheduler barriers (schedule construction before the device loop,
-	// per-session metric reduction after it): 0 uses GOMAXPROCS, 1 is
-	// sequential. The device loop itself is the barrier — devices serve
-	// arrivals in global order — and results are identical for any worker
-	// count.
+	// Workers reduces independent sessions' metrics (latency percentiles,
+	// degradation means) concurrently once the device loop has finished: 0
+	// uses GOMAXPROCS, 1 is sequential. The loop itself is single-threaded —
+	// devices serve arrivals in global order, each session's arrivals
+	// generated as it goes — and results are identical for any worker count.
 	Workers int
 }
 
@@ -330,7 +328,8 @@ type Result struct {
 	Utilization float64
 }
 
-// event kinds, in the order they sort at equal timestamps within a session.
+// event kinds. The four arrival kinds are declared in the order they sort at
+// equal timestamps within a session.
 const (
 	evStart = iota // session joins: balancer assignment
 	evFrame        // video frame arrival
@@ -338,8 +337,8 @@ const (
 	evEnd          // session leaves: balancer state release
 	// evStep is a device wake-up: the device is (or becomes) free and forms
 	// its next step. Step events carry the device index in the session field
-	// and draw seq numbers above every arrival's, so at equal timestamps
-	// arrivals enqueue before the step forms.
+	// and draw seq numbers above every arrival's and tick's, so at equal
+	// timestamps arrivals enqueue before the step forms.
 	evStep
 	// evControl is a fleet-controller tick (session field unused, -1).
 	// Control events draw seq numbers above every arrival's but below the
@@ -347,6 +346,17 @@ const (
 	// landed and acts before any batch forms.
 	evControl
 )
+
+// arrivalKinds is the number of arrival kinds (evStart..evEnd).
+const arrivalKinds = evEnd + 1
+
+// arrivalSeq is the seq of session s's arrivals of one kind:
+// arrivalKinds*s + kind. At equal timestamps arrivals therefore order by
+// session, then kind — exactly as if every session's [start, frames...,
+// queries..., end] block were numbered in session order. The event heap
+// holds at most one arrival per session, and a session's frames (or
+// queries) never share a timestamp, so (at, seq) stays unique.
+func arrivalSeq(s, kind int) int { return arrivalKinds*s + kind }
 
 // event is one arrival, controller tick or device wake-up.
 type event struct {
@@ -356,7 +366,7 @@ type event struct {
 	seq     int
 }
 
-// before orders the event heap: by time, then schedule sequence.
+// before orders the event heap: by time, then seq.
 func (a event) before(b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -379,16 +389,65 @@ const (
 	churnSessionSalt = 0x05E551035
 )
 
-// session is one video session's static plan: its class, presence window,
-// jitter seed and (once assigned) device.
+// session is one video session's plan — its class, presence window and
+// (once assigned) device — and its arrival cursor.
 type session struct {
 	class      int
 	start, end float64
 	device     int
-	// seed drives the session's arrival jitter; a pure function of
-	// (Config.Seed, index) for initial sessions and of (Config.Seed, churn
-	// ordinal) for churned ones.
-	seed uint64
+	// The arrival cursor: the next frame and query arrival times and the
+	// steps between them. queryAt is +Inf for a class without queries.
+	frameAt, queryAt     float64
+	interval, queryEvery float64
+}
+
+// newSession plans a session of class c present over [start, end). Its
+// arrival jitter comes from seed — a pure function of (Config.Seed, index)
+// for initial sessions and of (Config.Seed, churn ordinal) for churned ones
+// — drawn up front: the frame phase, then, for a class with queries, the
+// first query's offset.
+func newSession(classes []StreamClass, c int, start, end float64, seed uint64) session {
+	sc := classes[c].Stream
+	rng := mathx.NewRNG(seed)
+	interval := 1 / sc.FPS
+	// Phase-shift sessions so arrivals interleave.
+	phase := rng.Float64() * interval
+	s := session{
+		class: c, start: start, end: end, device: -1,
+		frameAt: start + phase, queryAt: math.Inf(1),
+		interval: interval, queryEvery: sc.QueryEvery,
+	}
+	if sc.QueryEvery > 0 {
+		s.queryAt = start + sc.QueryEvery*(0.5+rng.Float64())
+	}
+	return s
+}
+
+// advance pushes onto h the session's arrival after ev, the one of its
+// arrivals just popped. A session arrives as start, then its frames (every
+// interval from the phase) and queries (every queryEvery from the first
+// offset) merged by time, the frame first on a tie, while they fall before
+// end, then end. The heap thus holds one arrival per session, and pops them
+// in the order a heap of every session's whole schedule would.
+//
+//vrex:noalloc
+func (sess *session) advance(h *eventHeap, ev event) {
+	switch ev.kind {
+	case evEnd:
+		return
+	case evFrame:
+		sess.frameAt += sess.interval
+	case evQuery:
+		sess.queryAt += sess.queryEvery
+	}
+	next := event{at: sess.end, session: ev.session, kind: evEnd}
+	if sess.frameAt < sess.end && !(sess.queryAt < sess.frameAt) {
+		next.at, next.kind = sess.frameAt, evFrame
+	} else if sess.queryAt < sess.end {
+		next.at, next.kind = sess.queryAt, evQuery
+	}
+	next.seq = arrivalSeq(ev.session, next.kind)
+	h.push(next)
 }
 
 // buildSessions lays out the run's session population: Streams sessions at
@@ -448,10 +507,8 @@ func buildSessions(cfg Config, classes []StreamClass) []session {
 
 	sessions := make([]session, 0, cfg.Streams)
 	for s := 0; s < cfg.Streams; s++ {
-		sessions = append(sessions, session{
-			class: pickClass(cfg.Seed, s, 0), end: endOf(cfg.Seed, s, 0),
-			device: -1, seed: parallel.SeedFor(cfg.Seed, s),
-		})
+		sessions = append(sessions, newSession(classes,
+			pickClass(cfg.Seed, s, 0), 0, endOf(cfg.Seed, s, 0), parallel.SeedFor(cfg.Seed, s)))
 	}
 	switch {
 	case cfg.Churn.Arrivals != nil:
@@ -464,20 +521,16 @@ func buildSessions(cfg Config, classes []StreamClass) []session {
 			if !(t >= 0) || t >= cfg.Duration {
 				continue
 			}
-			sessions = append(sessions, session{
-				class: pickClass(domain, i, t), start: t, end: endOf(domain, i, t),
-				device: -1, seed: parallel.SeedFor(domain, i),
-			})
+			sessions = append(sessions, newSession(classes,
+				pickClass(domain, i, t), t, endOf(domain, i, t), parallel.SeedFor(domain, i)))
 		}
 	case cfg.Churn.ArrivalRate > 0:
 		domain := cfg.Seed ^ churnSessionSalt
 		rng := mathx.NewRNG(parallel.SeedFor(cfg.Seed^churnSeedSalt, 0))
 		i := 0
 		for t := rng.Exp(1 / cfg.Churn.ArrivalRate); t < cfg.Duration; t += rng.Exp(1 / cfg.Churn.ArrivalRate) {
-			sessions = append(sessions, session{
-				class: pickClass(domain, i, t), start: t, end: endOf(domain, i, t),
-				device: -1, seed: parallel.SeedFor(domain, i),
-			})
+			sessions = append(sessions, newSession(classes,
+				pickClass(domain, i, t), t, endOf(domain, i, t), parallel.SeedFor(domain, i)))
 			i++
 		}
 	}
@@ -576,56 +629,13 @@ func Run(cfg Config) Result {
 	}
 	bal.Reset(nDev)
 
-	// Build the arrival schedule: sessions are independent, so each one's
-	// arrival process is generated concurrently from its own derived seed
-	// (parallel.SeedFor keeps session s's jitter a pure function of cfg.Seed
-	// and s). The ordered fan-in and the deterministic seq renumbering below
-	// make the merged schedule identical for any worker count.
-	perSession := parallel.Map(cfg.Workers, len(sessions), func(s int) []event {
-		sess := sessions[s]
-		sc := classes[sess.class].Stream
-		rng := mathx.NewRNG(sess.seed)
-		interval := 1 / sc.FPS
-		evs := []event{{at: sess.start, session: s, kind: evStart}}
-		// Phase-shift sessions so arrivals interleave.
-		phase := rng.Float64() * interval
-		for t := sess.start + phase; t < sess.end; t += interval {
-			evs = append(evs, event{at: t, session: s, kind: evFrame})
-		}
-		if sc.QueryEvery > 0 {
-			for t := sess.start + sc.QueryEvery*(0.5+rng.Float64()); t < sess.end; t += sc.QueryEvery {
-				evs = append(evs, event{at: t, session: s, kind: evQuery})
-			}
-		}
-		evs = append(evs, event{at: sess.end, session: s, kind: evEnd})
-		return evs
-	})
-	var events minHeap[event]
-	seq := 0
-	for _, evs := range perSession {
-		for _, ev := range evs {
-			ev.seq = seq
-			seq++
-			events = append(events, ev)
-		}
-	}
-	// Controller ticks seq above every arrival (and below the step range,
-	// which starts at the heap length): at equal timestamps a
-	// tick sees the arrivals that just landed and runs before batches form.
-	if cfg.Control.enabled() {
-		for _, t := range cfg.Control.tickTimes(cfg.Duration) {
-			events = append(events, event{at: t, session: -1, kind: evControl, seq: seq})
-			seq++
-		}
-	}
-	events.init()
-
+	events, seq := seedEvents(sessions, cfg.Control, cfg.Duration, nDev)
 	sched, batchMax := cfg.Scheduler.Effective()
 	e := &engine{
 		cfg: cfg, classes: classes, sims: sims, sessions: sessions,
 		nDev: nDev, bal: bal,
 		events: events, sched: sched, batchMax: batchMax,
-		ready:         make([]minHeap[readyItem], nDev),
+		ready:         make([]readyHeap, nDev),
 		stepScheduled: make([]bool, nDev),
 		stepSeq:       seq,
 		pending:       make([]int, len(sessions)),
@@ -706,7 +716,7 @@ func Run(cfg Config) Result {
 		res.Memory = plane.memory(devMetrics)
 	}
 	res.Migrations = e.mig
-	// Post-barrier reduction: each session's latency sort and percentiles are
+	// Post-loop reduction: each session's latency percentiles are
 	// independent, so they run across the pool; the real-time verdict folds
 	// in session order afterwards.
 	parallel.ForEach(cfg.Workers, len(sessions), func(s int) {
@@ -718,7 +728,6 @@ func Run(cfg Config) Result {
 		}
 		m.FinalKV = kv[s]
 		if len(latencies[s]) > 0 {
-			sort.Float64s(latencies[s])
 			m.P50 = mathx.Percentile(latencies[s], 50)
 			m.P99 = mathx.Percentile(latencies[s], 99)
 		}
@@ -741,8 +750,8 @@ func Run(cfg Config) Result {
 // engine bundles one Run's mutable state: the event loop (run), session
 // placement and admission, the per-device ready heaps and step formation
 // (scheduler.go), and the accounting behind Result. The loop is
-// single-threaded; Workers parallelism stays confined to schedule
-// construction and metric reduction.
+// single-threaded; Workers parallelism stays confined to the metric
+// reduction after it.
 type engine struct {
 	cfg     Config
 	classes []StreamClass
@@ -773,14 +782,14 @@ type engine struct {
 	// disabled — every session then prices at full budget).
 	deg *degradePlane
 
-	// events is the run's event heap: arrivals, controller ticks and device
-	// wake-ups.
-	events minHeap[event]
+	// events is the run's event heap: each session's next arrival, the
+	// controller ticks still to come and pending device wake-ups.
+	events eventHeap
 	// sched orders each device's ready heap; batchMax caps the frames per
 	// step (both resolved from Config.Scheduler).
 	sched    Scheduler
 	batchMax int
-	ready    []minHeap[readyItem]
+	ready    []readyHeap
 	// stepScheduled marks devices with a wake-up already on the event heap;
 	// stepSeq numbers wake-ups above every arrival's seq, so at equal
 	// timestamps arrivals enqueue before the step forms.
@@ -967,12 +976,39 @@ func (e *engine) served(s, d int, at, wait, lat float64, frame bool) {
 	e.degradeServed(s, lat, frame)
 }
 
+// seedEvents builds a run's initial event heap: every session's start and
+// the controller ticks, seq'd above every arrival (at equal timestamps a
+// tick sees the arrivals that just landed and runs before batches form). It
+// is sized for the most the heap ever holds — one arrival per session, the
+// ticks and one wake-up per device — and returns the first seq free for
+// wake-ups.
+func seedEvents(sessions []session, ctl ControlConfig, duration float64, nDev int) (eventHeap, int) {
+	var ticks []float64
+	if ctl.enabled() {
+		ticks = ctl.tickTimes(duration)
+	}
+	h := make(eventHeap, 0, len(sessions)+len(ticks)+nDev)
+	for s := range sessions {
+		h = append(h, event{at: sessions[s].start, session: s, kind: evStart, seq: arrivalSeq(s, evStart)})
+	}
+	seq := arrivalSeq(len(sessions), 0)
+	for _, t := range ticks {
+		h = append(h, event{at: t, session: -1, kind: evControl, seq: seq})
+		seq++
+	}
+	h.init()
+	return h, seq
+}
+
 // run is the serving event loop: arrivals enqueue onto their device's ready
 // heap, and each device forms its next policy-ordered step whenever it is
-// free (a wake-up event).
+// free (a wake-up event). Popping a session's arrival queues its next one.
 func (e *engine) run() {
 	for len(e.events) > 0 {
 		ev := e.events.pop()
+		if ev.kind < arrivalKinds {
+			e.sessions[ev.session].advance(&e.events, ev)
+		}
 		switch ev.kind {
 		case evStep:
 			e.stepScheduled[ev.session] = false
@@ -1027,7 +1063,7 @@ func clampUtil(u float64) float64 {
 
 // reduceClasses pools per-session metrics into per-class and aggregate
 // summaries. Latency and queue-wait percentiles are computed over the pooled
-// (re-sorted) samples of each group, so they reflect frames, not sessions.
+// samples of each group, so they reflect frames, not sessions.
 func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMetrics, latencies, waits [][]float64, duration float64) ([]ClassMetrics, ClassMetrics) {
 	perClass := make([]ClassMetrics, len(classes))
 	pooled := make([][]float64, len(classes))
@@ -1086,12 +1122,10 @@ func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMe
 			cm.Goodput = float64(cm.FramesServed-cm.DeadlineMisses) / duration
 		}
 		if len(pool) > 0 {
-			sort.Float64s(pool)
 			cm.P50 = mathx.Percentile(pool, 50)
 			cm.P99 = mathx.Percentile(pool, 99)
 		}
 		if len(wait) > 0 {
-			sort.Float64s(wait)
 			cm.QueueP50 = mathx.Percentile(wait, 50)
 			cm.QueueP99 = mathx.Percentile(wait, 99)
 		}
