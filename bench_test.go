@@ -245,37 +245,49 @@ func BenchmarkWiCSumEarlyExit(b *testing.B) {
 	}
 }
 
-// BenchmarkModelForwardDense measures one frame forward with full attention.
-func BenchmarkModelForwardDense(b *testing.B) {
+// forwardCycle is the number of frames the forward benchmarks time per
+// warm-up: op i forwards frame i%forwardCycle, and before each cycle the
+// model and retriever are reset and re-warmed with the timer stopped. The
+// KV context an op sees (200 to 350 tokens) is then the same whatever b.N
+// is; appending every op to one model made ns/op grow with b.N.
+const forwardCycle = 16
+
+// benchModelForward times one 10-token frame forward per op under r on that
+// fixed cyclic schedule. reset clears r's state along with the model's.
+func benchModelForward(b *testing.B, r model.Retriever, reset func()) {
 	cfg := model.DefaultConfig()
 	m := model.New(cfg)
 	rng := mathx.NewRNG(3)
 	warm := tensor.NewMatrix(200, cfg.Dim)
 	warm.Randomize(rng, 1)
-	m.Forward(warm, model.DenseRetriever{}, model.StageFrame, false)
-	frame := tensor.NewMatrix(10, cfg.Dim)
-	frame.Randomize(rng, 1)
+	frames := make([]*tensor.Matrix, forwardCycle)
+	for f := range frames {
+		frames[f] = tensor.NewMatrix(10, cfg.Dim)
+		frames[f].Randomize(rng, 1)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(frame, model.DenseRetriever{}, model.StageFrame, false)
+		f := i % forwardCycle
+		if f == 0 {
+			b.StopTimer()
+			m.Reset()
+			reset()
+			m.Forward(warm, r, model.StageFrame, false)
+			b.StartTimer()
+		}
+		m.Forward(frames[f], r, model.StageFrame, false)
 	}
+}
+
+// BenchmarkModelForwardDense measures one frame forward with full attention.
+func BenchmarkModelForwardDense(b *testing.B) {
+	benchModelForward(b, model.DenseRetriever{}, func() {})
 }
 
 // BenchmarkModelForwardReSV measures one frame forward under ReSV retrieval.
 func BenchmarkModelForwardReSV(b *testing.B) {
-	cfg := model.DefaultConfig()
-	m := model.New(cfg)
-	r := core.New(cfg, core.DefaultConfig())
-	rng := mathx.NewRNG(3)
-	warm := tensor.NewMatrix(200, cfg.Dim)
-	warm.Randomize(rng, 1)
-	m.Forward(warm, r, model.StageFrame, false)
-	frame := tensor.NewMatrix(10, cfg.Dim)
-	frame.Randomize(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward(frame, r, model.StageFrame, false)
-	}
+	r := core.New(model.DefaultConfig(), core.DefaultConfig())
+	benchModelForward(b, r, r.Reset)
 }
 
 // BenchmarkHWSimFrame measures the analytic simulator itself.

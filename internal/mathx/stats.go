@@ -78,6 +78,41 @@ func Dot(a, b []float32) float64 {
 	return s
 }
 
+// Dot2 returns Dot(a, b0) and Dot(a, b1) from one pass over a, which both
+// products share (two keys scored against one query). Each result keeps
+// Dot's four accumulators, its s0+s1+s2+s3 reduction and its tail, so it is
+// bit-identical to Dot. The slices must have equal length.
+//
+//vrex:noalloc
+func Dot2(a, b0, b1 []float32) (float64, float64) {
+	if len(b0) != len(a) || len(b1) != len(a) {
+		panic("mathx: Dot2 length mismatch")
+	}
+	// Re-slicing the keys to len(a) lets the compiler drop their bounds
+	// checks.
+	b0, b1 = b0[:len(a)], b1[:len(a)]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x0, x1, x2, x3 := float64(a[i]), float64(a[i+1]), float64(a[i+2]), float64(a[i+3])
+		s0 += x0 * float64(b0[i])
+		s1 += x1 * float64(b0[i+1])
+		s2 += x2 * float64(b0[i+2])
+		s3 += x3 * float64(b0[i+3])
+		t0 += x0 * float64(b1[i])
+		t1 += x1 * float64(b1[i+1])
+		t2 += x2 * float64(b1[i+2])
+		t3 += x3 * float64(b1[i+3])
+	}
+	s, t := s0+s1+s2+s3, t0+t1+t2+t3
+	for ; i < len(a); i++ {
+		x := float64(a[i])
+		s += x * float64(b0[i])
+		t += x * float64(b1[i])
+	}
+	return s, t
+}
+
 // CosineSimilarity returns the cosine of the angle between a and b, or 0 if
 // either vector is zero.
 func CosineSimilarity(a, b []float32) float64 {

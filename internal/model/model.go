@@ -148,7 +148,9 @@ func (m *Model) Forward(x *tensor.Matrix, r Retriever, stage Stage, record bool)
 }
 
 // applyRotary rotates the leading RotaryFraction of each head's dimensions
-// for every row of mat (rows are tokens at positions base+i).
+// for every row of mat (rows are tokens at positions base+i). A frequency
+// depends only on its index and an angle only on position and frequency, so
+// each is computed once and applied to every head that shares it.
 func (m *Model) applyRotary(mat *tensor.Matrix, nHeads, base int) {
 	headDim := m.Cfg.HeadDim()
 	rot := int(float64(headDim) * m.Cfg.RotaryFraction)
@@ -156,17 +158,16 @@ func (m *Model) applyRotary(mat *tensor.Matrix, nHeads, base int) {
 	if rot == 0 {
 		return
 	}
-	for i := 0; i < mat.Rows; i++ {
-		pos := float64(base + i)
-		row := mat.Row(i)
-		for hd := 0; hd < nHeads; hd++ {
-			seg := row[hd*headDim : hd*headDim+rot]
-			for kk := 0; kk < rot/2; kk++ {
-				freq := math.Pow(m.Cfg.RoPETheta, -2*float64(kk)/float64(rot))
-				sin, cos := math.Sincos(pos * freq)
-				a, b := float64(seg[2*kk]), float64(seg[2*kk+1])
-				seg[2*kk] = float32(a*cos - b*sin)
-				seg[2*kk+1] = float32(a*sin + b*cos)
+	for kk := 0; kk < rot/2; kk++ {
+		freq := math.Pow(m.Cfg.RoPETheta, -2*float64(kk)/float64(rot))
+		for i := 0; i < mat.Rows; i++ {
+			sin, cos := math.Sincos(float64(base+i) * freq)
+			row := mat.Row(i)
+			for hd := 0; hd < nHeads; hd++ {
+				pair := row[hd*headDim+2*kk : hd*headDim+2*kk+2]
+				a, b := float64(pair[0]), float64(pair[1])
+				pair[0] = float32(a*cos - b*sin)
+				pair[1] = float32(a*sin + b*cos)
 			}
 		}
 	}
@@ -187,32 +188,43 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 	invSqrt := float32(sharp / math.Sqrt(float64(headDim)))
 	out := tensor.NewMatrix(n, cfg.Dim)
 
+	// Query row i's candidates are the selected past tokens plus in-chunk
+	// tokens <= i, so one candidate slice grows by a token per row and one
+	// score buffer, sized for the last row, serves every row.
+	cand := append(make([]int, 0, len(sel)+n), sel...)
+	scoreBuf := make([]float32, len(sel)+n)
 	for i := 0; i < n; i++ {
-		// Candidate set: selected past tokens + in-chunk tokens <= i.
-		cand := make([]int, 0, len(sel)+i+1)
-		cand = append(cand, sel...)
-		for j := 0; j <= i; j++ {
-			cand = append(cand, base+j)
-		}
+		cand = append(cand, base+i)
+		scores := scoreBuf[:len(cand)]
 		qrow := q.Row(i)
 		orow := out.Row(i)
-		scores := make([]float32, len(cand))
 		for h := 0; h < cfg.Heads; h++ {
 			kvh := h / group
+			lo, hi := kvh*headDim, (kvh+1)*headDim
 			qh := qrow[h*headDim : (h+1)*headDim]
-			for ci, tok := range cand {
-				krow := cache.Key(tok)[kvh*headDim : (kvh+1)*headDim]
-				scores[ci] = float32(mathx.Dot(qh, krow)) * invSqrt
+			// Two keys per pass share the loads of qh; Dot2 is
+			// bit-identical to Dot.
+			ci := 0
+			for ; ci+2 <= len(cand); ci += 2 {
+				s0, s1 := mathx.Dot2(qh, cache.Key(cand[ci])[lo:hi], cache.Key(cand[ci+1])[lo:hi])
+				scores[ci] = float32(s0) * invSqrt
+				scores[ci+1] = float32(s1) * invSqrt
+			}
+			if ci < len(cand) {
+				scores[ci] = float32(mathx.Dot(qh, cache.Key(cand[ci])[lo:hi])) * invSqrt
 			}
 			mathx.Softmax(scores, scores)
 			oh := orow[h*headDim : (h+1)*headDim]
 			for ci, tok := range cand {
+				// Skipping a zero weight is not the same as adding 0*v
+				// when v holds -0, ±Inf or NaN; keep the skip.
 				w := scores[ci]
 				if w == 0 {
 					continue
 				}
-				vrow := cache.Value(tok)[kvh*headDim : (kvh+1)*headDim]
-				for d := 0; d < headDim; d++ {
+				// Slicing vrow to len(oh) drops the loop's bounds checks.
+				vrow := cache.Value(tok)[lo:hi][:len(oh)]
+				for d := range oh {
 					oh[d] += w * vrow[d]
 				}
 				if attnMass != nil && tok < base {

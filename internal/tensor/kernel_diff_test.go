@@ -1,0 +1,182 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"vrex/internal/mathx"
+)
+
+// The reference kernels below are the unpaired forms MatMul and MatMulTInto
+// replaced: one output row at a time, one key per dot product. They spell
+// out each output element's float expression; the paired kernels must
+// reproduce it bit for bit, zero skips included.
+
+// refDot is mathx.Dot's expression: four float64 accumulators, reduced as
+// s0+s1+s2+s3, then the tail added in order.
+func refDot(a, b []float32) float64 {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s0 += float64(a[i]) * float64(b[i])
+		s1 += float64(a[i+1]) * float64(b[i+1])
+		s2 += float64(a[i+2]) * float64(b[i+2])
+		s3 += float64(a[i+3]) * float64(b[i+3])
+	}
+	s := s0 + s1 + s2 + s3
+	for ; i < len(a); i++ {
+		s += float64(a[i]) * float64(b[i])
+	}
+	return s
+}
+
+// refMatMulRow is one output row of a*b: 4-groups of A values whose four
+// values all equal zero are skipped, as are zero A values in the tail.
+func refMatMulRow(arow []float32, b *Matrix, orow []float32) {
+	n := b.Cols
+	k := 0
+	for ; k+4 <= len(arow); k += 4 {
+		a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		b0 := b.Data[k*n : k*n+n]
+		b1 := b.Data[(k+1)*n : (k+1)*n+n]
+		b2 := b.Data[(k+2)*n : (k+2)*n+n]
+		b3 := b.Data[(k+3)*n : (k+3)*n+n]
+		for j := 0; j < n; j++ {
+			orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	}
+	for ; k < len(arow); k++ {
+		av := arow[k]
+		if av == 0 {
+			continue
+		}
+		brow := b.Row(k)
+		for j := range brow {
+			orow[j] += av * brow[j]
+		}
+	}
+}
+
+func refMatMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		refMatMulRow(a.Row(i), b, out.Row(i))
+	}
+	return out
+}
+
+func refMatMulT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			out.Set(i, j, float32(refDot(a.Row(i), b.Row(j))))
+		}
+	}
+	return out
+}
+
+// specials are the values for which skipping a term differs from adding it.
+var specials = []float32{
+	float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+}
+
+// diffMatrix is a random rows x cols matrix in which about a fraction
+// special of the entries is -0, ±Inf or NaN.
+func diffMatrix(rng *mathx.RNG, rows, cols int, special float64) *Matrix {
+	m := NewMatrix(rows, cols)
+	m.Randomize(rng, 1)
+	for i := range m.Data {
+		if rng.Float64() < special {
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return m
+}
+
+// plantZeroGroups zeroes a 4-group of columns in one row of each row pair
+// and leaves the other row's group alone, so the paired kernel must skip
+// the group for one output and use it for the other. The planted zeros mix
+// +0 and -0, which also counts as zero. It also zeroes a tail entry in one
+// row of each pair.
+func plantZeroGroups(rng *mathx.RNG, a *Matrix) {
+	zeros := [2]float32{0, specials[0]}
+	groups := a.Cols / 4
+	for i := 0; i+1 < a.Rows; i += 2 {
+		if groups > 0 {
+			r := a.Row(i + rng.Intn(2))
+			g := 4 * rng.Intn(groups)
+			for k := g; k < g+4; k++ {
+				r[k] = zeros[rng.Intn(2)]
+			}
+			// The same group zeroed in both rows of a later pair too.
+			if i+3 < a.Rows {
+				for k := g; k < g+4; k++ {
+					a.Row(i + 2)[k], a.Row(i + 3)[k] = 0, 0
+				}
+			}
+		}
+		if tail := a.Cols % 4; tail > 0 {
+			a.Row(i + rng.Intn(2))[a.Cols-1-rng.Intn(tail)] = 0
+		}
+	}
+}
+
+// sameBits32 reports the first element whose bit pattern differs. Any two
+// NaNs count as equal: Go leaves the sign and payload of a NaN result
+// unspecified, and the compiler may commute x+y, so when two different NaNs
+// meet (an input NaN and one made by Inf-Inf, say) which one survives
+// depends on register allocation, not on the float expression.
+func sameBits32(got, want []float32) (int, bool) {
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(math.IsNaN(float64(g)) && math.IsNaN(float64(w))) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestKernelsMatchUnpairedReference pins MatMul and MatMulTInto to the
+// unpaired reference kernels bit for bit, on odd row and key counts, widths
+// with a tail (not a multiple of 4), the model's widths 16 and 64, planted
+// zero 4-groups in one row of a pair, and -0, ±Inf and NaN entries, at one
+// and at four workers (the last shapes exceed the sharding grain).
+func TestKernelsMatchUnpairedReference(t *testing.T) {
+	defer SetWorkers(0)
+	// {rows of A, inner width, columns of B / rows of the key matrix}.
+	shapes := [][3]int{
+		{1, 1, 1}, {1, 5, 3}, {2, 3, 2}, {3, 7, 5}, {4, 6, 9}, {5, 13, 11},
+		{7, 16, 17}, {9, 64, 33}, {10, 16, 536}, {10, 64, 64}, {10, 64, 128}, {10, 128, 64},
+		{33, 64, 65}, {35, 67, 63},
+	}
+	for _, workers := range []int{1, 4} {
+		SetWorkers(workers)
+		for _, sh := range shapes {
+			rows, k, cols := sh[0], sh[1], sh[2]
+			// Half a special value per dot product on average keeps most
+			// outputs finite, so a term that should have been skipped shows.
+			for _, special := range []float64{0, 0.5 / float64(k)} {
+				name := fmt.Sprintf("w%d/%dx%dx%d/special%.3f", workers, rows, k, cols, special)
+				rng := mathx.NewRNG(uint64(1 + rows*1000003 + k*1009 + cols + workers<<20))
+				for trial := 0; trial < 4; trial++ {
+					a := diffMatrix(rng, rows, k, special)
+					plantZeroGroups(rng, a)
+					b := diffMatrix(rng, k, cols, special)
+					if i, ok := sameBits32(MatMul(a, b).Data, refMatMul(a, b).Data); !ok {
+						t.Fatalf("%s trial %d: MatMul element %d differs from the unpaired reference", name, trial, i)
+					}
+					keys := diffMatrix(rng, cols, k, special)
+					dst := NewMatrix(rows, cols)
+					MatMulTInto(dst, a, keys)
+					if i, ok := sameBits32(dst.Data, refMatMulT(a, keys).Data); !ok {
+						t.Fatalf("%s trial %d: MatMulTInto element %d differs from the unpaired reference", name, trial, i)
+					}
+				}
+			}
+		}
+	}
+}

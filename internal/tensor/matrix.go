@@ -1,8 +1,8 @@
 // Package tensor implements the dense float32 linear-algebra kernels the
 // functional transformer, the vision encoder and the ReSV algorithm are built
 // on: row-major matrices, (transposed) matrix multiplication, normalisation,
-// rotary position embedding, and reduced-precision conversions (bf16, int4)
-// used by the KV cache storage models.
+// rotary position embedding, and bf16 rounding for the KV cache storage
+// models.
 package tensor
 
 import (
@@ -113,58 +113,147 @@ func workersFor(flops int) int {
 	return int(matmulWorkers.Load())
 }
 
-// MatMul returns a*b. Panics on shape mismatch. Output rows are independent,
-// so large products are sharded row-wise across the worker pool; the result
-// is identical for any worker count.
+// MatMul returns a*b. Panics on shape mismatch. Output rows are computed in
+// pairs that share their B loads; pairs are independent, so large products
+// are sharded pair-wise across the worker pool, and the result is identical
+// for any worker count.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a, b))
 	}
 	out := NewMatrix(a.Rows, b.Cols)
+	pairs := (a.Rows + 1) / 2
 	// The sequential path runs the plain loop without constructing the
 	// fan-out closure, keeping small products allocation-free.
 	if w := parallel.Workers(workersFor(a.Rows * a.Cols * b.Cols)); w <= 1 {
-		for i := 0; i < a.Rows; i++ {
-			matmulRow(a.Row(i), b, out.Row(i))
+		for p := 0; p < pairs; p++ {
+			matmulPair(a, b, out, p)
 		}
 	} else {
-		parallel.ForEach(w, a.Rows, func(i int) {
-			matmulRow(a.Row(i), b, out.Row(i))
+		parallel.ForEach(w, pairs, func(p int) {
+			matmulPair(a, b, out, p)
 		})
 	}
 	return out
 }
 
+// matmulPair computes output rows 2p and 2p+1 of a*b, or only row 2p when
+// it is the last of an odd row count.
+//
+//vrex:noalloc
+func matmulPair(a, b, out *Matrix, p int) {
+	i := 2 * p
+	if i+1 == a.Rows {
+		matmulRow(a.Row(i), b, out.Row(i))
+		return
+	}
+	matmulRow2(a.Row(i), a.Row(i+1), b, out.Row(i), out.Row(i+1))
+}
+
 // matmulRow accumulates one output row: orow += arow * b. The k-loop is
 // unrolled 4-wide so each pass touches four B rows per load/store of the
-// output row, which is the kernel's memory bottleneck.
+// output row, which is the kernel's memory bottleneck. A 4-group whose A
+// values are all zero is skipped, and so is a zero A value in the tail:
+// skipping differs from adding 0*x when x is -0, ±Inf or NaN, and every
+// kernel here keeps these rules.
 //
 //vrex:noalloc
 func matmulRow(arow []float32, b *Matrix, orow []float32) {
 	n := b.Cols
+	orow = orow[:n]
 	k := 0
 	for ; k+4 <= len(arow); k += 4 {
-		a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+		x := (*[4]float32)(arow[k : k+4])
+		if x[0] == 0 && x[1] == 0 && x[2] == 0 && x[3] == 0 {
 			continue
 		}
-		b0 := b.Data[k*n : k*n+n]
-		b1 := b.Data[(k+1)*n : (k+1)*n+n]
-		b2 := b.Data[(k+2)*n : (k+2)*n+n]
-		b3 := b.Data[(k+3)*n : (k+3)*n+n]
-		for j := 0; j < n; j++ {
-			orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
+		axpy4(orow, x, b.Data[k*n:(k+4)*n])
 	}
 	for ; k < len(arow); k++ {
-		av := arow[k]
-		if av == 0 {
-			continue
+		if x := arow[k]; x != 0 {
+			axpy(orow, x, b.Data[k*n:(k+1)*n])
 		}
-		brow := b.Row(k)
-		for j := range brow {
-			orow[j] += av * brow[j]
+	}
+}
+
+// matmulRow2 is matmulRow for two rows at once: o0 += a0 * b and
+// o1 += a1 * b. When both rows use a 4-group, each B element is loaded once
+// for the two of them; each output still gets exactly the terms, zero skips
+// and order that matmulRow gives it.
+//
+//vrex:noalloc
+func matmulRow2(a0, a1 []float32, b *Matrix, o0, o1 []float32) {
+	n := b.Cols
+	o0, o1 = o0[:n], o1[:n]
+	a1 = a1[:len(a0)]
+	k := 0
+	for ; k+4 <= len(a0); k += 4 {
+		x, y := (*[4]float32)(a0[k:k+4]), (*[4]float32)(a1[k:k+4])
+		zx := x[0] == 0 && x[1] == 0 && x[2] == 0 && x[3] == 0
+		zy := y[0] == 0 && y[1] == 0 && y[2] == 0 && y[3] == 0
+		switch g := b.Data[k*n : (k+4)*n]; {
+		case zx && zy:
+		case zy:
+			axpy4(o0, x, g)
+		case zx:
+			axpy4(o1, y, g)
+		default:
+			axpy4x2(o0, o1, x, y, g)
 		}
+	}
+	for ; k < len(a0); k++ {
+		brow := b.Data[k*n : (k+1)*n]
+		if x := a0[k]; x != 0 {
+			axpy(o0, x, brow)
+		}
+		if y := a1[k]; y != 0 {
+			axpy(o1, y, brow)
+		}
+	}
+}
+
+// axpy4 adds one 4-group's terms to an output row:
+// o[j] += x[0]*b0[j] + x[1]*b1[j] + x[2]*b2[j] + x[3]*b3[j], where g holds
+// the group's four B rows b0..b3 of len(o) columns each.
+//
+//vrex:noalloc
+func axpy4(o []float32, x *[4]float32, g []float32) {
+	b0, b1, b2, b3 := group4(g, len(o))
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	for j := range o {
+		o[j] += x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+	}
+}
+
+// axpy4x2 is axpy4 for two output rows over the same four B rows.
+//
+//vrex:noalloc
+func axpy4x2(o0, o1 []float32, x, y *[4]float32, g []float32) {
+	b0, b1, b2, b3 := group4(g, len(o0))
+	o1 = o1[:len(o0)]
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
+	for j := range o0 {
+		c0, c1, c2, c3 := b0[j], b1[j], b2[j], b3[j]
+		o0[j] += x0*c0 + x1*c1 + x2*c2 + x3*c3
+		o1[j] += y0*c0 + y1*c1 + y2*c2 + y3*c3
+	}
+}
+
+// group4 splits g into its four B rows of n columns each. Each is re-sliced
+// to [:n] so the compiler can prove indices below n in bounds and drop the
+// checks from the callers' inner loops.
+func group4(g []float32, n int) (b0, b1, b2, b3 []float32) {
+	return g[:n], g[n:][:n], g[2*n:][:n], g[3*n:][:n]
+}
+
+// axpy adds one tail term to an output row: o[j] += x * brow[j].
+//
+//vrex:noalloc
+func axpy(o []float32, x float32, brow []float32) {
+	brow = brow[:len(o)]
+	for j := range o {
+		o[j] += x * brow[j]
 	}
 }
 
@@ -199,12 +288,22 @@ func MatMulTInto(dst, a, b *Matrix) {
 	}
 }
 
-// matmulTRow fills one output row of a * b^T.
+// matmulTRow fills one output row of a * b^T, scoring two rows of b per
+// pass so they share the loads of arow (mathx.Dot2 is bit-identical to
+// mathx.Dot).
 //
 //vrex:noalloc
 func matmulTRow(arow []float32, b *Matrix, orow []float32) {
-	for j := 0; j < b.Rows; j++ {
-		orow[j] = float32(mathx.Dot(arow, b.Row(j)))
+	n := b.Cols
+	orow = orow[:b.Rows]
+	j := 0
+	for ; j+2 <= len(orow); j += 2 {
+		g := b.Data[j*n : (j+2)*n]
+		d0, d1 := mathx.Dot2(arow, g[:n], g[n:])
+		orow[j], orow[j+1] = float32(d0), float32(d1)
+	}
+	if j < len(orow) {
+		orow[j] = float32(mathx.Dot(arow, b.Data[j*n:(j+1)*n]))
 	}
 }
 
