@@ -62,8 +62,10 @@ func Fig7Similarity(opts Options) []*report.Table {
 	}
 	ta := report.NewTable("Fig 7a: adjacent-frame key similarity (layer 3)",
 		"pair_kind", "mean_cosine", "p10", "p90")
-	ta.AddRow("same spatial slot", mathx.Mean(same), mathx.Percentile(same, 10), mathx.Percentile(same, 90))
-	ta.AddRow("different slot", mathx.Mean(cross), mathx.Percentile(cross, 10), mathx.Percentile(cross, 90))
+	sameP10, sameP90 := mathx.Percentiles(same, 10, 90)
+	crossP10, crossP90 := mathx.Percentiles(cross, 10, 90)
+	ta.AddRow("same spatial slot", mathx.Mean(same), sameP10, sameP90)
+	ta.AddRow("different slot", mathx.Mean(cross), crossP10, crossP90)
 
 	// (b) cosine vs Hamming correlation over random key pairs.
 	hasher := hashbit.NewHasher(cache.Dim, 32, mathx.NewRNG(opts.Seed^0x77))

@@ -2,10 +2,14 @@ package hwsim
 
 import "math"
 
-// The cost model. Every priced chunk and step — Chunk, Step and the OOM
-// admission check — folds its streams into one stepCost with addStream (or,
-// for OOM, just the resident term with addResident) and turns it into a
-// Breakdown with price. A pricing change is therefore one edit here.
+// The cost model. Every priced chunk and step — Chunk, Step and each step of
+// Query — derives the spec-only terms once per call, folds its streams into
+// one stepCost with addStream and turns it into a Breakdown with price; the
+// OOM admission check prices just the resident footprint with residentKV
+// and oom. The per-stream and per-step FLOP and byte formulas are LLMSpec's
+// (llmspec.go), called with the KV width derived once per call, so each
+// formula lives in one place and a derived term is the same bits as the
+// value it replaces.
 //
 // Cost structure — the per-step vs per-stream split that makes batching pay:
 //
@@ -17,6 +21,43 @@ import "math"
 //     the fixed host-side frame overhead (decode/resize for co-batched frames
 //     pipeline on host cores while the accelerator runs), the Fig. 5 overlap
 //     of prediction and fetch with compute, and energy.
+
+// terms holds the cost model's spec-only terms: what it derives from the
+// LLM shape, the policy and the examine fraction alone. Each pricing call
+// (Chunk, Step, Query) derives them once on its stack and shares them
+// across its streams and steps. They are not cached on Sim, whose fields
+// callers may change between calls.
+type terms struct {
+	layers float64
+	// kvDim is LLMSpec.KVDim, passed to LLMSpec's per-stream and per-step
+	// formulas.
+	kvDim float64
+	// weightBytes and kvBytesPerToken are LLMSpec.WeightBytes and
+	// LLMSpec.KVBytesPerToken; quant is the policy's KV storage factor.
+	weightBytes, kvBytesPerToken, quant float64
+	// linBytes is a step's weight read over every linear layer.
+	linBytes float64
+	// reuse is the policy's ResidentReuse clamped to [0, 1]; examine the WTU
+	// examine fraction.
+	reuse, examine float64
+}
+
+// terms derives the spec-only terms for one pricing call.
+//
+//vrex:noalloc
+func (s *Sim) terms() terms {
+	layers := float64(s.LLM.Layers)
+	return terms{
+		layers:          layers,
+		kvDim:           float64(s.LLM.KVDim()),
+		weightBytes:     s.LLM.WeightBytes(),
+		kvBytesPerToken: s.LLM.KVBytesPerToken(),
+		quant:           s.Pol.quantFactor(),
+		linBytes:        s.LLM.LayerWeightBytes() * layers,
+		reuse:           min(max(s.Pol.ResidentReuse, 0), 1),
+		examine:         wtuExamineFraction(s.ExamineFraction),
+	}
+}
 
 // stepCost accumulates the per-stream terms of one priced step. It lives on
 // the caller's stack, so pricing allocates nothing.
@@ -36,33 +77,28 @@ type stepCost struct {
 	fetchSegs                                 int
 }
 
-// newCost starts a step: the model weights are resident once, whatever the
-// batch.
-func (s *Sim) newCost() stepCost {
-	return stepCost{resident: s.LLM.WeightBytes()}
-}
-
-// addResident folds the device-memory footprint of batch streams, each with
-// a kvLen-token cache, into c. An offloading policy keeps only the fetched
-// working set resident (double-buffered); scale multiplies its fetch ratio.
+// residentKV returns the device-memory footprint of batch streams' KV, each
+// with a kvLen-token cache of perToken bytes per token at storage factor
+// quant. An offloading policy keeps only the fetched working set resident
+// (double-buffered); scale multiplies its fetch ratio. OOM and addStream
+// share it, so admission and pricing agree on what fits.
 //
 //vrex:noalloc
-func (s *Sim) addResident(c *stepCost, kvLen, batch int, scale float64) {
-	c.streams += batch
-	kvBytes := s.LLM.KVBytesPerToken() * float64(kvLen) * float64(batch) * s.Pol.quantFactor()
+func (s *Sim) residentKV(perToken, quant float64, kvLen, batch int, scale float64) float64 {
+	kvBytes := perToken * float64(kvLen) * float64(batch) * quant
 	if s.Pol.Offloads {
-		c.resident += kvBytes * s.Pol.FrameRatio * scale * 2 / float64(s.LLM.Layers)
-	} else {
-		c.resident += kvBytes
+		return kvBytes * s.Pol.FrameRatio * scale * 2 / float64(s.LLM.Layers)
 	}
+	return kvBytes
 }
 
-// oom reports whether c's resident footprint, plus activations and workspace
-// (~2 GB, growing mildly with the stream count), exceeds device memory.
+// oom reports whether a resident footprint across streams streams, plus
+// activations and workspace (~2 GB, growing mildly with the stream count),
+// exceeds device memory.
 //
 //vrex:noalloc
-func (s *Sim) oom(c *stepCost) bool {
-	return c.resident+(kvWorkspaceBytes+0.1e9*float64(c.streams)) > s.Dev.MemCapacity
+func (s *Sim) oom(resident float64, streams int) bool {
+	return resident+(kvWorkspaceBytes+0.1e9*float64(streams)) > s.Dev.MemCapacity
 }
 
 // addStream folds batch streams into c, each with n new tokens attending to
@@ -71,99 +107,98 @@ func (s *Sim) oom(c *stepCost) bool {
 // budget; 1 is unscaled). Streams with no new tokens add nothing.
 //
 //vrex:noalloc
-func (s *Sim) addStream(c *stepCost, n, kvLen, batch int, stage StageKind, scale float64) {
+func (s *Sim) addStream(t *terms, c *stepCost, n, kvLen, batch int, stage StageKind, scale float64) {
 	if n <= 0 || batch <= 0 {
 		return
 	}
-	s.addResident(c, kvLen, batch, scale)
-	layers := float64(s.LLM.Layers)
+	p := &s.Pol
+	c.streams += batch
+	c.resident += s.residentKV(t.kvBytesPerToken, t.quant, kvLen, batch, scale)
 	rows := n * batch
 	c.rows += rows
 	if stage == StageFramePhase {
 		c.frames += batch
 	}
-	ratio := s.Pol.ratio(stage) * scale
+	ratio := p.ratio(stage) * scale
 	attended := int(ratio*float64(kvLen)+0.5) + n
 
 	// Attention stays per stream: each stream reads its own cache.
-	c.attnFLOPs += s.LLM.LayerAttnFLOPs(n, attended) * float64(batch) * layers
-	c.attnBytes += s.LLM.LayerKVBytes(attended) * float64(batch) * layers * s.Pol.quantFactor()
+	c.attnFLOPs += s.LLM.LayerAttnFLOPs(n, attended) * float64(batch) * t.layers
+	c.attnBytes += s.LLM.layerKVBytes(attended, t.kvDim) * float64(batch) * t.layers * t.quant
 
 	// --- KV prediction ---
 	cand := float64(kvLen)
-	if s.Pol.ClusterCompression > 1 {
-		cand /= s.Pol.ClusterCompression
+	if p.ClusterCompression > 1 {
+		cand /= p.ClusterCompression
 	}
 	nCand := int(cand + 0.5)
-	c.predDense += s.LLM.PredFLOPs(rows, nCand) * layers
-	switch s.Pol.Pred {
+	c.predDense += predFLOPs(rows, nCand, t.kvDim) * t.layers
+	switch p.Pred {
 	case PredTopK:
 		// GPU top-k: score pass is dense; the sort/selection pass touches
 		// every candidate with data-dependent control flow, one fixed-launch
 		// plus element-linear sort kernel per query row per layer.
-		c.predIrregular += 8 * float64(rows) * cand * layers
-		c.topkLaunch += float64(rows) * (60e-6 + cand*0.5e-9) * layers
+		c.predIrregular += 8 * float64(rows) * cand * t.layers
+		c.topkLaunch += float64(rows) * (60e-6 + cand*0.5e-9) * t.layers
 	case PredReSV:
 		// Hamming clustering (bit ops over clusters) + WiCSum thresholding.
 		hamOps := float64(rows) * cand * defaultNHp / 8
-		wicOps := 6 * float64(rows*s.LLM.Heads) * cand * wtuExamineFraction(s.ExamineFraction)
-		c.predIrregular += (hamOps + wicOps) * layers
+		wicOps := 6 * float64(rows*s.LLM.Heads) * cand * t.examine
+		c.predIrregular += (hamOps + wicOps) * t.layers
 	case PredNone:
 		// no prediction pass: nothing irregular to charge
 	}
-	if s.Pol.Pred != PredNone && !s.Pol.PredOnDevice {
+	segs := s.fetchSegments(kvLen, batch, ratio)
+	if p.Pred != PredNone && !p.PredOnDevice {
 		// DRE path: clustering + thresholding run on HCU/WTU concurrently.
 		cyc := DRECycles{
-			HCU: HCUCycles(rows, nCand, defaultNHp, s.Dev.Cores),
-			WTU: WTUCycles(rows*s.LLM.Heads, nCand, s.Dev.Cores,
-				wtuExamineFraction(s.ExamineFraction)),
-			KVMU: KVMUCycles(rows, s.fetchSegments(kvLen, batch, ratio)),
+			HCU:  HCUCycles(rows, nCand, defaultNHp, s.Dev.Cores),
+			WTU:  WTUCycles(rows*s.LLM.Heads, nCand, s.Dev.Cores, t.examine),
+			KVMU: KVMUCycles(rows, segs),
 		}
-		c.dre += DRETime(cyc, s.Dev.Freq) * layers
+		c.dre += DRETime(cyc, s.Dev.Freq) * t.layers
 	}
 
 	// --- KV fetch: the selected tokens cross the link for each cache ---
-	if s.Pol.Offloads && kvLen > 0 {
-		reuse := min(max(s.Pol.ResidentReuse, 0), 1)
-		fetchTokens := ratio * (1 - reuse) * float64(kvLen) * float64(batch) * layers
-		c.fetchBytes += fetchTokens * 2 * float64(s.LLM.KVDim()) * s.LLM.BytesPerElem * s.Pol.quantFactor()
-		c.fetchSegs += int(float64(s.fetchSegments(kvLen, batch, ratio)) * (1 - reuse) * layers)
+	if p.Offloads && kvLen > 0 {
+		fetchTokens := ratio * (1 - t.reuse) * float64(kvLen) * float64(batch) * t.layers
+		c.fetchBytes += fetchTokens * 2 * t.kvDim * s.LLM.BytesPerElem * t.quant
+		c.fetchSegs += int(float64(segs) * (1 - t.reuse) * t.layers)
 	}
 }
 
-// price turns an accumulated step into its Breakdown: the OOM check, the
+// price writes an accumulated step's Breakdown into b: the OOM check, the
 // roofline kernel times, the Fig. 5 overlap of prediction and fetch with
 // compute, the vision tower, energy, and the phase account. A step with no
 // streams costs nothing; an OOM step reports OOM with no cost.
 //
 //vrex:noalloc
-func (s *Sim) price(c *stepCost) Breakdown {
-	var b Breakdown
+func (s *Sim) price(t *terms, c *stepCost, b *Breakdown) {
+	*b = Breakdown{}
 	if c.streams == 0 {
-		return b
+		return
 	}
-	if s.oom(c) {
+	if s.oom(c.resident, c.streams) {
 		b.OOM = true
-		return b
+		return
 	}
-	layers := float64(s.LLM.Layers)
+	p := &s.Pol
 
 	// Linear layers: FLOPs scale with the step's total new tokens, but the
 	// weights are read once for everyone — the step's amortised cost.
-	linFLOPs := s.LLM.LayerLinearFLOPs(c.rows) * layers
-	linBytes := s.LLM.LayerWeightBytes() * layers
-	b.LinearTime = s.rooflineTime(linFLOPs, s.Dev.DenseEff, linBytes)
+	linFLOPs := s.LLM.layerLinearFLOPs(c.rows, t.kvDim) * t.layers
+	b.LinearTime = s.rooflineTime(linFLOPs, s.Dev.DenseEff, t.linBytes)
 	b.AttnTime = s.rooflineTime(c.attnFLOPs, s.Dev.AttnEff, c.attnBytes)
 	b.UsefulFLOPs = linFLOPs + c.attnFLOPs
 
 	// --- KV prediction ---
-	if s.Pol.Pred != PredNone {
-		if s.Pol.PredOnDevice {
+	if p.Pred != PredNone {
+		if p.PredOnDevice {
 			irr := c.predIrregular / (s.Dev.PeakFLOPS * s.Dev.IrregularEff)
-			if s.Pol.Pred == PredTopK {
+			if p.Pred == PredTopK {
 				irr += c.topkLaunch
 			}
-			if s.Pol.Pred == PredReSV {
+			if p.Pred == PredReSV {
 				// ReSV's clustering/thresholding is conditional and
 				// data-dependent (Sec. V): on a GPU it serialises into
 				// latency-bound chains instead of wide kernels. Top-k, by
@@ -198,7 +233,7 @@ func (s *Sim) price(c *stepCost) Breakdown {
 			}
 		}
 		b.FetchRaw = linkTime
-		if s.Pol.PrefetchOverlap {
+		if p.PrefetchOverlap {
 			// Prefetch overlap (Fig. 5 ii/iii): fetch for layer l+1 overlaps
 			// layer l compute (+ exposed on-device prediction).
 			cover := b.LinearTime + b.AttnTime + b.PredExposed
@@ -222,9 +257,8 @@ func (s *Sim) price(c *stepCost) Breakdown {
 	b.Total = b.VisionTime + b.LinearTime + b.AttnTime + b.PredExposed + b.FetchExposed
 	b.EnergyJ = s.energy(b)
 	if s.Phases != nil {
-		s.Phases.add(&b)
+		s.Phases.add(b)
 	}
-	return b
 }
 
 // rooflineTime returns max(flops-bound, bytes-bound) kernel time.
@@ -269,7 +303,7 @@ func (s *Sim) fetchSegments(kvLen, batch int, ratio float64) int {
 }
 
 // energy integrates the component-power model over the chunk's busy times.
-func (s *Sim) energy(b Breakdown) float64 {
+func (s *Sim) energy(b *Breakdown) float64 {
 	active := s.Dev.Power - s.Dev.IdlePower
 	if active < 0 {
 		active = 0

@@ -70,10 +70,12 @@ func NewSim(dev DeviceSpec, llm LLMSpec, pol PolicyModel) *Sim {
 // priced by the one cost model (cost.go) at full retrieval budget.
 //
 //vrex:noalloc
-func (s *Sim) Chunk(n, kvLen, batch int, stage StageKind) Breakdown {
-	c := s.newCost()
-	s.addStream(&c, n, kvLen, batch, stage, 1)
-	return s.price(&c)
+func (s *Sim) Chunk(n, kvLen, batch int, stage StageKind) (b Breakdown) {
+	t := s.terms()
+	c := stepCost{resident: t.weightBytes}
+	s.addStream(&t, &c, n, kvLen, batch, stage, 1)
+	s.price(&t, &c, &b)
+	return b
 }
 
 // FrameLatency simulates processing one video frame (tokensPerFrame new

@@ -369,13 +369,14 @@ func TestChunkDegenerateInputs(t *testing.T) {
 }
 
 func TestQuantFactor(t *testing.T) {
-	if (PolicyModel{KVQuantBits: 16}).quantFactor() != 1 {
+	full, four, unset := PolicyModel{KVQuantBits: 16}, PolicyModel{KVQuantBits: 4}, PolicyModel{}
+	if full.quantFactor() != 1 {
 		t.Fatal("16-bit factor should be 1")
 	}
-	if (PolicyModel{KVQuantBits: 4}).quantFactor() != 0.25 {
+	if four.quantFactor() != 0.25 {
 		t.Fatal("4-bit factor should be 0.25")
 	}
-	if (PolicyModel{}).quantFactor() != 1 {
+	if unset.quantFactor() != 1 {
 		t.Fatal("unset bits should default to 1")
 	}
 }

@@ -52,8 +52,14 @@ func (s LLMSpec) WeightBytes() float64 {
 // LayerLinearFLOPs returns the dense (QKVO + FFN) FLOPs for a chunk of n
 // tokens in one layer.
 func (s LLMSpec) LayerLinearFLOPs(n int) float64 {
+	return s.layerLinearFLOPs(n, float64(s.KVDim()))
+}
+
+// layerLinearFLOPs is LayerLinearFLOPs given the KV width kv, which the cost
+// model derives once per pricing call. It and layerKVBytes take a pointer so
+// the cost model's inlined calls read Sim.LLM in place instead of copying it.
+func (s *LLMSpec) layerLinearFLOPs(n int, kv float64) float64 {
 	d := float64(s.Dim)
-	kv := float64(s.KVDim())
 	f := float64(s.FFNDim)
 	nn := float64(n)
 	qkvo := 2 * nn * d * (d + 2*kv + d)
@@ -78,12 +84,22 @@ func (s LLMSpec) LayerWeightBytes() float64 {
 // LayerKVBytes returns the KV bytes read by attention over `attended` tokens
 // in one layer.
 func (s LLMSpec) LayerKVBytes(attended int) float64 {
-	return 2 * float64(attended) * float64(s.KVDim()) * s.BytesPerElem
+	return s.layerKVBytes(attended, float64(s.KVDim()))
+}
+
+// layerKVBytes is LayerKVBytes given the KV width kv.
+func (s *LLMSpec) layerKVBytes(attended int, kv float64) float64 {
+	return 2 * float64(attended) * kv * s.BytesPerElem
 }
 
 // PredFLOPs returns the KV-prediction compute for n query tokens scored
 // against cand candidates in one layer (Q x K^T over KVDim plus
 // normalisation), the dominant term of retrieval prediction (Fig. 4c).
 func (s LLMSpec) PredFLOPs(n, cand int) float64 {
-	return 2*float64(n)*float64(cand)*float64(s.KVDim()) + 4*float64(n)*float64(cand)
+	return predFLOPs(n, cand, float64(s.KVDim()))
+}
+
+// predFLOPs is PredFLOPs given the KV width kv.
+func predFLOPs(n, cand int, kv float64) float64 {
+	return 2*float64(n)*float64(cand)*kv + 4*float64(n)*float64(cand)
 }

@@ -55,14 +55,14 @@ type PolicyModel struct {
 	ResidentReuse float64
 }
 
-func (p PolicyModel) ratio(stage StageKind) float64 {
+func (p *PolicyModel) ratio(stage StageKind) float64 {
 	if stage == StageFramePhase {
 		return p.FrameRatio
 	}
 	return p.TextRatio
 }
 
-func (p PolicyModel) quantFactor() float64 {
+func (p *PolicyModel) quantFactor() float64 {
 	if p.KVQuantBits <= 0 || p.KVQuantBits >= 16 {
 		return 1
 	}

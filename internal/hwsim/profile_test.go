@@ -81,19 +81,22 @@ func TestPhaseAccountRecordsDegraded(t *testing.T) {
 	}
 }
 
-// TestPhaseAccountZeroAlloc guards the hot path: pricing allocates nothing
-// whether the account is nil or attached.
+// TestPhaseAccountZeroAlloc guards the hot path: pricing a step or a query
+// allocates nothing whether the account is nil or attached.
 func TestPhaseAccountZeroAlloc(t *testing.T) {
 	sim := NewSim(VRex8(), Llama3_8B(), ReSVModel())
 	reqs := []StepReq{
 		{NewTokens: 10, KVLen: 40000, Stage: StageFramePhase},
 		{NewTokens: 1, KVLen: 20000, Stage: StageTextPhase},
 	}
-	if n := testing.AllocsPerRun(100, func() { sim.Step(reqs) }); n != 0 {
-		t.Fatalf("nil Phases: %v allocs/step, want 0", n)
-	}
-	sim.Phases = &PhaseAccount{}
-	if n := testing.AllocsPerRun(100, func() { sim.Step(reqs) }); n != 0 {
-		t.Fatalf("attached Phases: %v allocs/step, want 0", n)
+	query := StepReq{NewTokens: 25, KVLen: 4000, Stage: StageTextPhase, RatioScale: 0.7}
+	for _, phases := range []*PhaseAccount{nil, {}} {
+		sim.Phases = phases
+		if n := testing.AllocsPerRun(100, func() { sim.Step(reqs) }); n != 0 {
+			t.Fatalf("Phases %p: %v allocs/step, want 0", phases, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { sim.Query(query, 39) }); n != 0 {
+			t.Fatalf("Phases %p: %v allocs/query, want 0", phases, n)
+		}
 	}
 }

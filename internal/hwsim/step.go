@@ -36,29 +36,62 @@ func (r StepReq) scale() float64 {
 // Each request is one stream of the cost model (cost.go): per-stream work
 // sums across the batch, per-step work (weight reads, the vision tower's
 // weights, the host frame overhead) is charged once. A one-request step
-// therefore costs exactly what Chunk(n, kv, 1, stage) does.
+// therefore costs exactly what Chunk(n, kv, 1, stage) does, and Query prices
+// a solo query as a run of one-request steps in one call.
 //
 // Requests with no new tokens are ignored. The caller is responsible for
 // per-stream OOM admission (see Sim.OOM); a step whose combined resident
 // footprint exceeds device memory reports OOM with no cost, like Chunk.
 //
 //vrex:noalloc
-func (s *Sim) Step(reqs []StepReq) Breakdown {
-	c := s.newCost()
-	for _, r := range reqs {
-		s.addStream(&c, r.NewTokens, r.KVLen, 1, r.Stage, r.scale())
+func (s *Sim) Step(reqs []StepReq) (b Breakdown) {
+	t := s.terms()
+	c := stepCost{resident: t.weightBytes}
+	for i := range reqs {
+		r := &reqs[i]
+		s.addStream(&t, &c, r.NewTokens, r.KVLen, 1, r.Stage, r.scale())
 	}
-	return s.price(&c)
+	s.price(&t, &c, &b)
+	return b
+}
+
+// Query prices one stream's solo query: r's prefill, then answer one-token
+// decode steps at r's stage and budget scale, the cache growing by one token
+// per step from r.KVLen+r.NewTokens. It returns the sum of the steps'
+// Totals, prefill first, and records each priced step in the phase account:
+// exactly what Step returns and records for each of those one-request steps
+// in turn. An OOM step costs 0, as in Step; the caller admits the query at
+// its peak KV length first (see OOM). The spec-only terms are derived once
+// for the whole query.
+//
+//vrex:noalloc
+func (s *Sim) Query(r StepReq, answer int) float64 {
+	t := s.terms()
+	scale := r.scale()
+	var b Breakdown
+	c := stepCost{resident: t.weightBytes}
+	s.addStream(&t, &c, r.NewTokens, r.KVLen, 1, r.Stage, scale)
+	s.price(&t, &c, &b)
+	total := b.Total
+	kv := r.KVLen + r.NewTokens
+	for i := 0; i < answer; i++ {
+		c = stepCost{resident: t.weightBytes}
+		s.addStream(&t, &c, 1, kv+i, 1, r.Stage, scale)
+		s.price(&t, &c, &b)
+		total += b.Total
+	}
+	return total
 }
 
 // OOM reports whether stream r alone would exceed device memory — the same
 // resident-footprint check Step applies before pricing, over r's KV length
 // and budget scale (NewTokens and Stage do not enter the footprint). The
 // serving scheduler uses it to admit work per stream before pricing a step.
+// It is called once per admitted frame, so it derives only the two terms
+// the footprint needs.
 //
 //vrex:noalloc
 func (s *Sim) OOM(r StepReq) bool {
-	c := s.newCost()
-	s.addResident(&c, r.KVLen, 1, r.scale())
-	return s.oom(&c)
+	kv := s.residentKV(s.LLM.KVBytesPerToken(), s.Pol.quantFactor(), r.KVLen, 1, r.scale())
+	return s.oom(s.LLM.WeightBytes()+kv, 1)
 }

@@ -174,21 +174,22 @@ func Mean(xs []float64) float64 {
 // returns NaN. xs is not modified: Percentile copies its numbers and selects
 // only the one or two ranks it interpolates between, in expected O(n) time.
 func Percentile(xs []float64, p float64) float64 {
+	v, _ := Percentiles(xs, p, p)
+	return v
+}
+
+// Percentiles returns the p-th and q-th percentiles of xs, each exactly as
+// Percentile defines it, from one copy of xs: the higher rank is selected
+// only among the values above the lower one. p and q may come in either
+// order.
+func Percentiles(xs []float64, p, q float64) (float64, float64) {
+	if q < p {
+		vq, vp := Percentiles(xs, q, p)
+		return vp, vq
+	}
 	if len(xs) == 0 {
-		return 0
+		return 0, 0
 	}
-	if math.IsNaN(p) {
-		return math.NaN()
-	}
-	var rank float64
-	switch {
-	case p <= 0:
-	case p >= 100:
-		rank = float64(len(xs) - 1)
-	default:
-		rank = p / 100 * float64(len(xs)-1)
-	}
-	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
 	c := make([]float64, 0, len(xs))
 	for _, v := range xs {
 		if !math.IsNaN(v) {
@@ -196,16 +197,44 @@ func Percentile(xs []float64, p float64) float64 {
 		}
 	}
 	nans := len(xs) - len(c)
+	vp, from := percentileFrom(c, nans, p, 0)
+	if q == p { //vrex:float-eq the same rank asked twice (Percentile's one-rank call)
+		return vp, vp
+	}
+	vq, _ := percentileFrom(c, nans, q, from)
+	return vp, vq
+}
+
+// percentileFrom returns the p-th percentile of c's values plus nans NaNs,
+// where c holds no NaN and c[:from] holds, in order, values no larger than
+// any in c[from:]. It selects within c[from:] only, and returns the index
+// past the rank it placed, which a higher rank can start from.
+func percentileFrom(c []float64, nans int, p float64, from int) (float64, int) {
+	if math.IsNaN(p) {
+		return math.NaN(), from
+	}
+	n := len(c) + nans
+	var rank float64
+	switch {
+	case p <= 0:
+	case p >= 100:
+		rank = float64(n - 1)
+	default:
+		rank = p / 100 * float64(n-1)
+	}
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
 	if lo < nans {
-		return math.NaN()
+		return math.NaN(), from
 	}
 	k := lo - nans
-	selectRank(c, k)
+	if k >= from {
+		selectRank(c[from:], k-from)
+	}
 	if lo == hi {
-		return c[k]
+		return c[k], k + 1
 	}
 	frac := rank - float64(lo)
-	return c[k]*(1-frac) + slices.Min(c[k+1:])*frac
+	return c[k]*(1-frac) + slices.Min(c[k+1:])*frac, k + 1
 }
 
 // selectRank reorders xs, which holds no NaN, so that xs[k] is its k-th

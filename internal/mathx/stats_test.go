@@ -222,12 +222,12 @@ func percentileBySort(xs []float64, p float64) float64 {
 }
 
 // TestPercentileMatchesSortReference: on random slices with many duplicates,
-// signed zeros, infinities and NaNs, the selection-based Percentile equals
-// the sort-based definition (NaN matching NaN) and leaves its input as it
-// was.
+// signed zeros, infinities and NaNs, the selection-based Percentile, and
+// Percentiles for every pair of ranks in either order, equal the sort-based
+// definition (NaN matching NaN) and leave their input as it was.
 func TestPercentileMatchesSortReference(t *testing.T) {
 	rng := NewRNG(11)
-	ps := []float64{-1, 0, 0.5, 50, 99, 99.9, 100, 101, math.NaN()}
+	ps := []float64{-1, 0, 0.5, 10, 50, 90, 99, 99.9, 100, 101, math.NaN()}
 	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0}
 	for trial := 0; trial < 5000; trial++ {
 		n := 1 + rng.Intn(64)
@@ -244,14 +244,35 @@ func TestPercentileMatchesSortReference(t *testing.T) {
 			}
 		}
 		orig := slices.Clone(xs)
-		for _, p := range ps {
-			got, want := Percentile(xs, p), percentileBySort(xs, p)
-			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("Percentile(%v, %v) = %v, sort reference says %v", xs, p, got, want)
-			}
+		wants := make([]float64, len(ps))
+		for i, p := range ps {
+			wants[i] = percentileBySort(xs, p)
+		}
+		same := func(got, want float64) bool {
+			return got == want || math.IsNaN(got) && math.IsNaN(want)
+		}
+		modified := func() bool {
 			for i := range xs {
 				if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
-					t.Fatalf("Percentile(_, %v) modified its input: %v, was %v", p, xs, orig)
+					return true
+				}
+			}
+			return false
+		}
+		for i, p := range ps {
+			if got := Percentile(xs, p); !same(got, wants[i]) {
+				t.Fatalf("Percentile(%v, %v) = %v, sort reference says %v", xs, p, got, wants[i])
+			}
+			if modified() {
+				t.Fatalf("Percentile(_, %v) modified its input: %v, was %v", p, xs, orig)
+			}
+			for j, q := range ps {
+				gp, gq := Percentiles(xs, p, q)
+				if !same(gp, wants[i]) || !same(gq, wants[j]) {
+					t.Fatalf("Percentiles(%v, %v, %v) = %v, %v, sort reference says %v, %v", xs, p, q, gp, gq, wants[i], wants[j])
+				}
+				if modified() {
+					t.Fatalf("Percentiles(_, %v, %v) modified its input: %v, was %v", p, q, xs, orig)
 				}
 			}
 		}

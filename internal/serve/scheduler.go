@@ -354,11 +354,12 @@ func (e *engine) frameReq(s int) hwsim.StepReq {
 }
 
 // serveQuery charges one solo query step formed at `at` — prefill plus the
-// full answer, KV growing token by token. It reports whether the device was
-// occupied: the query drops instead when the session's KV would outgrow
-// device memory during the answer, or when the memory-pressure plane cannot
-// allocate the KV growth. The batch-formed event follows the query's served
-// event, since the step's service time is only known after pricing.
+// full answer, KV growing token by token, priced by one hwsim Query. It
+// reports whether the device was occupied: the query drops instead when the
+// session's KV would outgrow device memory during the answer, or when the
+// memory-pressure plane cannot allocate the KV growth. The batch-formed
+// event follows the query's served event, since the step's service time is
+// only known after pricing.
 func (e *engine) serveQuery(d int, it readyItem, at float64) bool {
 	s := it.session
 	e.degradeDecide(s, d, it.at)
@@ -393,16 +394,8 @@ func (e *engine) serveQuery(d int, it readyItem, at float64) bool {
 		e.resolve(s, at)
 		return false
 	}
-	reqs := append(e.reqs[:0], req)
-	total := sim.Step(reqs).Total
-	e.kv[s] += sc.QueryTokens
-	reqs[0].NewTokens = 1
-	for i := 0; i < sc.AnswerTokens; i++ {
-		reqs[0].KVLen = e.kv[s]
-		total += sim.Step(reqs).Total
-		e.kv[s]++
-	}
-	e.reqs = reqs[:0]
+	total := sim.Query(req, sc.AnswerTokens)
+	e.kv[s] += sc.QueryTokens + max(sc.AnswerTokens, 0)
 	dev.Free = start + paging + total
 	dev.Busy += paging + total
 	e.profCharge(paging + total)

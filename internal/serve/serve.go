@@ -728,8 +728,7 @@ func Run(cfg Config) Result {
 		}
 		m.FinalKV = kv[s]
 		if len(latencies[s]) > 0 {
-			m.P50 = mathx.Percentile(latencies[s], 50)
-			m.P99 = mathx.Percentile(latencies[s], 99)
+			m.P50, m.P99 = mathx.Percentiles(latencies[s], 50, 99)
 		}
 		if e.deg != nil && e.deg.servedN[s] > 0 {
 			n := float64(e.deg.servedN[s])
@@ -1122,12 +1121,10 @@ func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMe
 			cm.Goodput = float64(cm.FramesServed-cm.DeadlineMisses) / duration
 		}
 		if len(pool) > 0 {
-			cm.P50 = mathx.Percentile(pool, 50)
-			cm.P99 = mathx.Percentile(pool, 99)
+			cm.P50, cm.P99 = mathx.Percentiles(pool, 50, 99)
 		}
 		if len(wait) > 0 {
-			cm.QueueP50 = mathx.Percentile(wait, 50)
-			cm.QueueP99 = mathx.Percentile(wait, 99)
+			cm.QueueP50, cm.QueueP99 = mathx.Percentiles(wait, 50, 99)
 		}
 	}
 	for c := range perClass {
