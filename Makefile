@@ -140,10 +140,12 @@ fmt-check:
 	fi
 
 # go vet plus the repo's own invariant analyzers (cmd/vrex-vet): determinism,
-# noalloc, policyreg, exhaustive, floatdet. See README "Invariants".
+# noalloc, policyreg, exhaustive, floatdet; then the module-wide dead-export
+# check, which is a test. See README "Invariants".
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/vrex-vet ./...
+	$(GO) test -count=1 -run TestNoDeadExports ./internal/analysis
 
 # Same steps as the workflow: build, vet, gofmt, race tests, examples,
 # scenario lint + suite golden, telemetry nil-perturbation check, benchmark

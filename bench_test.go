@@ -40,7 +40,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	opts := experiments.Options{Sessions: 2, Seed: 7, Quick: true}
 	for i := 0; i < b.N; i++ {
-		if err := experiments.Run(id, opts, io.Discard); err != nil {
+		if err := experiments.RunMany([]string{id}, opts, io.Discard, report.FormatText); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func benchRunAll(b *testing.B, workers int) {
 	}
 	opts := experiments.Options{Sessions: 2, Seed: 7, Quick: true, Parallel: workers}
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunAll(opts, io.Discard, report.FormatText); err != nil {
+		if err := experiments.RunMany(experiments.IDs(), opts, io.Discard, report.FormatText); err != nil {
 			b.Fatal(err)
 		}
 	}

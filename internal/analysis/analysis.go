@@ -23,6 +23,14 @@
 //	//vrex:alloc-ok      waive one alloc site inside a //vrex:noalloc func
 //	//vrex:float-eq      exact float comparison is intentional
 //	//vrex:nonfinite-ok  the formatted value is proven finite
+//
+// One module-wide check is a test, not an analyzer, because it needs every
+// package's uses at once: TestNoDeadExports fails on an exported identifier
+// under internal/ that no non-test code of the module or of perfbench/ uses.
+// A doc-comment directive keeps one that only tests need:
+//
+//	//vrex:testonly <reason>  a test reference or harness; on a type, it
+//	                          covers the methods too
 package analysis
 
 import (

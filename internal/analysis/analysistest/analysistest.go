@@ -39,6 +39,8 @@ type want struct {
 
 // Run loads dir as a single package and applies the analyzers, diffing their
 // diagnostics against the corpus's want comments.
+//
+//vrex:testonly the harness the analyzer corpus tests run on
 func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	loader := analysis.NewLoader(dir)

@@ -58,6 +58,7 @@ func TestVetWiredIntoCI(t *testing.T) {
 	root := filepath.Join("..", "..")
 	for _, tc := range []struct{ file, needle string }{
 		{"Makefile", "vrex-vet"},
+		{"Makefile", "TestNoDeadExports"},
 		{filepath.Join(".github", "workflows", "ci.yml"), "vrex-vet"},
 	} {
 		data, err := os.ReadFile(filepath.Join(root, tc.file))

@@ -258,7 +258,6 @@ type compositeBalancer struct {
 	devNode []int
 	names   []string
 	regions []string
-	classes int
 	// avoid marks nodes the cluster controller is draining (or holding cold
 	// for the autoscaler): their devices are dropped from the placement view
 	// even while still up, so evacuated sessions never hop to a sibling
@@ -275,7 +274,7 @@ type compositeBalancer struct {
 }
 
 func newCompositeBalancer(nodes []NodeSpec, router Router, inner func() serve.Balancer, classes int) *compositeBalancer {
-	b := &compositeBalancer{router: router, classes: classes}
+	b := &compositeBalancer{router: router}
 	for i, n := range nodes {
 		start := 0
 		if i > 0 {

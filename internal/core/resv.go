@@ -198,22 +198,6 @@ func (r *ReSV) AttachHierarchy(m *model.Model, capacityTokens int, offTier kvcac
 	}
 }
 
-// ScaleBudget implements the degradation plane's budget override surface
-// (retrieval.BudgetScaler): the WiCSum mass-ratio threshold Th_r-wics is set
-// to scale times its configured value, so subsequent selections stop at a
-// proportionally smaller high-mass prefix. Absolute semantics — repeated
-// calls replace the previous scale, and scale 1 restores the configured
-// threshold exactly. Out-of-range scales clamp.
-func (r *ReSV) ScaleBudget(scale float64) {
-	if scale > 1 {
-		scale = 1
-	}
-	if scale <= 0 {
-		scale = 1e-6
-	}
-	r.selector.Ratio = r.cfg.ThWics * scale
-}
-
 // Stats returns the accumulated selection statistics.
 func (r *ReSV) Stats() *Stats { return &r.stats }
 
@@ -491,7 +475,6 @@ func (r *ReSV) recordStats(layer int, stage model.Stage, sel wicsum.MatrixSelect
 // constructed one.
 func (r *ReSV) Reset() {
 	r.rng = mathx.NewRNG(r.cfg.Seed)
-	r.selector.Ratio = r.cfg.ThWics
 	for _, ls := range r.layers {
 		ls.clusterer.Reset(r.rng.Split())
 		ls.layout.Reset()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"vrex/internal/report"
 )
 
 func quickOpts() Options {
@@ -34,17 +36,8 @@ func TestIDsComplete(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if err := Run("nope", quickOpts(), &bytes.Buffer{}); err == nil {
+	if err := RunMany([]string{"nope"}, quickOpts(), &bytes.Buffer{}, report.FormatText); err == nil {
 		t.Fatal("unknown ID should error")
-	}
-}
-
-func TestGet(t *testing.T) {
-	if Get("fig13") == nil {
-		t.Fatal("fig13 runner missing")
-	}
-	if Get("bogus") != nil {
-		t.Fatal("bogus runner should be nil")
 	}
 }
 
@@ -246,11 +239,11 @@ func TestRunRendersAll(t *testing.T) {
 	}
 	for _, id := range []string{"fig4a", "fig13", "fig15", "tab1", "tab3"} {
 		var buf bytes.Buffer
-		if err := Run(id, quickOpts(), &buf); err != nil {
-			t.Fatalf("Run(%s): %v", id, err)
+		if err := RunMany([]string{id}, quickOpts(), &buf, report.FormatText); err != nil {
+			t.Fatalf("RunMany(%s): %v", id, err)
 		}
 		if buf.Len() == 0 {
-			t.Fatalf("Run(%s) produced no output", id)
+			t.Fatalf("RunMany(%s) produced no output", id)
 		}
 	}
 }

@@ -24,8 +24,8 @@ func TestParallelRunByteIdentical(t *testing.T) {
 			opts := quickOpts()
 			opts.Parallel = workers
 			var buf bytes.Buffer
-			if err := Run(id, opts, &buf); err != nil {
-				t.Fatalf("Run(%s, workers=%d): %v", id, workers, err)
+			if err := RunMany([]string{id}, opts, &buf, report.FormatText); err != nil {
+				t.Fatalf("RunMany(%s, workers=%d): %v", id, workers, err)
 			}
 			return buf.String()
 		}
@@ -47,8 +47,8 @@ func TestMemoryExperimentParallelByteIdentical(t *testing.T) {
 		opts := quickOpts()
 		opts.Parallel = workers
 		var buf bytes.Buffer
-		if err := Run("memory", opts, &buf); err != nil {
-			t.Fatalf("Run(memory, workers=%d): %v", workers, err)
+		if err := RunMany([]string{"memory"}, opts, &buf, report.FormatText); err != nil {
+			t.Fatalf("RunMany(memory, workers=%d): %v", workers, err)
 		}
 		return buf.String()
 	}
@@ -68,8 +68,8 @@ func TestSLOExperimentParallelByteIdentical(t *testing.T) {
 		opts := quickOpts()
 		opts.Parallel = workers
 		var buf bytes.Buffer
-		if err := Run("slo", opts, &buf); err != nil {
-			t.Fatalf("Run(slo, workers=%d): %v", workers, err)
+		if err := RunMany([]string{"slo"}, opts, &buf, report.FormatText); err != nil {
+			t.Fatalf("RunMany(slo, workers=%d): %v", workers, err)
 		}
 		return buf.String()
 	}
@@ -90,8 +90,8 @@ func TestClusterExperimentParallelByteIdentical(t *testing.T) {
 		opts := quickOpts()
 		opts.Parallel = workers
 		var buf bytes.Buffer
-		if err := Run("cluster", opts, &buf); err != nil {
-			t.Fatalf("Run(cluster, workers=%d): %v", workers, err)
+		if err := RunMany([]string{"cluster"}, opts, &buf, report.FormatText); err != nil {
+			t.Fatalf("RunMany(cluster, workers=%d): %v", workers, err)
 		}
 		return buf.String()
 	}
@@ -111,8 +111,8 @@ func TestRunManyByteIdenticalAndOrdered(t *testing.T) {
 	seqOpts.Parallel = 1
 	var want bytes.Buffer
 	for _, id := range ids {
-		if err := RunAs(id, seqOpts, &want, report.FormatText); err != nil {
-			t.Fatalf("sequential RunAs(%s): %v", id, err)
+		if err := RunMany([]string{id}, seqOpts, &want, report.FormatText); err != nil {
+			t.Fatalf("sequential RunMany(%s): %v", id, err)
 		}
 	}
 	parOpts := quickOpts()
@@ -136,7 +136,3 @@ func TestRunManyUnknownIDRejectedUpfront(t *testing.T) {
 		t.Fatal("no output may be written when validation fails")
 	}
 }
-
-// RunAll itself is a thin wrapper over RunMany(IDs(), ...); its dispatch and
-// output are covered by the RunMany tests above, and BenchmarkRunAllParallel
-// exercises the full registry end to end.

@@ -27,7 +27,7 @@ type Options struct {
 	Seed uint64
 	// Quick shrinks functional workloads for smoke tests and benchmarks.
 	Quick bool
-	// Parallel is the worker count for experiment dispatch (RunAll/RunMany)
+	// Parallel is the worker count for experiment dispatch (RunMany)
 	// and is threaded into the runners' inner kernels: 0 uses GOMAXPROCS,
 	// 1 restores fully sequential execution. Output is identical either way.
 	Parallel int
@@ -115,26 +115,6 @@ func IDs() []string {
 	return ids
 }
 
-// Run executes one experiment by ID and renders its tables to w as aligned
-// text.
-func Run(id string, opts Options, w io.Writer) error {
-	return RunAs(id, opts, w, report.FormatText)
-}
-
-// RunAs executes one experiment and renders in the given format (text, csv
-// or md).
-func RunAs(id string, opts Options, w io.Writer, format report.Format) error {
-	r, ok := registry[id]
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
-	}
-	for _, t := range r(opts) {
-		t.RenderAs(w, format)
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
 // RunMany executes the given experiments across opts.Parallel workers and
 // writes their rendered tables to w in argument order. Each runner renders
 // into a private buffer; the ordered streaming fan-in below emits an
@@ -142,7 +122,9 @@ func RunAs(id string, opts Options, w io.Writer, format report.Format) error {
 // concatenation is byte-identical to running the ids sequentially, output is
 // progressive rather than held until the slowest runner finishes, and only
 // the out-of-order suffix is retained in memory. Unknown ids are rejected
-// before any runner starts.
+// before any runner starts. After a write error nothing more is written, but
+// RunMany still waits for every runner before it returns that error, and a
+// runner panic is re-raised on the caller's goroutine.
 func RunMany(ids []string, opts Options, w io.Writer, format report.Format) error {
 	for _, id := range ids {
 		if _, ok := registry[id]; !ok {
@@ -153,8 +135,7 @@ func RunMany(ids []string, opts Options, w io.Writer, format report.Format) erro
 		idx int
 		out []byte
 	}
-	// Buffered to len(ids): the fan-out supervisor can never block on send,
-	// so an early return (write error) leaks nothing.
+	// Buffered to len(ids): the fan-out supervisor never blocks on send.
 	results := make(chan rendered, len(ids))
 	wait := parallel.Go(func() {
 		defer close(results)
@@ -169,25 +150,20 @@ func RunMany(ids []string, opts Options, w io.Writer, format report.Format) erro
 	})
 	pending := make(map[int][]byte)
 	next := 0
+	var err error
 	for r := range results {
+		if err != nil {
+			continue // drain after a write error: the supervisor is joined below
+		}
 		pending[r.idx] = r.out
 		for out, ok := pending[next]; ok; out, ok = pending[next] {
-			if _, err := w.Write(out); err != nil {
-				return err
+			if _, err = w.Write(out); err != nil {
+				break
 			}
 			delete(pending, next)
 			next++
 		}
 	}
 	wait() // re-raises a runner panic with its original value
-	return nil
+	return err
 }
-
-// RunAll executes every registered experiment (sorted-ID order) across
-// opts.Parallel workers.
-func RunAll(opts Options, w io.Writer, format report.Format) error {
-	return RunMany(IDs(), opts, w, format)
-}
-
-// Get returns the runner for an ID (nil if unknown); bench_test.go uses it.
-func Get(id string) Runner { return registry[id] }

@@ -53,3 +53,24 @@ func TestRunManyPropagatesWriteError(t *testing.T) {
 		t.Fatalf("mid-stream err = %v, want the writer's error", err)
 	}
 }
+
+// TestRunManyJoinsRunnersOnWriteError: a write error must not detach the
+// supervisor — RunMany waits for the remaining runners, so a later runner's
+// panic is re-raised rather than lost.
+func TestRunManyJoinsRunnersOnWriteError(t *testing.T) {
+	registry["test-ok"] = func(Options) []*report.Table { return []*report.Table{report.NewTable("ok", "x")} }
+	registry["test-panic"] = func(Options) []*report.Table { panic("runner failed") }
+	defer func() {
+		delete(registry, "test-ok")
+		delete(registry, "test-panic")
+	}()
+	var err error
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		err = RunMany([]string{"test-ok", "test-panic"}, Options{Parallel: 1}, &failWriter{err: errors.New("disk full")}, report.FormatText)
+		return nil
+	}()
+	if recovered != "runner failed" {
+		t.Fatalf("RunMany returned %v and re-raised %v, want the runner's panic", err, recovered)
+	}
+}

@@ -35,12 +35,6 @@ func (c *Clusterer) AddFrame(keys *tensor.Matrix, baseTokenIdx int) []int {
 	return ids
 }
 
-// CompressionRatio returns tokens per cluster, i.e. how much the candidate
-// set shrinks for the WiCSum scoring stage.
-func (c *Clusterer) CompressionRatio() float64 {
-	return c.Table.AvgTokensPerCluster()
-}
-
 // Reset clears the cluster table and redraws the hyperplanes from rng,
 // reusing the existing hasher and table storage. A clusterer reset with the
 // same rng stream as NewClusterer consumed behaves exactly like a freshly

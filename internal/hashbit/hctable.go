@@ -1,9 +1,6 @@
 package hashbit
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Cluster is one row of the hash cluster (HC) table: a group of tokens whose
 // key signatures are within Th_hd Hamming distance of the cluster
@@ -27,9 +24,6 @@ type Cluster struct {
 	// AdvancePast (so its pastLen cursor and RepKey may still move).
 	pending bool
 }
-
-// Count returns the number of tokens in the cluster (TC_j in Eq. 1).
-func (c *Cluster) Count() int { return len(c.TokenIdxs) }
 
 // addMember appends a token and folds its key into the running mean.
 func (c *Cluster) addMember(tokenIdx int, key []float32) {
@@ -55,8 +49,6 @@ type HCTable struct {
 	ThHD int
 	// Clusters in creation order; Cluster.ID is the index.
 	Clusters []*Cluster
-	// tokenToCluster maps token index -> cluster ID.
-	tokenToCluster map[int]int
 	// nTokens is the total number of tokens ever inserted.
 	nTokens int
 
@@ -84,15 +76,14 @@ func NewHCTable(thHD int) *HCTable {
 	if thHD < 0 {
 		panic("hashbit: negative Hamming threshold")
 	}
-	return &HCTable{ThHD: thHD, tokenToCluster: make(map[int]int), maxToken: -1}
+	return &HCTable{ThHD: thHD, maxToken: -1}
 }
 
 // Reset returns the table to its empty state, retaining allocated capacity
-// (the cluster slice, the dirty list and the token map) for the next session.
+// (the cluster slice and the dirty list) for the next session.
 func (t *HCTable) Reset() {
 	clear(t.Clusters) // drop the old session's cluster payloads, keep capacity
 	t.Clusters = t.Clusters[:0]
-	clear(t.tokenToCluster)
 	t.nTokens = 0
 	t.pastBoundary = 0
 	t.numPast = 0
@@ -104,17 +95,6 @@ func (t *HCTable) Reset() {
 // NumClusters returns the current cluster count.
 func (t *HCTable) NumClusters() int { return len(t.Clusters) }
 
-// NumTokens returns the total tokens inserted.
-func (t *HCTable) NumTokens() int { return t.nTokens }
-
-// ClusterOf returns the cluster ID for a token index, or -1 if unknown.
-func (t *HCTable) ClusterOf(tokenIdx int) int {
-	if id, ok := t.tokenToCluster[tokenIdx]; ok {
-		return id
-	}
-	return -1
-}
-
 // AvgTokensPerCluster returns the mean cluster occupancy (the paper reports
 // an average of 32 tokens per cluster on COIN).
 func (t *HCTable) AvgTokensPerCluster() float64 {
@@ -125,7 +105,7 @@ func (t *HCTable) AvgTokensPerCluster() float64 {
 }
 
 // noteMember records bookkeeping shared by every insertion path: the token
-// map, the counters, the ordering guard and the dirty list (the new member
+// counter, the ordering guard and the dirty list (the new member
 // sits at or beyond the past boundary, so its cluster's cursor is stale).
 func (t *HCTable) noteMember(c *Cluster, tokenIdx int) {
 	if tokenIdx <= t.maxToken {
@@ -137,7 +117,6 @@ func (t *HCTable) noteMember(c *Cluster, tokenIdx int) {
 		c.pending = true
 		t.dirty = append(t.dirty, c.ID)
 	}
-	t.tokenToCluster[tokenIdx] = c.ID
 	t.nTokens++
 }
 
@@ -252,28 +231,6 @@ func (t *HCTable) PastTokens(id int) []int {
 // aliases internal state: read it before calling AdvancePast and do not
 // retain it.
 func (t *HCTable) PendingClusters() []int { return t.dirty }
-
-// TokensOf expands a set of cluster IDs into the union of their member token
-// indices (the HC-table lookup that maps selected clusters back to tokens in
-// Fig. 9). The result preserves insertion order within each cluster.
-func (t *HCTable) TokensOf(clusterIDs []int) []int {
-	var out []int
-	for _, id := range clusterIDs {
-		if id < 0 || id >= len(t.Clusters) {
-			panic(fmt.Sprintf("hashbit: cluster ID %d out of range", id))
-		}
-		out = append(out, t.Clusters[id].TokenIdxs...)
-	}
-	return out
-}
-
-// MemoryOverheadBytes estimates the HC table's storage cost: per cluster one
-// representative key (bf16), one signature, and per token a 4-byte index.
-// The paper reports this at 1.67% of the full KV cache.
-func (t *HCTable) MemoryOverheadBytes(keyDim, sigBits int) int {
-	perCluster := keyDim*2 + SignatureWords(sigBits)*8
-	return len(t.Clusters)*perCluster + t.nTokens*4
-}
 
 // insertNewCluster founds a cluster unconditionally and returns (id, 0).
 func (t *HCTable) insertNewCluster(tokenIdx int, key []float32, sig Signature) (int, int) {

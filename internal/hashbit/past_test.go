@@ -1,6 +1,7 @@
 package hashbit
 
 import (
+	"slices"
 	"testing"
 
 	"vrex/internal/mathx"
@@ -119,15 +120,12 @@ func TestHCTableResetBehavesFresh(t *testing.T) {
 	c.AddFrame(keys, 0)
 	c.Table.AdvancePast(10)
 	c.Table.Reset()
-	if c.Table.NumClusters() != 0 || c.Table.NumTokens() != 0 || c.Table.PastClusters() != 0 {
+	if c.Table.NumClusters() != 0 || c.Table.nTokens != 0 || c.Table.PastClusters() != 0 {
 		t.Fatal("reset table not empty")
-	}
-	if c.Table.ClusterOf(0) != -1 {
-		t.Fatal("reset table retains token mapping")
 	}
 	ids := c.AddFrame(keys, 0)
 	for i, id := range ids {
-		if c.Table.ClusterOf(i) != id {
+		if !slices.Contains(c.Table.Clusters[id].TokenIdxs, i) {
 			t.Fatal("reset table misassigns tokens")
 		}
 	}

@@ -24,9 +24,6 @@ type Signature []uint64
 // SignatureWords returns the number of uint64 words needed for nbits.
 func SignatureWords(nbits int) int { return (nbits + 63) / 64 }
 
-// Bit reports whether bit i is set.
-func (s Signature) Bit(i int) bool { return s[i/64]>>(uint(i)%64)&1 == 1 }
-
 // SetBit sets bit i.
 func (s Signature) SetBit(i int) { s[i/64] |= 1 << (uint(i) % 64) }
 

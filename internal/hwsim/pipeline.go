@@ -45,14 +45,6 @@ type PipelineResult struct {
 	Busy map[Resource]float64
 }
 
-// Utilization returns busy/total for a resource.
-func (p PipelineResult) Utilization(r Resource) float64 {
-	if p.Total <= 0 {
-		return 0
-	}
-	return p.Busy[r] / p.Total
-}
-
 // SimulatePipeline runs the Fig. 5 decoder-layer pipeline as a discrete-event
 // schedule instead of the closed-form overlap formula of Sim.Chunk: per
 // layer, KV prediction must finish before that layer's fetch is issued, the

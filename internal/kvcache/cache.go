@@ -98,14 +98,3 @@ func (c *LayerCache) ResidentCount() int {
 	}
 	return n
 }
-
-// TokensInTier returns the indices currently in tier t, ascending.
-func (c *LayerCache) TokensInTier(t Tier) []int {
-	var out []int
-	for i, ti := range c.tier {
-		if ti == t {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -138,19 +138,6 @@ func TestHierarchyOffTierValidation(t *testing.T) {
 	NewHierarchy(NewLayerCache(2), 1, TierDevice, 2)
 }
 
-func TestTokensInTier(t *testing.T) {
-	c := NewLayerCache(2)
-	for i := 0; i < 4; i++ {
-		c.Append(row(2, 0), row(2, 0))
-	}
-	c.SetTier(1, TierHost)
-	c.SetTier(3, TierHost)
-	got := c.TokensInTier(TierHost)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("TokensInTier = %v", got)
-	}
-}
-
 func TestTokenOrderLayoutSegments(t *testing.T) {
 	l := TokenOrderLayout{}
 	cases := []struct {

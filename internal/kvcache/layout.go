@@ -15,6 +15,8 @@ type Layout interface {
 // TokenOrderLayout stores tokens at their arrival index (the conventional
 // GPU layout). Tokens selected by retrieval are scattered across frames, so
 // fetches fragment into many segments.
+//
+//vrex:testonly the baseline layout that ClusterLayout's segment tests compare against
 type TokenOrderLayout struct{}
 
 // Segments implements Layout: runs of consecutive token indices.
@@ -85,6 +87,8 @@ func (l *ClusterLayout) Add(clusterID, tokenIdx int) {
 // SetClusters rebuilds the layout from full cluster membership lists
 // (cluster-major order). Streaming callers should prefer Add; this remains
 // for bulk construction and mirrors the incremental semantics exactly.
+//
+//vrex:testonly the bulk reference that incremental Add is checked against
 func (l *ClusterLayout) SetClusters(clusters [][]int) {
 	l.Reset()
 	for ci, members := range clusters {

@@ -72,6 +72,8 @@ func ExpFromUniform(u, mean float64) float64 {
 }
 
 // Float32 returns a uniform float32 in [0, 1).
+//
+//vrex:testonly tests in wicsum, hashbit and the root benchmarks draw data with it
 func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) / (1 << 24)
 }
@@ -100,6 +102,8 @@ func (r *RNG) Norm() float64 {
 func (r *RNG) Norm32() float32 { return float32(r.Norm()) }
 
 // Perm returns a pseudo-random permutation of [0, n).
+//
+//vrex:testonly kvcache and serve tests shuffle inputs with it
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {

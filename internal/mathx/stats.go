@@ -167,21 +167,14 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks, ranking NaNs below every number (the
-// sort.Float64s order), so an interpolation that touches a NaN rank is NaN.
-// p <= 0 and p >= 100 return the extremes, an empty xs returns 0 and p = NaN
-// returns NaN. xs is not modified: Percentile copies its numbers and selects
-// only the one or two ranks it interpolates between, in expected O(n) time.
-func Percentile(xs []float64, p float64) float64 {
-	v, _ := Percentiles(xs, p, p)
-	return v
-}
-
-// Percentiles returns the p-th and q-th percentiles of xs, each exactly as
-// Percentile defines it, from one copy of xs: the higher rank is selected
-// only among the values above the lower one. p and q may come in either
-// order.
+// Percentiles returns the p-th and q-th percentiles (0..100) of xs, in that
+// order, using linear interpolation between closest ranks. NaNs rank below
+// every number (the sort.Float64s order), so an interpolation that touches a
+// NaN rank is NaN. A rank <= 0 or >= 100 returns an extreme, an empty xs
+// returns 0 and a NaN rank returns NaN. p and q may come in either order. xs
+// is not modified: Percentiles copies its numbers once and selects only the
+// ranks it interpolates between, in expected O(n) time; the higher rank is
+// selected only among the values above the lower one.
 func Percentiles(xs []float64, p, q float64) (float64, float64) {
 	if q < p {
 		vq, vp := Percentiles(xs, q, p)
@@ -198,9 +191,6 @@ func Percentiles(xs []float64, p, q float64) (float64, float64) {
 	}
 	nans := len(xs) - len(c)
 	vp, from := percentileFrom(c, nans, p, 0)
-	if q == p { //vrex:float-eq the same rank asked twice (Percentile's one-rank call)
-		return vp, vp
-	}
 	vq, _ := percentileFrom(c, nans, q, from)
 	return vp, vq
 }
@@ -280,15 +270,4 @@ func selectRank(xs []float64, k int) {
 			budget--
 		}
 	}
-}
-
-// Clamp bounds v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

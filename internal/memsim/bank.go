@@ -6,6 +6,8 @@ package memsim
 // activate. Streaming (sequential) traffic achieves near-peak efficiency,
 // scattered traffic degrades — the same efficiency knee the DRAM.Efficiency
 // constant encodes analytically.
+//
+//vrex:testonly reference model that the analytic DRAM efficiency is checked against
 type BankModel struct {
 	// Banks is the number of independent banks.
 	Banks int
@@ -23,6 +25,8 @@ type BankModel struct {
 
 // NewBankModel returns a model sized like a 256-bit LPDDR5 subsystem:
 // 16 banks, 2 KiB rows, 64 B bursts, ~5 ns column access, ~35 ns row miss.
+//
+//vrex:testonly builds the reference model the analytic DRAM efficiency is checked against
 func NewBankModel() *BankModel {
 	b := &BankModel{
 		Banks:      16,

@@ -29,22 +29,6 @@ func TestPCIeSegmentationPenalty(t *testing.T) {
 	}
 }
 
-func TestPCIeEfficiencyBounds(t *testing.T) {
-	l := PCIe4x16()
-	for _, segs := range []int{1, 10, 1000} {
-		e := l.Efficiency(1e6, segs)
-		if e <= 0 || e > 1 {
-			t.Fatalf("efficiency %v out of (0,1]", e)
-		}
-	}
-	if l.Efficiency(1e9, 1) <= l.Efficiency(1e9, 100000) {
-		t.Fatal("more segments must not improve efficiency")
-	}
-	if l.Efficiency(0, 1) != 1 {
-		t.Fatal("empty transfer efficiency should be 1")
-	}
-}
-
 func TestPCIeDefaultSegments(t *testing.T) {
 	l := PCIe3x4()
 	if l.TransferTime(1e6, 0) != l.TransferTime(1e6, 1) {
@@ -165,7 +149,7 @@ func TestNICSetupDominatesWAN(t *testing.T) {
 }
 
 func TestNICMessageOverheadPenalty(t *testing.T) {
-	l := LAN25G()
+	l := LAN100G()
 	one := l.TransferTime(1e7, 1)
 	many := l.TransferTime(1e7, 1000)
 	if many <= one {
@@ -177,7 +161,7 @@ func TestNICMessageOverheadPenalty(t *testing.T) {
 }
 
 func TestNICZeroAndDegenerate(t *testing.T) {
-	l := LAN25G()
+	l := LAN100G()
 	if got := l.TransferTime(0, 5); got != 0 {
 		t.Fatalf("zero bytes must cost zero, got %g", got)
 	}
@@ -187,23 +171,14 @@ func TestNICZeroAndDegenerate(t *testing.T) {
 	if l.TransferTime(1e6, 0) != l.TransferTime(1e6, 1) {
 		t.Fatal("messages<=0 must behave as a single message")
 	}
-	if eff := l.Efficiency(0, 1); eff != 1 {
-		t.Fatalf("zero-byte efficiency = %g, want 1", eff)
-	}
-	if eff := l.Efficiency(1e9, 1); eff <= 0 || eff >= 1 {
-		t.Fatalf("efficiency must be in (0,1), got %g", eff)
-	}
-	if l.Power() != l.ActivePower {
-		t.Fatal("Power must report ActivePower")
-	}
 }
 
 func TestNICPresetsOrdering(t *testing.T) {
-	// 100G beats 25G beats WAN on bandwidth; WAN has the largest setup.
-	if !(LAN100G().Bandwidth > LAN25G().Bandwidth && LAN25G().Bandwidth > WAN().Bandwidth) {
+	// The LAN beats the WAN on bandwidth; the WAN has the larger setup.
+	if !(LAN100G().Bandwidth > WAN().Bandwidth) {
 		t.Fatal("preset bandwidth ordering violated")
 	}
-	if !(WAN().Setup > LAN25G().Setup && WAN().Setup > LAN100G().Setup) {
+	if !(WAN().Setup > LAN100G().Setup) {
 		t.Fatal("WAN must have the largest setup latency")
 	}
 }

@@ -16,27 +16,19 @@ type NICLink struct {
 	// MsgOverhead is the fixed per-message cost in seconds (framing,
 	// interrupt/poll, protocol headers).
 	MsgOverhead float64
-	// ActivePower is the NIC's power draw under load in watts.
-	ActivePower float64
-}
-
-// LAN25G returns a 25 GbE datacenter NIC: ~3.1 GB/s payload, ~20 us RTT
-// setup inside a rack/pod.
-func LAN25G() NICLink {
-	return NICLink{Name: "lan25", Bandwidth: 3.1e9, Setup: 20e-6, MsgOverhead: 2e-6, ActivePower: 12}
 }
 
 // LAN100G returns a 100 GbE / RDMA-class fabric: ~12 GB/s payload, ~10 us
 // setup.
 func LAN100G() NICLink {
-	return NICLink{Name: "lan100", Bandwidth: 12e9, Setup: 10e-6, MsgOverhead: 1e-6, ActivePower: 20}
+	return NICLink{Name: "lan100", Bandwidth: 12e9, Setup: 10e-6, MsgOverhead: 1e-6}
 }
 
 // WAN returns a cross-region link: ~1.25 GB/s (10 Gb/s provisioned) with a
 // 30 ms RTT-dominated setup — the cost of migrating a session between
 // geo-distributed sites.
 func WAN() NICLink {
-	return NICLink{Name: "wan", Bandwidth: 1.25e9, Setup: 30e-3, MsgOverhead: 5e-6, ActivePower: 20}
+	return NICLink{Name: "wan", Bandwidth: 1.25e9, Setup: 30e-3, MsgOverhead: 5e-6}
 }
 
 // TransferTime returns the time to move bytes split into messages discrete
@@ -50,15 +42,3 @@ func (l NICLink) TransferTime(bytes float64, messages int) float64 {
 	}
 	return l.Setup + bytes/l.Bandwidth + float64(messages)*l.MsgOverhead
 }
-
-// Efficiency returns achieved/peak bandwidth for the given transfer shape.
-func (l NICLink) Efficiency(bytes float64, messages int) float64 {
-	if bytes <= 0 {
-		return 1
-	}
-	ideal := bytes / l.Bandwidth
-	return ideal / l.TransferTime(bytes, messages)
-}
-
-// Power returns the link's active power draw in watts.
-func (l NICLink) Power() float64 { return l.ActivePower }

@@ -12,6 +12,8 @@ import (
 // bandwidth a workload achieves. The analytic SSD model (SSD.ReadTime) is a
 // closed-form approximation of this simulator; TestNVMeMatchesAnalytic keeps
 // the two consistent.
+//
+//vrex:testonly reference model that the analytic SSD model is checked against
 type NVMeSim struct {
 	// Channels is the number of independent flash channels.
 	Channels int
@@ -29,6 +31,8 @@ type NVMeSim struct {
 // NewNVMeSim returns a simulator roughly matching the Kioxia BG6 analytic
 // model: 4 channels x 4 KiB pages; per-page latency tuned so sequential
 // reads sustain ~3.5 GB/s.
+//
+//vrex:testonly builds the reference model the analytic SSD model is checked against
 func NewNVMeSim() *NVMeSim {
 	s := &NVMeSim{
 		Channels:        4,

@@ -44,15 +44,6 @@ func (l PCIeLink) TransferTime(bytes float64, segments int) float64 {
 	return bytes/l.Bandwidth + float64(segments)*l.SegmentLatency
 }
 
-// Efficiency returns achieved/peak bandwidth for the given transfer shape.
-func (l PCIeLink) Efficiency(bytes float64, segments int) float64 {
-	if bytes <= 0 {
-		return 1
-	}
-	ideal := bytes / l.Bandwidth
-	return ideal / l.TransferTime(bytes, segments)
-}
-
 // Power returns the link's active power draw in watts (3 W/lane under load,
 // the paper's estimate).
 func (l PCIeLink) Power() float64 { return 3 * float64(l.Lanes) }

@@ -59,6 +59,8 @@ func formatFloat(v float64) string {
 }
 
 // NumRows returns the number of data rows.
+//
+//vrex:testonly experiments tests check their tables' row counts through it
 func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render writes the aligned table to w.

@@ -36,8 +36,6 @@ type InfiniGen struct {
 	cfg model.Config
 	// TextBudget is the fraction of past tokens fetched during generation.
 	TextBudget float64
-	// baseText remembers the configured budget across ScaleBudget calls.
-	baseText float64
 }
 
 // NewInfiniGen returns the policy with the given generation-stage budget.
@@ -74,8 +72,6 @@ type InfiniGenP struct {
 	cfg         model.Config
 	FrameBudget float64
 	TextBudget  float64
-	// baseFrame/baseText remember the configured budgets for ScaleBudget.
-	baseFrame, baseText float64
 }
 
 // NewInfiniGenP returns the policy.
@@ -115,8 +111,6 @@ type ReKV struct {
 	FrameSize   int
 	FrameBudget float64
 	TextBudget  float64
-	// baseFrame/baseText remember the configured budgets for ScaleBudget.
-	baseFrame, baseText float64
 }
 
 // NewReKV returns the policy; frameSize is the token granularity of

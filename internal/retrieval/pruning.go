@@ -85,6 +85,3 @@ func (p *Pruning) SelectTokens(layer int, cache *kvcache.LayerCache, queries *te
 	}
 	return sel
 }
-
-// LiveCount returns the number of surviving tokens at a layer (test hook).
-func (p *Pruning) LiveCount(layer int) int { return len(p.alive[layer]) }

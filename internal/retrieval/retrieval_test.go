@@ -254,20 +254,20 @@ func TestPruningEvictsPermanently(t *testing.T) {
 	m := setup(t, p, 10, 5)
 	// After many chunks at 30% retention, the live set must be far below
 	// the full history.
-	live := p.LiveCount(0)
+	live := len(p.alive[0])
 	if live >= m.Pos()/2 {
 		t.Fatalf("pruning kept %d of %d tokens, want far fewer", live, m.Pos())
 	}
 	// Evicted tokens never come back: a query attends only the tokens that
 	// were live before the call (eviction then shrinks the set further).
-	liveBefore := p.LiveCount(0)
+	liveBefore := len(p.alive[0])
 	q := tensor.NewMatrix(1, cfg.Dim)
 	q.Randomize(mathx.NewRNG(9), 1)
 	sel := p.SelectTokens(0, m.Cache(0), q, m.Pos(), model.StageText)
 	if len(sel) > liveBefore {
 		t.Fatalf("selection %d exceeds prior live set %d", len(sel), liveBefore)
 	}
-	if p.LiveCount(0) > liveBefore {
+	if len(p.alive[0]) > liveBefore {
 		t.Fatal("live set must never grow from selection")
 	}
 }
@@ -276,7 +276,7 @@ func TestPruningKeepsAtLeastOne(t *testing.T) {
 	cfg := model.DefaultConfig()
 	p := NewPruning(cfg, 0.0001)
 	setup(t, p, 4, 5)
-	if p.LiveCount(0) < 1 {
+	if len(p.alive[0]) < 1 {
 		t.Fatal("pruning must keep at least one token")
 	}
 }

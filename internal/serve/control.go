@@ -79,22 +79,13 @@ type FleetOps struct {
 	at float64
 }
 
-// Now returns the tick's simulation time.
-func (o *FleetOps) Now() float64 { return o.at }
-
 // Devices returns the live fleet state. The slice is the engine's own —
 // treat it as read-only and mutate only through FleetOps methods.
 func (o *FleetOps) Devices() []DeviceState { return o.e.devs }
 
-// Down reports whether device d is currently out of service.
-func (o *FleetOps) Down(d int) bool { return o.e.devs[d].Down }
-
 // SessionsOn returns the sessions currently occupying device d (assigned
 // and not yet released), in session-index order.
 func (o *FleetOps) SessionsOn(d int) []int { return o.e.sessionsOn(d) }
-
-// KV returns session s's current KV length in tokens.
-func (o *FleetOps) KV(s int) int { return o.e.kv[s] }
 
 // Backlog returns the seconds of work device d has waiting at the tick: the
 // larger of the in-flight step's remaining time and the age of the oldest

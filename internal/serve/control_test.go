@@ -246,7 +246,7 @@ func TestMigrateSingleSession(t *testing.T) {
 		if len(on) == 0 {
 			t.Fatal("device 0 must hold a session at t=5")
 		}
-		if ops.KV(on[0]) <= 0 {
+		if ops.e.kv[on[0]] <= 0 {
 			t.Fatal("resident session must have KV")
 		}
 		ops.Migrate(on[0], 1)

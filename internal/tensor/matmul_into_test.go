@@ -6,15 +6,15 @@ import (
 	"vrex/internal/mathx"
 )
 
-// TestMatMulTIntoMatchesMatMulT: the in-place kernel must be bit-identical
-// to the allocating one for any worker setting.
+// TestMatMulTIntoMatchesMatMulT: the in-place kernel must fully overwrite a
+// dirty destination with values bit-identical to the unpaired reference.
 func TestMatMulTIntoMatchesMatMulT(t *testing.T) {
 	rng := mathx.NewRNG(61)
 	a := NewMatrix(9, 33)
 	b := NewMatrix(17, 33)
 	a.Randomize(rng, 1)
 	b.Randomize(rng, 1)
-	want := MatMulT(a, b)
+	want := refMatMulT(a, b)
 	dst := NewMatrix(9, 17)
 	for i := range dst.Data {
 		dst.Data[i] = 99 // must be fully overwritten

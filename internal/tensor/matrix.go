@@ -49,6 +49,8 @@ func (m *Matrix) Row(i int) []float32 {
 }
 
 // At returns element (i, j).
+//
+//vrex:testonly tensor and model tests read single elements through it
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
@@ -257,15 +259,6 @@ func axpy(o []float32, x float32, brow []float32) {
 	}
 }
 
-// MatMulT returns a * b^T: out[i][j] = dot(a.Row(i), b.Row(j)). This is the
-// natural layout for attention scores (Q x K^T with K stored row-per-token).
-// Like MatMul it shards output rows across the pool above the grain size.
-func MatMulT(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Rows)
-	MatMulTInto(out, a, b)
-	return out
-}
-
 // MatMulTInto computes a * b^T into dst (which must be pre-shaped to
 // a.Rows x b.Rows), overwriting its contents. This is the allocation-free
 // kernel ReSV's batched cluster scoring streams Q x RepKey^T through; the
@@ -315,31 +308,4 @@ func AddInPlace(a, b *Matrix) {
 	for i := range a.Data {
 		a.Data[i] += b.Data[i]
 	}
-}
-
-// ScaleInPlace multiplies every element of m by s.
-func ScaleInPlace(m *Matrix, s float32) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// RowMean returns the column-wise mean of the given rows of m. Rows may be
-// empty, in which case a zero vector is returned.
-func RowMean(m *Matrix, rows []int) []float32 {
-	mean := make([]float32, m.Cols)
-	if len(rows) == 0 {
-		return mean
-	}
-	for _, r := range rows {
-		row := m.Row(r)
-		for j, v := range row {
-			mean[j] += v
-		}
-	}
-	inv := 1 / float32(len(rows))
-	for j := range mean {
-		mean[j] *= inv
-	}
-	return mean
 }

@@ -98,6 +98,3 @@ func (s *Stream) Next() Frame {
 	s.frame++
 	return f
 }
-
-// SceneID returns the current scene identifier.
-func (s *Stream) SceneID() int { return s.sceneID }

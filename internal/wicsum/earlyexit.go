@@ -14,6 +14,8 @@ package wicsum
 // descending-order selection — by at most one bucket's width of mass. The
 // mass guarantee (covered > ratio*total) always holds, which is what
 // accuracy depends on.
+//
+//vrex:testonly the early-exit reference for Selector's rows; the root WiCSum benchmarks call it too
 func SelectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int) RowSelection {
 	var ws rowScratch
 	return ws.selectRowEarlyExit(mass, counts, ratio, nBuckets)

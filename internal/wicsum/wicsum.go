@@ -45,14 +45,6 @@ type RowSelection struct {
 	Examined int
 }
 
-// Fraction returns MassCovered/TotalMass (1 if the row is empty).
-func (r RowSelection) Fraction() float64 {
-	if r.TotalMass == 0 {
-		return 1
-	}
-	return r.MassCovered / r.TotalMass
-}
-
 // rowScratch is one worker's reusable buffers: the index permutation for the
 // exact sort, the bucket store for the early-exit sorter, and the arena the
 // per-row Selected slices are carved from.
@@ -79,6 +71,8 @@ func grabInts(buf *[]int, n int) []int {
 // ratio * total. mass and counts must have equal length; mass entries must be
 // non-negative (use mathx.ExpNormalize upstream). ratio is Th_r-wics in
 // (0, 1]; values outside are clamped.
+//
+//vrex:testonly the exact reference for Selector's rows; the root WiCSum benchmarks call it too
 func SelectRow(mass []float32, counts []int, ratio float64) RowSelection {
 	var ws rowScratch
 	return ws.selectRow(mass, counts, ratio)
@@ -265,14 +259,4 @@ func (s *Selector) selectChunk(ws *rowScratch, masses [][]float32, counts []int,
 			rows[i] = ws.selectRow(masses[i], counts, s.Ratio)
 		}
 	}
-}
-
-// SelectedTokenCount returns the number of tokens covered by the union given
-// per-cluster token counts.
-func (m MatrixSelection) SelectedTokenCount(counts []int) int {
-	n := 0
-	for _, j := range m.Union {
-		n += counts[j]
-	}
-	return n
 }

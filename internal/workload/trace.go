@@ -52,9 +52,6 @@ func (r *TraceRecorder) End(session int, at float64) {
 	}
 }
 
-// Len returns the number of recorded sessions.
-func (r *TraceRecorder) Len() int { return len(r.events) }
-
 // Events returns the recorded arrivals sorted by arrival time (stable, so
 // simultaneous arrivals keep recording order). Sessions never seen ending
 // carry Lifetime 0 — on replay they stay until the run ends.

@@ -12,8 +12,8 @@ func TestTraceRecorderLifetimes(t *testing.T) {
 	r.Start(2, 2.5, "2fps")
 	r.End(1, 8.0)
 	r.End(9, 4.0) // unknown session: ignored
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
+	if len(r.events) != 3 {
+		t.Fatalf("recorded %d sessions, want 3", len(r.events))
 	}
 	got := r.Events()
 	want := []TraceEvent{

@@ -145,7 +145,6 @@ type Generator struct {
 	dim  int
 	enc  *vision.Encoder
 	proj *vision.Projector
-	rng  *mathx.RNG
 }
 
 // NewGenerator creates a generator that emits sessions with model-input
@@ -161,7 +160,6 @@ func NewGenerator(cfg Config, dim int) *Generator {
 		dim:  dim,
 		enc:  vision.NewEncoder(cfg.Stream.TokensPerFrame, cfg.Stream.PixelDim, embedDim, cfg.Seed^0xabc),
 		proj: vision.NewProjector(embedDim, 2*dim, dim, cfg.Seed^0xdef),
-		rng:  mathx.NewRNG(cfg.Seed),
 	}
 }
 

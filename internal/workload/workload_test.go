@@ -139,7 +139,7 @@ func TestQuerySignalAboveNoiseFloor(t *testing.T) {
 						sims = append(sims, mathx.CosineSimilarity(q.Embeddings.Row(0), fm.Row(r)))
 					}
 				}
-				if m := mathx.Percentile(sims, 90); m > bestSim {
+				if m, _ := mathx.Percentiles(sims, 90, 90); m > bestSim {
 					best, bestSim = sc, m
 				}
 			}
