@@ -76,7 +76,8 @@ scenarios:
 # no KV pool, so no stalls): the bare run and the run with -trace-out,
 # -metrics-out and -record-trace attached together must print byte-identical
 # stdout, the trace must be valid JSON, and the recorded replay must lint. A
-# run under -cpuprofile must print the same stdout too and write a profile.
+# Runs under -cpuprofile and under -memprofile must print the same stdout too
+# and each write a non-empty profile.
 # Outputs stay in telemetry-check/; the scenarios CI job uploads the trace and
 # metrics.
 telemetry-check:
@@ -91,14 +92,19 @@ telemetry-check:
 		-cpuprofile telemetry-check/cpu.pprof > telemetry-check/profiled.txt
 	cmp telemetry-check/bare.txt telemetry-check/profiled.txt
 	test -s telemetry-check/cpu.pprof
+	telemetry-check/vrex-sim -scenario scenarios/pressure.vrex \
+		-memprofile telemetry-check/mem.pprof > telemetry-check/memprofiled.txt
+	cmp telemetry-check/bare.txt telemetry-check/memprofiled.txt
+	test -s telemetry-check/mem.pprof
 	python3 -m json.tool telemetry-check/trace.json > /dev/null
 	telemetry-check/vrex-sim -scenario-lint telemetry-check/replay.vrex
 
-# Native-fuzz smoke over the scenario parser: replays the committed seed
-# corpus, then fuzzes for FUZZTIME looking for parse/marshal fixed-point
-# violations.
+# Native-fuzz smoke over the scenario and scheduler parsers: each replays its
+# seed corpus, then fuzzes for FUZZTIME looking for panics, parse/marshal
+# fixed-point violations and scheduler names that do not parse back.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/scenario/
+	$(GO) test -run xxx -fuzz=FuzzParseScheduler -fuzztime=$(FUZZTIME) ./internal/serve/
 
 # The repository benchmark's correctness checks: each workload runs for one
 # second with tracing off. perfbench checks every operation's output and the

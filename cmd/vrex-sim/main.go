@@ -89,8 +89,10 @@
 // output is identical for any worker count.
 //
 // -cpuprofile writes a host CPU profile of the invocation (runtime/pprof
-// format, for go tool pprof) to the named file. It profiles the simulator,
-// not the simulated system, and never changes what vrex-sim prints.
+// format, for go tool pprof) to the named file, and -memprofile writes the
+// host allocation profile (pprof "allocs") at exit, with every allocation
+// recorded rather than sampled. They profile the simulator, not the
+// simulated system, and never change what vrex-sim prints.
 package main
 
 import (
@@ -173,6 +175,22 @@ func startCPUProfile(path string) (stop func(), err error) {
 			fail("-cpuprofile: %v", err)
 		}
 	}, nil
+}
+
+// writeMemProfile writes the host allocation profile (pprof "allocs") to
+// path. The forced collection first brings the profile up to date, as go
+// test -memprofile does.
+func writeMemProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fail(format string, args ...any) {
@@ -475,6 +493,7 @@ func main() {
 	profileRun := flag.Bool("profile", false, "serving: print the simulated-time phase attribution profile after the run")
 	list := flag.Bool("list-policies", false, "list registered policies, balancers and stream classes, then exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of this invocation to this file (read with go tool pprof; the output is unchanged)")
+	memProfile := flag.String("memprofile", "", "at exit, write the host allocation profile of this invocation to this file (read with go tool pprof; the output is unchanged)")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -483,6 +502,16 @@ func main() {
 			fail("-cpuprofile: %v", err)
 		}
 		defer stop()
+	}
+	if *memProfile != "" {
+		// Record every allocation: at the default sampling rate a short
+		// run leaves only a sample or two.
+		runtime.MemProfileRate = 1
+		defer func() {
+			if err := writeMemProfile(*memProfile); err != nil {
+				fail("-memprofile: %v", err)
+			}
+		}()
 	}
 
 	if *list {

@@ -89,11 +89,13 @@ func (o *FleetOps) SessionsOn(d int) []int { return o.e.sessionsOn(d) }
 
 // Backlog returns the seconds of work device d has waiting at the tick: the
 // larger of the in-flight step's remaining time and the age of the oldest
-// item on its ready heap (0 when idle).
+// item on its ready queue (0 when idle).
 func (o *FleetOps) Backlog(d int) float64 {
 	b := o.e.devs[d].Free - o.at
-	for _, it := range o.e.ready[d] {
-		b = max(b, o.at-it.at)
+	for _, l := range o.e.ready[d].lanes {
+		for _, it := range l.items[l.head:] {
+			b = max(b, o.at-it.at)
+		}
 	}
 	return max(b, 0)
 }

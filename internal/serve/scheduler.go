@@ -71,7 +71,11 @@ type WorkItem struct {
 
 // Scheduler orders a device's ready queue: items with lower keys serve
 // first, ties break by global arrival order. Keys are computed once at
-// enqueue, so they must be a pure function of the item.
+// enqueue, so they must be a pure function of the item. The queue keeps one
+// lane per stream class: a key that does not decrease with arrival within a
+// class — as fifo's, edf's and priority's do — keeps push and pop O(1); any
+// other key is ordered exactly, at the cost of shifting the item past its
+// lane's later items.
 type Scheduler interface {
 	Name() string
 	Key(WorkItem) float64
@@ -141,7 +145,7 @@ func ParseScheduler(spec string) (Scheduler, error) {
 	return f(sp)
 }
 
-// readyItem is one queued frame or query on a device's ready heap.
+// readyItem is one queued frame or query on a device's ready queue.
 type readyItem struct {
 	at      float64
 	key     float64
@@ -150,7 +154,7 @@ type readyItem struct {
 	query   bool
 }
 
-// before orders a ready heap by (policy key, arrival time, seq): policy
+// before orders a ready queue by (policy key, arrival time, seq): policy
 // first, arrival order within a key — seq alone is not arrival order (it is
 // the arrival's arrivalSeq, session then kind) and only breaks exact-time
 // ties, exactly as the event heap does.
@@ -164,7 +168,7 @@ func (a readyItem) before(b readyItem) bool {
 	return a.seq < b.seq
 }
 
-// enqueue puts a frame or query arrival on its device's ready heap and
+// enqueue puts a frame or query arrival on its device's ready queue and
 // wakes the device. Work whose session sits on a down device (it could not
 // be moved off, or every device is down) or holds no pages (queued or
 // rejected on the memory-pressure plane) drops on arrival.
@@ -185,7 +189,7 @@ func (e *engine) enqueue(ev event) {
 		Priority: e.classes[sess.class].Priority, Query: query,
 		Arrival: ev.at, Deadline: ev.at + e.slo[sess.class],
 	})
-	e.ready[d].push(it)
+	e.ready[d].push(it, sess.class)
 	e.pending[s]++
 	e.wake(d, ev.at)
 }
@@ -221,7 +225,7 @@ func (e *engine) resolve(s int, at float64) {
 // charge it and schedule the next wake-up at the step's completion.
 func (e *engine) formBatch(d int, at float64) {
 	q := &e.ready[d]
-	if len(*q) == 0 {
+	if q.n == 0 {
 		return
 	}
 	if e.devs[d].Down {
@@ -235,7 +239,7 @@ func (e *engine) formBatch(d int, at float64) {
 		e.scheduleStep(d, e.devs[d].Free)
 		return
 	}
-	for len(*q) > 0 {
+	for q.n > 0 {
 		head := q.pop()
 		if head.query {
 			if e.serveQuery(d, head, at) {
@@ -250,7 +254,7 @@ func (e *engine) formBatch(d int, at float64) {
 		members := append(e.members[:0], head)
 		// Extend the step with ready frames in strict policy order: a query
 		// at the front ends the batch rather than being overtaken.
-		for len(members) < e.batchMax && len(*q) > 0 && !(*q)[0].query {
+		for len(members) < e.batchMax && q.n > 0 && !q.peek().query {
 			it := q.pop()
 			if p, ok := e.admitFrame(d, it, at); ok {
 				members = append(members, it)
@@ -261,7 +265,7 @@ func (e *engine) formBatch(d int, at float64) {
 		e.members = members[:0]
 		break
 	}
-	if len(*q) > 0 {
+	if q.n > 0 {
 		e.scheduleStep(d, e.devs[d].Free)
 	}
 }
@@ -414,30 +418,17 @@ func (e *engine) serveQuery(d int, it readyItem, at float64) bool {
 // moveReady re-homes session s's queued ready items from device src to dst,
 // keeping their policy keys and arrival order, and wakes dst up.
 func (e *engine) moveReady(s, src, dst int, at float64) {
-	n := len(e.ready[dst])
-	kept := e.ready[src][:0]
-	for _, it := range e.ready[src] {
-		if it.session == s {
-			e.ready[dst] = append(e.ready[dst], it)
-		} else {
-			kept = append(kept, it)
-		}
+	if e.ready[src].move(s, e.sessions[s].class, &e.ready[dst]) > 0 {
+		e.wake(dst, at)
 	}
-	if len(e.ready[dst]) == n {
-		return
-	}
-	e.ready[src] = kept
-	e.ready[src].init()
-	e.ready[dst].init()
-	e.wake(dst, at)
 }
 
 // dropReady drops every queued item on device d (device failure): frames
 // and queries account as dropped and their pending slots resolve.
 func (e *engine) dropReady(d int, at float64) {
-	// Drain in heap order so the drop events observe deterministically.
-	for len(e.ready[d]) > 0 {
-		it := e.ready[d].pop()
+	// Drain in queue order so the drop events observe deterministically.
+	for q := &e.ready[d]; q.n > 0; {
+		it := q.pop()
 		e.drop(it.session, it.at, it.query)
 		e.resolve(it.session, at)
 	}

@@ -366,3 +366,32 @@ func TestExpDrawNeverZero(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinKeysNonDecreasingWithinClass pins the property that keeps the
+// ready queue's push O(1): every built-in policy keys one class's items, in
+// arrival order, with keys that never decrease, so each push lands at its
+// lane's tail. A policy without it is still ordered exactly, but each
+// out-of-order push shifts past its lane's later items. Arrivals include
+// ties and times so large that Arrival+SLO rounds.
+func TestBuiltinKeysNonDecreasingWithinClass(t *testing.T) {
+	rng := mathx.NewRNG(5)
+	const slo, priority = 0.7, 3
+	steps := []float64{0, 0, 1e-9, 0.25, 1.0 / 3, 1, 2}
+	for _, name := range []string{"fifo", "edf", "priority"} {
+		sched := mustScheduler(t, name)
+		for _, start := range []float64{0, 1e6, 1 << 52, 1 << 53, 1e17} {
+			prev, at := math.Inf(-1), start
+			for i := 0; i < 500; i++ {
+				at += steps[rng.Intn(len(steps))]
+				k := sched.Key(WorkItem{
+					Session: rng.Intn(8), Class: 1, Priority: priority, Query: rng.Intn(4) == 0,
+					Arrival: at, Deadline: at + slo,
+				})
+				if k < prev {
+					t.Fatalf("%s from %g: key %v after %v at arrival %v", name, start, k, prev, at)
+				}
+				prev = k
+			}
+		}
+	}
+}

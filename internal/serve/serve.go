@@ -635,7 +635,7 @@ func Run(cfg Config) Result {
 		cfg: cfg, classes: classes, sims: sims, sessions: sessions,
 		nDev: nDev, bal: bal,
 		events: events, sched: sched, batchMax: batchMax,
-		ready:         make([]readyHeap, nDev),
+		ready:         make([]readyQueue, nDev),
 		stepScheduled: make([]bool, nDev),
 		stepSeq:       seq,
 		pending:       make([]int, len(sessions)),
@@ -659,6 +659,7 @@ func Run(cfg Config) Result {
 	for d := range e.devs {
 		e.devs[d].Index = d
 		e.devs[d].ClassSessions = make([]int, len(classes))
+		e.ready[d] = newReadyQueue(len(classes))
 	}
 	for c := range classes {
 		v := classes[c].SLO
@@ -747,7 +748,7 @@ func Run(cfg Config) Result {
 }
 
 // engine bundles one Run's mutable state: the event loop (run), session
-// placement and admission, the per-device ready heaps and step formation
+// placement and admission, the per-device ready queues and step formation
 // (scheduler.go), and the accounting behind Result. The loop is
 // single-threaded; Workers parallelism stays confined to the metric
 // reduction after it.
@@ -784,11 +785,11 @@ type engine struct {
 	// events is the run's event heap: each session's next arrival, the
 	// controller ticks still to come and pending device wake-ups.
 	events eventHeap
-	// sched orders each device's ready heap; batchMax caps the frames per
+	// sched orders each device's ready queue; batchMax caps the frames per
 	// step (both resolved from Config.Scheduler).
 	sched    Scheduler
 	batchMax int
-	ready    []readyHeap
+	ready    []readyQueue
 	// stepScheduled marks devices with a wake-up already on the event heap;
 	// stepSeq numbers wake-ups above every arrival's seq, so at equal
 	// timestamps arrivals enqueue before the step forms.
@@ -1000,7 +1001,7 @@ func seedEvents(sessions []session, ctl ControlConfig, duration float64, nDev in
 }
 
 // run is the serving event loop: arrivals enqueue onto their device's ready
-// heap, and each device forms its next policy-ordered step whenever it is
+// queue, and each device forms its next policy-ordered step whenever it is
 // free (a wake-up event). Popping a session's arrival queues its next one.
 func (e *engine) run() {
 	for len(e.events) > 0 {
