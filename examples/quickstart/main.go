@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"vrex/internal/core"
-	"vrex/internal/kvcache"
 	"vrex/internal/model"
 	"vrex/internal/vision"
 )
@@ -23,10 +22,6 @@ func main() {
 	mcfg := model.DefaultConfig()
 	llm := model.New(mcfg)
 	resv := core.New(mcfg, core.DefaultConfig())
-
-	// Track tiered-memory traffic: a 64-token device budget spilling to
-	// storage, as an edge deployment would.
-	resv.AttachHierarchy(llm, 64, kvcache.TierStorage)
 
 	// 2. A synthetic video stream and the vision tower + projector.
 	scfg := vision.DefaultStreamConfig()
@@ -55,7 +50,4 @@ func main() {
 	fmt.Printf("text-stage retrieval ratio  : %5.1f%%\n", 100*st.Text.RetrievalRatio())
 	fmt.Printf("WTU early-exit examined     : %5.1f%% of entries\n", 100*st.Frame.AvgExaminedFraction())
 	fmt.Printf("avg tokens per hash cluster : %5.1f\n", resv.HCTable(0).AvgTokensPerCluster())
-	log := resv.TransferLog()
-	fmt.Printf("offloaded %d KB, fetched %d KB in %d segments\n",
-		log.OffloadBytes/1024, log.FetchBytes/1024, log.FetchSegments)
 }

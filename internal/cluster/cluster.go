@@ -45,26 +45,6 @@ type NodeSpec struct {
 	Devices int
 }
 
-// NetConfig picks the inter-node network links. Zero-valued links default to
-// memsim.LAN100G within a region and memsim.WAN across regions.
-type NetConfig struct {
-	LAN, WAN memsim.NICLink
-}
-
-func (n NetConfig) lan() memsim.NICLink {
-	if n.LAN.Bandwidth > 0 {
-		return n.LAN
-	}
-	return memsim.LAN100G()
-}
-
-func (n NetConfig) wan() memsim.NICLink {
-	if n.WAN.Bandwidth > 0 {
-		return n.WAN
-	}
-	return memsim.WAN()
-}
-
 // RebalanceConfig lets the controller move sessions between nodes at each
 // tick to even out load. The zero value disables rebalancing.
 type RebalanceConfig struct {
@@ -104,13 +84,12 @@ type Config struct {
 	Faults []Fault
 	// Rebalance moves sessions between nodes on load imbalance.
 	Rebalance RebalanceConfig
-	// Net picks the LAN / WAN links migrations cross between nodes.
-	Net NetConfig
-	// ControlInterval is the controller tick period in seconds when the
-	// autoscaler or rebalancer needs periodic ticks (default 1). It is also
-	// the SLO attainment window width.
-	ControlInterval float64
 }
+
+// controlInterval is the controller tick period in seconds when the
+// autoscaler or rebalancer needs periodic ticks. It is also the SLO
+// attainment window width.
+const controlInterval = 1.0
 
 // Window is one SLO attainment window of the run: frames are bucketed by
 // arrival time, so a node fault shows up as a dip in the windows covering
@@ -153,7 +132,7 @@ type Result struct {
 	Serve serve.Result
 	// PerNode folds the device metrics back into nodes.
 	PerNode []NodeMetrics
-	// Windows is the SLO attainment series (ControlInterval-wide buckets).
+	// Windows is the SLO attainment series (one-second buckets).
 	Windows []Window
 }
 
@@ -200,9 +179,6 @@ func validateCluster(cfg Config) {
 			panic(fmt.Sprintf("cluster: fault recover %v not after fault time %v", f.Recover, f.At))
 		}
 	}
-	if cfg.ControlInterval < 0 || math.IsNaN(cfg.ControlInterval) {
-		panic(fmt.Sprintf("cluster: negative control interval %v", cfg.ControlInterval))
-	}
 	if cfg.Rebalance.MaxMoves < 0 {
 		panic(fmt.Sprintf("cluster: negative rebalance move cap %d", cfg.Rebalance.MaxMoves))
 	}
@@ -239,7 +215,7 @@ func migrationPricer(cfg Config, devNode []int) func(src, dst, kvTokens int) (fl
 			PageBytes: bytesPerToken * float64(pageTokens),
 		}
 	}
-	lan, wan := cfg.Net.lan(), cfg.Net.wan()
+	lan, wan := memsim.LAN100G(), memsim.WAN()
 	return func(src, dst, kvTokens int) (float64, float64) {
 		pages := (kvTokens + pageTokens - 1) / pageTokens
 		sn, dn := devNode[src], devNode[dst]
@@ -273,9 +249,8 @@ type clusterRun struct {
 	initPending bool
 
 	// Windowed SLO accounting, fed by the chained observer: frames bucket by
-	// arrival time into winW-wide windows, and tick* accumulate since the
-	// autoscaler last looked.
-	winW                                float64
+	// arrival time into controlInterval-wide windows, and tick* accumulate
+	// since the autoscaler last looked.
 	winServed, winMissed, winDropped    []int
 	tickServed, tickMissed, tickDropped int
 }
@@ -312,10 +287,7 @@ func (r *clusterRun) tickTimes() (interval float64, at []float64) {
 		at = append(at, fe.at)
 	}
 	if r.scaler != nil || r.cfg.Rebalance.MaxMoves > 0 {
-		interval = r.cfg.ControlInterval
-		if interval <= 0 {
-			interval = 1
-		}
+		interval = controlInterval
 	}
 	if r.initPending {
 		at = append(at, 0)
@@ -521,7 +493,7 @@ func (r *clusterRun) observe(inner serve.Observer) serve.Observer {
 	return serve.ObserverFunc(func(ev serve.Event) {
 		switch ev.Kind {
 		case serve.EventFrameServed, serve.EventDeadlineMissed, serve.EventFrameDropped:
-			w := int(ev.Time / r.winW)
+			w := int(ev.Time / controlInterval)
 			if w >= len(r.winServed) {
 				w = len(r.winServed) - 1
 			}
@@ -596,11 +568,7 @@ func Run(cfg Config) Result {
 			cfg.InitialNodes > 0 && cfg.InitialNodes < nNodes,
 	}
 	run.fevents = compileFaults(cfg.Faults)
-	run.winW = cfg.ControlInterval
-	if run.winW <= 0 {
-		run.winW = 1
-	}
-	nW := int(math.Ceil(sc.Duration / run.winW))
+	nW := int(math.Ceil(sc.Duration / controlInterval))
 	if nW < 1 {
 		nW = 1
 	}
@@ -650,8 +618,8 @@ func Run(cfg Config) Result {
 	res.Windows = make([]Window, nW)
 	for w := range res.Windows {
 		win := &res.Windows[w]
-		win.Start = float64(w) * run.winW
-		win.End = win.Start + run.winW
+		win.Start = float64(w) * controlInterval
+		win.End = win.Start + controlInterval
 		if win.End > sc.Duration {
 			win.End = sc.Duration
 		}

@@ -4,9 +4,11 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"vrex/internal/hwsim"
+	"vrex/internal/memsim"
 	"vrex/internal/serve"
 )
 
@@ -227,7 +229,7 @@ func TestMigrationCostMatchesHandComputed(t *testing.T) {
 	} else if ht := spec.HostMem.AccessTime(float64(pages) * bpt * float64(pageTokens)); ht > pcie {
 		pcie = ht
 	}
-	net := NetConfig{}.wan().TransferTime(bytes, pages)
+	net := memsim.WAN().TransferTime(bytes, pages)
 	wantSrc := pcie + net
 	wantDst := net + pcie // same spec both sides: PageIn == PageOut
 
@@ -261,12 +263,11 @@ func TestAutoscalerScalesOut(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{
-				Nodes:           twoNodes(),
-				Base:            baseServe(24),
-				Autoscaler:      mustAutoscaler(t, "queue(hi=0.5,lo=0.01)"),
-				InitialNodes:    1,
-				Rebalance:       RebalanceConfig{MaxMoves: 6, Slack: 1},
-				ControlInterval: 1,
+				Nodes:        twoNodes(),
+				Base:         baseServe(24),
+				Autoscaler:   mustAutoscaler(t, "queue(hi=0.5,lo=0.01)"),
+				InitialNodes: 1,
+				Rebalance:    RebalanceConfig{MaxMoves: 6, Slack: 1},
 			}
 			cfg.Base.Classes[0].Stream.FPS = 2
 			cfg.Base.Scheduler = serve.SchedulerConfig{Policy: sched, BatchMax: 1}
@@ -286,11 +287,10 @@ func TestAutoscalerHoldsColdNodesInitially(t *testing.T) {
 	// With a scaler that never scales out, InitialNodes=1 must keep all
 	// sessions on node a for the whole run.
 	cfg := Config{
-		Nodes:           twoNodes(),
-		Base:            baseServe(4),
-		Autoscaler:      mustAutoscaler(t, "queue(hi=1e18,lo=-1)"),
-		InitialNodes:    1,
-		ControlInterval: 1,
+		Nodes:        twoNodes(),
+		Base:         baseServe(4),
+		Autoscaler:   mustAutoscaler(t, "queue(hi=1e18,lo=-1)"),
+		InitialNodes: 1,
 	}
 	res := Run(cfg)
 	if res.PerNode[1].Sessions != 0 || res.PerNode[1].FramesServed != 0 {
@@ -303,11 +303,10 @@ func TestRebalanceEvensLoad(t *testing.T) {
 	// then the rebalancer must move sessions toward node b.
 	bad := &staticRouter{node: 0}
 	cfg := Config{
-		Nodes:           twoNodes(),
-		Base:            baseServe(8),
-		Router:          bad,
-		Rebalance:       RebalanceConfig{MaxMoves: 4, Slack: 1},
-		ControlInterval: 1,
+		Nodes:     twoNodes(),
+		Base:      baseServe(8),
+		Router:    bad,
+		Rebalance: RebalanceConfig{MaxMoves: 4, Slack: 1},
 	}
 	res := Run(cfg)
 	if res.Serve.Migrations.Live == 0 {
@@ -471,6 +470,18 @@ func TestParseNodesAndFaults(t *testing.T) {
 	} {
 		if _, err := ParseFaults(bad); err == nil {
 			t.Fatalf("ParseFaults(%q) must error", bad)
+		}
+	}
+	// Non-finite numbers are named errors, not faults that panic in Run.
+	for _, tc := range []struct{ spec, param string }{
+		{"drain(node=1,at=nan)", "at"},
+		{"drain(node=1,at=2,recover=nan)", "recover"},
+		{"fail(node=1,at=inf)", "at"},
+		{"fail(node=-Infinity,at=1)", "node"},
+	} {
+		_, err := ParseFaults(tc.spec)
+		if err == nil || !strings.Contains(err.Error(), "parameter "+tc.param+": bad number") {
+			t.Fatalf("ParseFaults(%q) = %v, want a bad-number error naming %s", tc.spec, err, tc.param)
 		}
 	}
 }

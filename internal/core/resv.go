@@ -10,17 +10,17 @@
 //     the smallest high-mass prefix is selected adaptively — no fixed top-k.
 //
 // The selected clusters are mapped back to token indices through the HC
-// table and fetched (with KVMU-style cluster-contiguous layout accounting)
-// for light attention in the execution stage (Fig. 6).
+// table for light attention in the execution stage (Fig. 6). What fetching
+// them costs, including the KVMU's cluster-contiguous layout (Fig. 12), is
+// priced by the hardware simulator (internal/hwsim), not here.
 //
 // Like the hardware, the software kernel never redoes work as the stream
-// grows: the HC table's candidate set and the KVMU layout are maintained
-// incrementally as frames arrive, cluster scoring is batched through the
-// sharded tensor matmul over per-layer representative-key mirrors, and all
-// per-frame working sets (score rows, selection bitsets, sort buffers) live
-// in reusable per-layer scratch arenas — steady-state SelectTokens performs
-// zero heap allocations on the sequential path (pinned by
-// TestSelectTokensSteadyStateAllocFree).
+// grows: the HC table's candidate set is maintained incrementally as frames
+// arrive, cluster scoring is batched through the sharded tensor matmul over
+// per-layer representative-key mirrors, and all per-frame working sets
+// (score rows, selection bitsets, sort buffers) live in reusable per-layer
+// scratch arenas — steady-state SelectTokens performs zero heap allocations
+// on the sequential path (pinned by TestSelectTokensSteadyStateAllocFree).
 //
 // ReSV implements model.Retriever, so it drops into the functional
 // transformer; its Stats feed the performance simulator and the Fig. 20 /
@@ -132,8 +132,6 @@ type layerScratch struct {
 // layerState is ReSV's per-decoder-layer working set.
 type layerState struct {
 	clusterer *hashbit.Clusterer
-	layout    *kvcache.ClusterLayout
-	hier      *kvcache.Hierarchy
 	scratch   layerScratch
 }
 
@@ -175,7 +173,6 @@ func New(modelCfg model.Config, cfg Config) *ReSV {
 	for l := 0; l < modelCfg.Layers; l++ {
 		ls := &layerState{
 			clusterer: hashbit.NewClusterer(modelCfg.KVDim(), cfg.NHp, thHD, r.rng.Split()),
-			layout:    kvcache.NewClusterLayout(),
 		}
 		ls.scratch.repMirror = make([]tensor.Matrix, modelCfg.KVHeads)
 		ls.scratch.repView = make([]tensor.Matrix, modelCfg.KVHeads)
@@ -188,51 +185,21 @@ func New(modelCfg model.Config, cfg Config) *ReSV {
 	return r
 }
 
-// AttachHierarchy enables tiered-memory accounting: each layer's cache gets
-// a device budget of capacityTokens with spill to offTier, and selections
-// are fetched through the hierarchy (transfer bytes/segments recorded).
-// Call once, before the first Forward.
-func (r *ReSV) AttachHierarchy(m *model.Model, capacityTokens int, offTier kvcache.Tier) {
-	for l, ls := range r.layers {
-		ls.hier = kvcache.NewHierarchy(m.Cache(l), capacityTokens, offTier, 2)
-	}
-}
-
 // Stats returns the accumulated selection statistics.
 func (r *ReSV) Stats() *Stats { return &r.stats }
-
-// TransferLog returns the summed hierarchy transfer log across layers
-// (zero value if no hierarchy is attached).
-func (r *ReSV) TransferLog() kvcache.TransferLog {
-	var sum kvcache.TransferLog
-	for _, ls := range r.layers {
-		if ls.hier != nil {
-			sum.Add(ls.hier.Log)
-		}
-	}
-	return sum
-}
 
 // HCTable exposes layer l's hash cluster table (experiments inspect it).
 func (r *ReSV) HCTable(l int) *hashbit.HCTable { return r.layers[l].clusterer.Table }
 
 // ObserveAppend implements model.Retriever: cluster the chunk's new keys
-// into the layer's HC table, extend the KVMU layout incrementally, and
-// enforce the device budget. Clustering reads the cache's key rows in place
-// (no per-frame staging copy), and the layout grows by O(1) bookkeeping per
-// token instead of a full rebuild.
+// into the layer's HC table. Clustering reads the cache's key rows in place
+// (no per-frame staging copy).
 func (r *ReSV) ObserveAppend(layer int, cache *kvcache.LayerCache, base, n int) {
 	ls := r.layers[layer]
 	kv := &ls.scratch.keyView
 	kv.Rows, kv.Cols = n, cache.Dim
 	kv.Data = cache.KeySpan(base, n)
-	ids := ls.clusterer.AddFrame(kv, base)
-	for i, id := range ids {
-		ls.layout.Add(id, base+i)
-	}
-	if ls.hier != nil {
-		ls.hier.Enforce()
-	}
+	ls.clusterer.AddFrame(kv, base)
 }
 
 // SelectTokens implements model.Retriever: run KV prediction (Fig. 6) for
@@ -365,11 +332,6 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	sc.tokens = tokens
 
 	r.recordStats(layer, stage, sel, base, len(tokens), nCands)
-
-	if ls.hier != nil {
-		ls.hier.Fetch(tokens, ls.layout)
-		ls.hier.Release(tokens, base-r.cfg.RecentWindow)
-	}
 	return tokens
 }
 
@@ -468,17 +430,14 @@ func (r *ReSV) recordStats(layer int, stage model.Stage, sel wicsum.MatrixSelect
 	}
 }
 
-// Reset clears all per-session state (HC tables, layouts, statistics,
-// transfer logs) so the retriever can serve a fresh session, reusing the
-// existing layer state and scratch arenas. The hyperplanes are redrawn from
-// the original seed, so a reset instance behaves exactly like a newly
-// constructed one.
+// Reset clears all per-session state (HC tables and statistics) so the
+// retriever can serve a fresh session, reusing the existing layer state and
+// scratch arenas. The hyperplanes are redrawn from the original seed, so a
+// reset instance behaves exactly like a newly constructed one.
 func (r *ReSV) Reset() {
 	r.rng = mathx.NewRNG(r.cfg.Seed)
 	for _, ls := range r.layers {
 		ls.clusterer.Reset(r.rng.Split())
-		ls.layout.Reset()
-		ls.hier = nil
 	}
 	r.stats = NewStats(r.modelCfg.Layers, r.modelCfg.Heads)
 }

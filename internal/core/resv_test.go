@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"vrex/internal/kvcache"
@@ -195,27 +196,6 @@ func TestReSVRecentWindowAlwaysIncluded(t *testing.T) {
 	}
 }
 
-func TestReSVHierarchyAccounting(t *testing.T) {
-	mcfg := model.DefaultConfig()
-	m := model.New(mcfg)
-	r := New(mcfg, DefaultConfig())
-	r.AttachHierarchy(m, 10, kvcache.TierStorage)
-	rng := mathx.NewRNG(8)
-	for _, f := range driftFrames(8, 6, mcfg.Dim, 0.9, rng) {
-		m.Forward(f, r, model.StageFrame, false)
-	}
-	log := r.TransferLog()
-	if log.OffloadBytes == 0 {
-		t.Fatal("capacity 10 with 48 tokens must offload")
-	}
-	if log.FetchBytes == 0 {
-		t.Fatal("selections beyond device tier must fetch")
-	}
-	if log.FetchSegments == 0 || log.FetchSegments > log.FetchTokens {
-		t.Fatalf("segments %d vs tokens %d inconsistent", log.FetchSegments, log.FetchTokens)
-	}
-}
-
 func TestReSVDeterministicAcrossRuns(t *testing.T) {
 	run := func() []int {
 		mcfg := model.DefaultConfig()
@@ -324,25 +304,23 @@ func TestReSVResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestReSVResetDetachesHierarchyAndClearsStats pins the rest of the "reset
-// equals fresh" contract: statistics zeroed, transfer accounting and tier
-// hierarchies dropped (New does not attach one), buffers reusable.
-func TestReSVResetDetachesHierarchyAndClearsStats(t *testing.T) {
+// TestReSVResetClearsStats pins the rest of the "reset equals fresh"
+// contract: statistics zeroed, and the reset instance serves a fresh session
+// with the same statistics as a new one.
+func TestReSVResetClearsStats(t *testing.T) {
 	mcfg := model.DefaultConfig()
-	m := model.New(mcfg)
-	r := New(mcfg, DefaultConfig())
-	r.AttachHierarchy(m, 10, kvcache.TierStorage)
-	rng := mathx.NewRNG(33)
-	for _, f := range driftFrames(6, 6, mcfg.Dim, 0.9, rng) {
-		m.Forward(f, r, model.StageFrame, false)
+	session := func(r *ReSV, seed uint64) {
+		m := model.New(mcfg)
+		for _, f := range driftFrames(6, 6, mcfg.Dim, 0.9, mathx.NewRNG(seed)) {
+			m.Forward(f, r, model.StageFrame, false)
+		}
 	}
-	if r.TransferLog().OffloadBytes == 0 {
-		t.Fatal("precondition: session should have offloaded")
+	r := New(mcfg, DefaultConfig())
+	session(r, 33)
+	if r.Stats().Frame.Calls == 0 {
+		t.Fatal("precondition: session should have selected")
 	}
 	r.Reset()
-	if log := r.TransferLog(); log != (kvcache.TransferLog{}) {
-		t.Fatalf("reset retains transfer log: %+v", log)
-	}
 	st := r.Stats()
 	if st.Frame.Calls != 0 || st.Frame.SelectedTokens != 0 || st.Text.Calls != 0 {
 		t.Fatalf("reset retains stage stats: %+v", st.Frame)
@@ -352,12 +330,16 @@ func TestReSVResetDetachesHierarchyAndClearsStats(t *testing.T) {
 			t.Fatal("reset retains per-layer stats")
 		}
 	}
-	// The reset instance must serve a fresh session without a hierarchy.
-	m2 := model.New(mcfg)
-	for _, f := range driftFrames(3, 5, mcfg.Dim, 0.97, mathx.NewRNG(34)) {
-		m2.Forward(f, r, model.StageFrame, false)
+	for _, ph := range st.PerHead {
+		if ph.Selected != 0 || ph.Candidate != 0 {
+			t.Fatal("reset retains per-head stats")
+		}
 	}
-	if r.TransferLog() != (kvcache.TransferLog{}) {
-		t.Fatal("reset instance still records transfers")
+	// The reset instance serves a fresh session exactly as a new one does.
+	session(r, 34)
+	fresh := New(mcfg, DefaultConfig())
+	session(fresh, 34)
+	if !reflect.DeepEqual(r.Stats(), fresh.Stats()) {
+		t.Fatalf("reset stats %+v differ from fresh %+v", r.Stats().Frame, fresh.Stats().Frame)
 	}
 }

@@ -96,8 +96,7 @@ func ClusterServing(opts Options) []*report.Table {
 		for _, rname := range cluster.RouterNames() {
 			res := cluster.Run(cluster.Config{
 				Nodes: nodeList(n), Base: mkBase(sweepRate), Router: mustRouter(rname),
-				Rebalance:       cluster.RebalanceConfig{MaxMoves: 4, Slack: 1},
-				ControlInterval: 1,
+				Rebalance: cluster.RebalanceConfig{MaxMoves: 4, Slack: 1},
 			})
 			agg := res.Serve.Aggregate
 			mig := res.Serve.Migrations
@@ -125,8 +124,7 @@ func ClusterServing(opts Options) []*report.Table {
 			Faults: []cluster.Fault{{
 				Kind: cluster.FaultDrain, Node: 1, At: faultAt, Recover: recoverAt,
 			}},
-			Rebalance:       cluster.RebalanceConfig{MaxMoves: 4, Slack: 1},
-			ControlInterval: 1,
+			Rebalance: cluster.RebalanceConfig{MaxMoves: 4, Slack: 1},
 		})
 		mig := res.Serve.Migrations
 		pre := res.Windows[int(faultAt)-1].Attained
@@ -158,8 +156,7 @@ func ClusterServing(opts Options) []*report.Table {
 		res := cluster.Run(cluster.Config{
 			Nodes: nodeList(4), Base: mkBase(autoRate), Router: mustRouter("least-loaded"),
 			Autoscaler: scaler, InitialNodes: initial,
-			Rebalance:       cluster.RebalanceConfig{MaxMoves: 8, Slack: 1},
-			ControlInterval: 1,
+			Rebalance: cluster.RebalanceConfig{MaxMoves: 8, Slack: 1},
 		})
 		used := 0
 		for _, nm := range res.PerNode {

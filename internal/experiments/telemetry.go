@@ -85,9 +85,8 @@ func TelemetryObservability(opts Options) []*report.Table {
 			{Spec: hwsim.VRex48(), Devices: devs, Region: "us"},
 		},
 		Base: base, Router: router,
-		Faults:          []cluster.Fault{{Kind: cluster.FaultDrain, Node: 1, At: faultAt, Recover: recoverAt}},
-		Rebalance:       cluster.RebalanceConfig{MaxMoves: 4, Slack: 1},
-		ControlInterval: 1,
+		Faults:    []cluster.Fault{{Kind: cluster.FaultDrain, Node: 1, At: faultAt, Recover: recoverAt}},
+		Rebalance: cluster.RebalanceConfig{MaxMoves: 4, Slack: 1},
 	})
 
 	attr := telemetry.AttributionTable(prof)

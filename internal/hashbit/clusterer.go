@@ -23,16 +23,14 @@ func NewClusterer(dim, nbits, thHD int, rng *mathx.RNG) *Clusterer {
 }
 
 // AddFrame clusters every row of keys, assigning global token indices
-// baseTokenIdx, baseTokenIdx+1, ... It returns the cluster ID assigned to
-// each row. New tokens may join clusters created earlier in the same frame
-// (the paper's "combined Key cluster hash-bit" includes current-frame bits).
-func (c *Clusterer) AddFrame(keys *tensor.Matrix, baseTokenIdx int) []int {
+// baseTokenIdx, baseTokenIdx+1, ... New tokens may join clusters created
+// earlier in the same frame (the paper's "combined Key cluster hash-bit"
+// includes current-frame bits).
+func (c *Clusterer) AddFrame(keys *tensor.Matrix, baseTokenIdx int) {
 	sigs := c.Hasher.HashKeys(keys)
-	ids := make([]int, keys.Rows)
 	for i := 0; i < keys.Rows; i++ {
-		ids[i], _ = c.Table.Insert(baseTokenIdx+i, keys.Row(i), sigs[i])
+		c.Table.Insert(baseTokenIdx+i, keys.Row(i), sigs[i])
 	}
-	return ids
 }
 
 // Reset clears the cluster table and redraws the hyperplanes from rng,

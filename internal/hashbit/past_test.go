@@ -1,6 +1,7 @@
 package hashbit
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -123,12 +124,25 @@ func TestHCTableResetBehavesFresh(t *testing.T) {
 	if c.Table.NumClusters() != 0 || c.Table.nTokens != 0 || c.Table.PastClusters() != 0 {
 		t.Fatal("reset table not empty")
 	}
-	ids := c.AddFrame(keys, 0)
-	for i, id := range ids {
-		if !slices.Contains(c.Table.Clusters[id].TokenIdxs, i) {
-			t.Fatal("reset table misassigns tokens")
+	c.AddFrame(keys, 0)
+	if !partitions(c.Table, 0, 10) {
+		t.Fatal("reset table misassigns tokens")
+	}
+}
+
+// partitions reports whether the table's clusters hold every token in
+// [lo, hi) exactly once and nothing else.
+func partitions(tab *HCTable, lo, hi int) bool {
+	seen := make(map[int]bool)
+	for _, cl := range tab.Clusters {
+		for _, tok := range cl.TokenIdxs {
+			if tok < lo || tok >= hi || seen[tok] {
+				return false
+			}
+			seen[tok] = true
 		}
 	}
+	return len(seen) == hi-lo
 }
 
 // TestClustererResetRedrawsIdentically: Reset with the same rng stream as
@@ -138,16 +152,26 @@ func TestClustererResetRedrawsIdentically(t *testing.T) {
 	c := NewClusterer(24, 32, 7, rng1.Split())
 	keys := tensor.NewMatrix(12, 24)
 	keys.Randomize(mathx.NewRNG(55), 1)
-	first := append([]int(nil), c.AddFrame(keys, 0)...)
+	c.AddFrame(keys, 0)
+	first := tableState(c.Table)
 
 	rng2 := mathx.NewRNG(54)
 	c.Reset(rng2.Split())
-	second := c.AddFrame(keys, 0)
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatal("reset clusterer diverges from fresh construction")
-		}
+	c.AddFrame(keys, 0)
+	if second := tableState(c.Table); !reflect.DeepEqual(first, second) {
+		t.Fatalf("reset clusterer diverges from fresh construction:\n%v\n%v", first, second)
 	}
+}
+
+// tableState copies each cluster's membership, signature and
+// representative key, in cluster order.
+func tableState(tab *HCTable) []Cluster {
+	out := make([]Cluster, len(tab.Clusters))
+	for i, cl := range tab.Clusters {
+		out[i] = Cluster{ID: cl.ID, TokenIdxs: slices.Clone(cl.TokenIdxs),
+			RepSig: slices.Clone(cl.RepSig), RepKey: slices.Clone(cl.RepKey)}
+	}
+	return out
 }
 
 // TestPastScanSteadyStateAllocFree pins the candidate-scan allocation bound:

@@ -23,10 +23,10 @@ import "math"
 //     of prediction and fetch with compute, and energy.
 
 // terms holds the cost model's spec-only terms: what it derives from the
-// LLM shape, the policy and the examine fraction alone. Each pricing call
-// (Chunk, Step, Query) derives them once on its stack and shares them
-// across its streams and steps. They are not cached on Sim, whose fields
-// callers may change between calls.
+// LLM shape and the policy alone. Each pricing call (Chunk, Step, Query)
+// derives them once on its stack and shares them across its streams and
+// steps. They are not cached on Sim, whose fields callers may change between
+// calls.
 type terms struct {
 	layers float64
 	// kvDim is LLMSpec.KVDim, passed to LLMSpec's per-stream and per-step
@@ -37,9 +37,8 @@ type terms struct {
 	weightBytes, kvBytesPerToken, quant float64
 	// linBytes is a step's weight read over every linear layer.
 	linBytes float64
-	// reuse is the policy's ResidentReuse clamped to [0, 1]; examine the WTU
-	// examine fraction.
-	reuse, examine float64
+	// reuse is the policy's ResidentReuse clamped to [0, 1].
+	reuse float64
 }
 
 // terms derives the spec-only terms for one pricing call.
@@ -55,7 +54,6 @@ func (s *Sim) terms() terms {
 		quant:           s.Pol.quantFactor(),
 		linBytes:        s.LLM.LayerWeightBytes() * layers,
 		reuse:           min(max(s.Pol.ResidentReuse, 0), 1),
-		examine:         wtuExamineFraction(s.ExamineFraction),
 	}
 }
 
@@ -143,7 +141,7 @@ func (s *Sim) addStream(t *terms, c *stepCost, n, kvLen, batch int, stage StageK
 	case PredReSV:
 		// Hamming clustering (bit ops over clusters) + WiCSum thresholding.
 		hamOps := float64(rows) * cand * defaultNHp / 8
-		wicOps := 6 * float64(rows*s.LLM.Heads) * cand * t.examine
+		wicOps := 6 * float64(rows*s.LLM.Heads) * cand * wtuExamineFr
 		c.predIrregular += (hamOps + wicOps) * t.layers
 	case PredNone:
 		// no prediction pass: nothing irregular to charge
@@ -153,7 +151,7 @@ func (s *Sim) addStream(t *terms, c *stepCost, n, kvLen, batch int, stage StageK
 		// DRE path: clustering + thresholding run on HCU/WTU concurrently.
 		cyc := DRECycles{
 			HCU:  HCUCycles(rows, nCand, defaultNHp, s.Dev.Cores),
-			WTU:  WTUCycles(rows*s.LLM.Heads, nCand, s.Dev.Cores, t.examine),
+			WTU:  WTUCycles(rows*s.LLM.Heads, nCand, s.Dev.Cores, wtuExamineFr),
 			KVMU: KVMUCycles(rows, segs),
 		}
 		c.dre += DRETime(cyc, s.Dev.Freq) * t.layers
@@ -280,13 +278,6 @@ func (s *Sim) rooflineTime(flops, eff, bytes float64) float64 {
 // output sizes). Calibrated so ReSV-on-GPU's KV prediction consumes ~48% of
 // frame latency at 40K cache (Fig. 16's AGX+ReSV measurement).
 const gpuSerialOpsPerSec = 5e7
-
-func wtuExamineFraction(override float64) float64 {
-	if override > 0 && override <= 1 {
-		return override
-	}
-	return wtuExamineFr
-}
 
 // fetchSegments returns the number of contiguous segments for one layer's
 // fetch of ratio*kvLen tokens per stream.

@@ -94,13 +94,6 @@ func (s refSim) fetchSegments(kvLen, batch int, ratio float64) int {
 	return int(math.Ceil(tokens / segTokens))
 }
 
-func refExamineFraction(override float64) float64 {
-	if override > 0 && override <= 1 {
-		return override
-	}
-	return wtuExamineFr
-}
-
 func (s refSim) addStream(c *refCost, n, kvLen, batch int, stage StageKind, scale float64) {
 	if n <= 0 || batch <= 0 {
 		return
@@ -130,15 +123,14 @@ func (s refSim) addStream(c *refCost, n, kvLen, batch int, stage StageKind, scal
 		c.topkLaunch += float64(rows) * (60e-6 + cand*0.5e-9) * layers
 	case PredReSV:
 		hamOps := float64(rows) * cand * defaultNHp / 8
-		wicOps := 6 * float64(rows*s.LLM.Heads) * cand * refExamineFraction(s.ExamineFraction)
+		wicOps := 6 * float64(rows*s.LLM.Heads) * cand * wtuExamineFr
 		c.predIrregular += (hamOps + wicOps) * layers
 	case PredNone:
 	}
 	if s.Pol.Pred != PredNone && !s.Pol.PredOnDevice {
 		cyc := DRECycles{
-			HCU: HCUCycles(rows, nCand, defaultNHp, s.Dev.Cores),
-			WTU: WTUCycles(rows*s.LLM.Heads, nCand, s.Dev.Cores,
-				refExamineFraction(s.ExamineFraction)),
+			HCU:  HCUCycles(rows, nCand, defaultNHp, s.Dev.Cores),
+			WTU:  WTUCycles(rows*s.LLM.Heads, nCand, s.Dev.Cores, wtuExamineFr),
 			KVMU: KVMUCycles(rows, s.fetchSegments(kvLen, batch, ratio)),
 		}
 		c.dre += DRETime(cyc, s.Dev.Freq) * layers
@@ -329,11 +321,7 @@ func TestCostModelMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	// One examine-fraction override and one vision-free simulator exercise
-	// the remaining Sim fields.
-	ex := NewSim(VRex8(), oddLLM(), ReSVModel())
-	ex.ExamineFraction = 0.3
-	setups = append(setups, setup{"examine0.3", ex})
+	// One vision-free simulator exercises the remaining Sim field.
 	novis := NewSim(AGXOrin(), Llama3_8B(), InfiniGenPModel())
 	novis.VisionCost = nil
 	setups = append(setups, setup{"novision", novis})

@@ -51,9 +51,6 @@ type Sim struct {
 	Pol PolicyModel
 	// VisionCost is charged once per frame chunk (nil disables).
 	VisionCost *vision.ViTCost
-	// ExamineFraction overrides the WTU early-exit examine fraction
-	// (<= 0 uses the default 16%).
-	ExamineFraction float64
 	// Phases, when non-nil, accumulates each priced chunk/step into a
 	// per-phase time account (telemetry plane).
 	Phases *PhaseAccount

@@ -61,6 +61,11 @@ func TestParsePolicyErrors(t *testing.T) {
 		{"rekv(segment=0)", ">= 1"},
 		{"rekv(quantbits=0)", "out of [1,16]"},
 		{"rekv(frame=", "parenthesis"},
+		// Non-finite values are not numbers: NaN passed the [0,1] check and
+		// priced a negative DRE busy time.
+		{"resv(frame=nan)", `parameter frame: bad number "nan"`},
+		{"resv(segment=inf)", `parameter segment: bad number "inf"`},
+		{"resv(reuse=-Infinity)", `parameter reuse: bad number "-Infinity"`},
 	}
 	for _, c := range cases {
 		_, err := ParsePolicy(c.spec)

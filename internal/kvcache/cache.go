@@ -1,48 +1,20 @@
 // Package kvcache implements the KV cache substrate for streaming video
-// LLMs: an append-only per-layer key/value store, the hierarchical
-// device / CPU / storage tiering that KV cache retrieval systems rely on
-// (Sec. II-B of the paper: offloading, selection, pre-fetching), transfer
-// accounting, and the KVMU's cluster-wise memory layout that turns scattered
-// token fetches into contiguous segment transfers (Fig. 12).
+// LLMs: an append-only per-layer key/value store. Retrieval policies read it
+// in place; what moving KV between memory tiers costs is priced by the
+// hardware simulator (hwsim) and the serving engine's page pool (kvpool),
+// not here.
 package kvcache
-
-import "fmt"
-
-// Tier identifies where a token's KV entry currently resides.
-type Tier uint8
-
-const (
-	// TierDevice is the accelerator/GPU local memory (fast, small).
-	TierDevice Tier = iota
-	// TierHost is CPU DRAM reachable over PCIe.
-	TierHost
-	// TierStorage is NVMe storage (edge deployments offload here).
-	TierStorage
-)
-
-func (t Tier) String() string {
-	switch t {
-	case TierDevice:
-		return "device"
-	case TierHost:
-		return "host"
-	case TierStorage:
-		return "storage"
-	default:
-		return fmt.Sprintf("tier(%d)", uint8(t))
-	}
-}
 
 // LayerCache is the KV cache of a single decoder layer. Keys and values are
 // stored row-per-token with dimension Dim (= kv-heads x head-dim,
-// head-concatenated). Rows are append-only; eviction changes a row's Tier
-// but never deletes data (retrieval preserves all prior context — the
-// property that distinguishes retrieval from pruning).
+// head-concatenated). Rows are append-only and never deleted (retrieval
+// preserves all prior context — the property that distinguishes retrieval
+// from pruning).
 type LayerCache struct {
 	Dim  int
 	keys []float32
 	vals []float32
-	tier []Tier
+	n    int
 }
 
 // NewLayerCache creates an empty cache for dim-wide KV rows.
@@ -54,18 +26,18 @@ func NewLayerCache(dim int) *LayerCache {
 }
 
 // Len returns the number of cached tokens.
-func (c *LayerCache) Len() int { return len(c.tier) }
+func (c *LayerCache) Len() int { return c.n }
 
-// Append stores one token's key and value rows (each of length Dim) on the
-// device tier and returns the token's index.
+// Append stores one token's key and value rows (each of length Dim) and
+// returns the token's index.
 func (c *LayerCache) Append(key, val []float32) int {
 	if len(key) != c.Dim || len(val) != c.Dim {
 		panic("kvcache: row dimension mismatch")
 	}
 	c.keys = append(c.keys, key...)
 	c.vals = append(c.vals, val...)
-	c.tier = append(c.tier, TierDevice)
-	return len(c.tier) - 1
+	c.n++
+	return c.n - 1
 }
 
 // Key returns a view of token i's key row.
@@ -80,21 +52,3 @@ func (c *LayerCache) KeySpan(base, n int) []float32 {
 
 // Value returns a view of token i's value row.
 func (c *LayerCache) Value(i int) []float32 { return c.vals[i*c.Dim : (i+1)*c.Dim] }
-
-// TierOf returns where token i resides.
-func (c *LayerCache) TierOf(i int) Tier { return c.tier[i] }
-
-// SetTier moves token i to tier t (bookkeeping only; data stays addressable
-// so the functional model can always compute attention).
-func (c *LayerCache) SetTier(i int, t Tier) { c.tier[i] = t }
-
-// ResidentCount returns how many tokens are on the device tier.
-func (c *LayerCache) ResidentCount() int {
-	n := 0
-	for _, t := range c.tier {
-		if t == TierDevice {
-			n++
-		}
-	}
-	return n
-}

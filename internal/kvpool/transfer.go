@@ -17,20 +17,6 @@ type Transfer struct {
 	Host memsim.DRAM
 	// PageBytes is the KV bytes per page.
 	PageBytes float64
-	// Acct, when non-nil, accumulates every priced movement (telemetry
-	// plane). This is mover-level accounting: the pool may price a partial
-	// reclaim and then fail the admission, in which case the engine never
-	// charges the time to a device timeline — so Acct can exceed the
-	// engine-charged paging time and is reported as informational.
-	Acct *Account
-}
-
-// Account tallies page movement priced through a Transfer.
-type Account struct {
-	// PagesIn / PagesOut count pages moved in each direction.
-	PagesIn, PagesOut int
-	// TimeIn / TimeOut are the priced seconds per direction.
-	TimeIn, TimeOut float64
 }
 
 // moveTime prices moving pages across the link, bounded by whichever of the
@@ -56,14 +42,7 @@ func (t Transfer) moveTime(pages int) float64 {
 // PageIn implements Mover: read pages back from the backing store.
 //
 //vrex:noalloc
-func (t Transfer) PageIn(pages int) float64 {
-	d := t.moveTime(pages)
-	if t.Acct != nil && pages > 0 {
-		t.Acct.PagesIn += pages
-		t.Acct.TimeIn += d
-	}
-	return d
-}
+func (t Transfer) PageIn(pages int) float64 { return t.moveTime(pages) }
 
 // PageOut implements Mover: write pages out to the backing store. NVMe
 // writes are approximated with the drive's read-path model (flash program
@@ -71,11 +50,4 @@ func (t Transfer) PageIn(pages int) float64 {
 // link and queue overheads dominate, as in the SSD read model).
 //
 //vrex:noalloc
-func (t Transfer) PageOut(pages int) float64 {
-	d := t.moveTime(pages)
-	if t.Acct != nil && pages > 0 {
-		t.Acct.PagesOut += pages
-		t.Acct.TimeOut += d
-	}
-	return d
-}
+func (t Transfer) PageOut(pages int) float64 { return t.moveTime(pages) }

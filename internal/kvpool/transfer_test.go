@@ -1,57 +1,20 @@
 package kvpool
 
 import (
-	"math"
 	"testing"
 
 	"vrex/internal/memsim"
 )
 
-func testTransfer(acct *Account) Transfer {
-	return Transfer{
-		Link:      memsim.PCIe4x16(),
-		Host:      memsim.DDR4Host(),
-		PageBytes: 1 << 20,
-		Acct:      acct,
-	}
-}
-
-// TestTransferAccount pins that the mover-level account tallies exactly the
-// pages and seconds each direction prices, and that zero-page calls leave it
-// untouched.
-func TestTransferAccount(t *testing.T) {
-	var acct Account
-	tr := testTransfer(&acct)
-
-	in := tr.PageIn(3)
-	out := tr.PageOut(5)
-	tr.PageIn(0)
-	tr.PageOut(-1)
-
-	if acct.PagesIn != 3 || acct.PagesOut != 5 {
-		t.Fatalf("pages = (%d in, %d out), want (3, 5)", acct.PagesIn, acct.PagesOut)
-	}
-	if math.Abs(acct.TimeIn-in) > 1e-15 || math.Abs(acct.TimeOut-out) > 1e-15 {
-		t.Fatalf("times = (%g, %g), want (%g, %g)", acct.TimeIn, acct.TimeOut, in, out)
-	}
-
-	// Nil account: identical pricing, no tracking.
-	bare := testTransfer(nil)
-	if got := bare.PageIn(3); got != in {
-		t.Fatalf("Acct must not change pricing: %g != %g", got, in)
-	}
-}
-
-// TestTransferAccountZeroAlloc guards the paging hot path with and without
-// an account attached.
-func TestTransferAccountZeroAlloc(t *testing.T) {
-	var acct Account
-	tr := testTransfer(&acct)
-	if n := testing.AllocsPerRun(100, func() { tr.PageIn(4); tr.PageOut(4) }); n != 0 {
-		t.Fatalf("attached Acct: %v allocs, want 0", n)
-	}
-	bare := testTransfer(nil)
-	if n := testing.AllocsPerRun(100, func() { bare.PageIn(4); bare.PageOut(4) }); n != 0 {
-		t.Fatalf("nil Acct: %v allocs, want 0", n)
+// TestTransferZeroAlloc guards the paging hot path on both backing stores.
+func TestTransferZeroAlloc(t *testing.T) {
+	ssd := memsim.KioxiaBG6()
+	for _, tr := range []Transfer{
+		{Link: memsim.PCIe3x4(), SSD: &ssd, Host: memsim.DDR4Host(), PageBytes: 1 << 20},
+		{Link: memsim.PCIe4x16(), Host: memsim.DDR4Host(), PageBytes: 1 << 20},
+	} {
+		if n := testing.AllocsPerRun(100, func() { tr.PageIn(4); tr.PageOut(4) }); n != 0 {
+			t.Fatalf("ssd=%v: %v allocs, want 0", tr.SSD != nil, n)
+		}
 	}
 }

@@ -103,7 +103,7 @@ func (r *RNG) Norm32() float32 { return float32(r.Norm()) }
 
 // Perm returns a pseudo-random permutation of [0, n).
 //
-//vrex:testonly kvcache and serve tests shuffle inputs with it
+//vrex:testonly serve tests shuffle inputs with it
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {

@@ -19,9 +19,6 @@ import (
 //     reusable selection buffer: it is only valid until the next
 //     SelectTokens call on the same layer, and callers that retain it must
 //     copy it first.
-//
-// Implementations may mutate tier residency on the cache's hierarchy to
-// account for data movement.
 type Retriever interface {
 	ObserveAppend(layer int, cache *kvcache.LayerCache, base, n int)
 	SelectTokens(layer int, cache *kvcache.LayerCache, queries *tensor.Matrix, base int, stage Stage) []int

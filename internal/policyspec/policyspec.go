@@ -16,6 +16,7 @@ package policyspec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,7 +80,10 @@ func Parse(s string) (*Spec, error) {
 			return nil, fmt.Errorf("policyspec: %q: parameter %s: empty value", s, key)
 		}
 		sp.raw[key] = val
-		if f, err := strconv.ParseFloat(val, 64); err == nil {
+		// NaN and ±Inf are not numbers here: every numeric parameter is a
+		// ratio, count, time or rate, and a non-finite one slips past range
+		// checks written as comparisons.
+		if f, err := strconv.ParseFloat(val, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
 			sp.nums[key] = f
 		}
 	}
@@ -87,8 +91,8 @@ func Parse(s string) (*Spec, error) {
 }
 
 // Float consumes the parameter key as a number, returning def when absent. A
-// present but non-numeric value records a type error reported by
-// CheckConsumed.
+// present but non-numeric value, including one that parses to NaN or ±Inf,
+// records a type error reported by CheckConsumed.
 func (s *Spec) Float(key string, def float64) float64 {
 	if _, ok := s.raw[key]; !ok {
 		return def

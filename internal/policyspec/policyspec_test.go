@@ -1,6 +1,7 @@
 package policyspec
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -173,6 +174,34 @@ func TestIntOnMalformedNumberReported(t *testing.T) {
 	}
 	if err := sp.CheckConsumed("pages"); err == nil {
 		t.Fatal("malformed int must be reported by CheckConsumed")
+	}
+}
+
+// TestNonFiniteNumbersRejected: values strconv.ParseFloat accepts as NaN or
+// ±Inf (and out-of-range literals it rounds to ±Inf) are not numbers to the
+// grammar, so Float and Int fall back to the default and CheckConsumed names
+// the parameter. Range checks written as comparisons let NaN through, so the
+// grammar is where they stop.
+func TestNonFiniteNumbersRejected(t *testing.T) {
+	for _, v := range []string{"nan", "NaN", "inf", "+Inf", "-Infinity", "1e400"} {
+		sp, err := Parse("resv(frame=" + v + ",pages=" + v + ")")
+		if err != nil {
+			t.Fatalf("%s: grammar must parse: %v", v, err)
+		}
+		if got := sp.Float("frame", 0.25); got != 0.25 {
+			t.Fatalf("Float(%s) = %v, want the default", v, got)
+		}
+		if got := sp.Int("pages", 3); got != 3 {
+			t.Fatalf("Int(%s) = %v, want the default", v, got)
+		}
+		cerr := sp.CheckConsumed("frame", "pages")
+		want := fmt.Sprintf("parameter frame: bad number %q", v)
+		if cerr == nil || !strings.Contains(cerr.Error(), want) {
+			t.Fatalf("%s: error %v must contain %q", v, cerr, want)
+		}
+		if !strings.Contains(cerr.Error(), "parameter pages") {
+			t.Fatalf("%s: error %v must name pages too", v, cerr)
+		}
 	}
 }
 

@@ -16,14 +16,15 @@ type SearchOptions struct {
 	// Seed drives both the mutation choices and the candidate evaluations;
 	// the whole search is deterministic for a given (base, options) pair.
 	Seed uint64
-	// MaxSessions caps a candidate's expected arrival volume (peak rate x
-	// duration, default 1500): the adversary must make the scheduler miss
-	// deadlines by *shaping* load, not by declaring an unbounded flood.
-	MaxSessions float64
 	// Workers is the serve worker count per evaluation (0 = GOMAXPROCS;
 	// results are worker-invariant, so this only affects wall time).
 	Workers int
 }
+
+// maxSearchSessions caps a candidate's expected arrival volume (peak rate x
+// duration): the adversary must make the scheduler miss deadlines by
+// *shaping* load, not by declaring an unbounded flood.
+const maxSearchSessions = 1500
 
 // SearchResult is the outcome of an adversarial search.
 type SearchResult struct {
@@ -65,10 +66,6 @@ func Search(base *Scenario, opt SearchOptions) (SearchResult, error) {
 	if rounds <= 0 {
 		rounds = 24
 	}
-	maxSessions := opt.MaxSessions
-	if maxSessions <= 0 {
-		maxSessions = 1500
-	}
 	rng := mathx.NewRNG(opt.Seed)
 
 	eval := func(s *Scenario) (float64, error) {
@@ -89,7 +86,7 @@ func Search(base *Scenario, opt SearchOptions) (SearchResult, error) {
 
 	for round := 0; round < rounds; round++ {
 		cand := mutate(out.Scenario, rng)
-		if cand.rateModel().max()*cand.Duration > maxSessions || cand.Validate() != nil {
+		if cand.rateModel().max()*cand.Duration > maxSearchSessions || cand.Validate() != nil {
 			continue // mutation stepped out of range: spend the round, keep the incumbent
 		}
 		s, err := eval(cand)

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"sort"
+
 	"vrex/internal/serve"
 	"vrex/internal/workload"
 )
@@ -12,28 +14,49 @@ import (
 // and lifetimes — with no stochastic churn at all, which is how recorded
 // load shapes become committed regression fixtures.
 type Recorder struct {
-	rec *workload.TraceRecorder
+	index  map[int]int // session id -> position in events
+	events []workload.TraceEvent
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{rec: workload.NewTraceRecorder()}
+	return &Recorder{index: map[int]int{}}
 }
 
-// Observe implements serve.Observer, capturing session starts and ends.
+// Observe implements serve.Observer, capturing session starts and ends. A
+// repeated start for the same session overwrites its earlier record. An end
+// sets the session's lifetime to the time since its start; ends for sessions
+// never seen starting are ignored (the recording may have begun mid-run).
 func (r *Recorder) Observe(e serve.Event) {
 	switch e.Kind {
 	case serve.EventSessionStart:
-		r.rec.Start(e.Session, e.Time, e.Class)
+		ev := workload.TraceEvent{At: e.Time, Class: e.Class}
+		if i, ok := r.index[e.Session]; ok {
+			r.events[i] = ev
+			return
+		}
+		r.index[e.Session] = len(r.events)
+		r.events = append(r.events, ev)
 	case serve.EventSessionEnd:
-		r.rec.End(e.Session, e.Time)
+		if i, ok := r.index[e.Session]; ok {
+			if life := e.Time - r.events[i].At; life > 0 {
+				r.events[i].Lifetime = life
+			}
+		}
 	default:
 		// only session lifecycle shapes the replayed trace
 	}
 }
 
-// Events returns the recorded arrivals sorted by arrival time.
-func (r *Recorder) Events() []workload.TraceEvent { return r.rec.Events() }
+// Events returns the recorded arrivals sorted by arrival time (stable, so
+// simultaneous arrivals keep recording order). Sessions never seen ending
+// carry Lifetime 0 — on replay they stay until the run ends.
+func (r *Recorder) Events() []workload.TraceEvent {
+	out := make([]workload.TraceEvent, len(r.events))
+	copy(out, r.events)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
+}
 
 // Scenario converts the recording into a trace-replay scenario: base's
 // device/policy/scheduler surface with the stochastic load shape replaced by

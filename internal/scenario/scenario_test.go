@@ -116,6 +116,8 @@ func TestParseErrors(t *testing.T) {
 		{"unknown autoscaler", "nodes vrex8:2\nautoscale warp\n", "autoscale"},
 		{"fault out of range", "nodes vrex8:2\nfault drain(node=3,at=5)\n", "node 3"},
 		{"bad fault kind", "nodes vrex8:2\nfault crash(node=0,at=5)\n", "fault kind"},
+		{"nan fault time", "nodes vrex8:1,vrex8:1\nfault drain(node=1,at=nan)\n", "parameter at: bad number"},
+		{"nan fault recover", "nodes vrex8:1,vrex8:1\nfault drain(node=1,at=2,recover=nan)\n", "parameter recover: bad number"},
 		{"initial without autoscale", "nodes vrex8:1,vrex8:1\ninitial-nodes 1\n", "autoscale"},
 		{"initial out of range", "nodes vrex8:1,vrex8:1\nautoscale queue\ninitial-nodes 5\n", "out of range"},
 		{"slack without moves", "nodes vrex8:2\nrebalance-slack 2\n", "rebalance-moves"},

@@ -95,9 +95,8 @@ func (c KVConfig) PoolShape(dev hwsim.DeviceSpec, pol hwsim.PolicyModel) (capaci
 }
 
 // newKVPlane builds the plane for a run, or returns nil when disabled; the
-// config has already passed validate. acct, when non-nil, is the telemetry
-// profile's mover-level page account, threaded into every pool's Transfer.
-func newKVPlane(cfg Config, nDev, nSessions int, acct *kvpool.Account) *kvPlane {
+// config has already passed validate.
+func newKVPlane(cfg Config, nDev, nSessions int) *kvPlane {
 	if !cfg.KV.enabled() {
 		return nil
 	}
@@ -117,7 +116,7 @@ func newKVPlane(cfg Config, nDev, nSessions int, acct *kvpool.Account) *kvPlane 
 			CapacityPages: pages, PageTokens: pageTokens, Spill: cfg.KV.Spill,
 			Mover: kvpool.Transfer{
 				Link: dev.Link, SSD: dev.OffloadSSD,
-				Host: dev.HostMem, PageBytes: pageBytes, Acct: acct,
+				Host: dev.HostMem, PageBytes: pageBytes,
 			},
 		}
 	}

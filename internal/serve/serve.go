@@ -22,7 +22,6 @@ import (
 
 	"vrex/internal/degrade"
 	"vrex/internal/hwsim"
-	"vrex/internal/kvpool"
 	"vrex/internal/mathx"
 	"vrex/internal/parallel"
 )
@@ -671,16 +670,14 @@ func Run(cfg Config) Result {
 		}
 		e.slo[c] = v
 	}
-	var pageAcct *kvpool.Account
 	if prof := cfg.Profile; prof != nil {
 		// One compute-phase account across the fleet: homogeneous fleets
 		// share a sim, heterogeneous ones each point at the same account.
 		for d := range sims {
 			sims[d].Phases = &prof.Sim
 		}
-		pageAcct = &prof.Pages
 	}
-	e.plane = newKVPlane(cfg, nDev, len(sessions), pageAcct)
+	e.plane = newKVPlane(cfg, nDev, len(sessions))
 	if e.plane != nil {
 		for d := range e.devs {
 			e.devs[d].CapacityPages = e.plane.pools[d].CapacityPages()

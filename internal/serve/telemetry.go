@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"vrex/internal/hwsim"
-	"vrex/internal/kvpool"
-)
+import "vrex/internal/hwsim"
 
 // PhaseProfile attributes every simulated device-second a run charges to a
 // phase — the telemetry plane's one-level flamegraph. Attach one via
@@ -17,14 +14,9 @@ import (
 //   - Charged accumulates at every device Busy increment independently of
 //     the buckets; Total() == Charged within float tolerance is the plane's
 //     conservation invariant (nothing attributed twice, nothing lost).
-//   - Pages is the kvpool mover-level account. It is informational: the
-//     pool may price a partial reclaim and then fail the allocation, so
-//     Pages can exceed the engine-charged paging time.
 type PhaseProfile struct {
 	// Sim is the compute-phase account shared by every device simulator.
 	Sim hwsim.PhaseAccount
-	// Pages is the mover-level page-transfer account (see note above).
-	Pages kvpool.Account
 	// PageIn / PageOut are engine-charged KV paging seconds per direction.
 	PageIn, PageOut float64
 	// MigrationSend / MigrationRecv are engine-charged live-migration legs.

@@ -318,9 +318,8 @@ func TestCompletenessClusterRun(t *testing.T) {
 			{Spec: hwsim.VRex48(), Devices: 2, Region: "eu"},
 		},
 		Base: base, Router: router,
-		Faults:          []cluster.Fault{{Kind: cluster.FaultDrain, Node: 1, At: 12, Recover: 20}},
-		Rebalance:       cluster.RebalanceConfig{MaxMoves: 4, Slack: 1},
-		ControlInterval: 1,
+		Faults:    []cluster.Fault{{Kind: cluster.FaultDrain, Node: 1, At: 12, Recover: 20}},
+		Rebalance: cluster.RebalanceConfig{MaxMoves: 4, Slack: 1},
 	})
 
 	spans, err := BuildSpans(col.Events())
