@@ -99,16 +99,20 @@ telemetry-check:
 	python3 -m json.tool telemetry-check/trace.json > /dev/null
 	telemetry-check/vrex-sim -scenario-lint telemetry-check/replay.vrex
 
-# Native-fuzz smoke over the scenario, scheduler, fault, policy-model and
-# spill parsers: each replays its seed corpus, then fuzzes for FUZZTIME
-# looking for panics, parse/format fixed-point violations, names that do not
-# parse back, and accepted values outside their documented ranges.
+# Native-fuzz smoke over the scenario, scheduler, fault, node-list,
+# policy-model, spill, degradation and retrieval-policy parsers: each replays
+# its seed corpus, then fuzzes for FUZZTIME looking for panics, crashes,
+# parse/format fixed-point violations, names that do not parse back, and
+# accepted values outside their documented ranges.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -run xxx -fuzz=FuzzParseScheduler -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run xxx -fuzz=FuzzParseFaults -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(GO) test -run xxx -fuzz=FuzzParseNodes -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -run xxx -fuzz=FuzzParsePolicy -fuzztime=$(FUZZTIME) ./internal/hwsim/
 	$(GO) test -run xxx -fuzz=FuzzParseSpill -fuzztime=$(FUZZTIME) ./internal/kvpool/
+	$(GO) test -run xxx -fuzz=FuzzParseDegrade -fuzztime=$(FUZZTIME) ./internal/degrade/
+	$(GO) test -run xxx -fuzz=FuzzFromSpec -fuzztime=$(FUZZTIME) ./internal/retrieval/
 
 # The repository benchmark's correctness checks: each workload runs for one
 # second with tracing off. perfbench checks every operation's output and the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vrex/internal/hwsim"
 	"vrex/scenarios"
 )
 
@@ -51,6 +52,38 @@ func FuzzParseFaults(f *testing.F) {
 		again, err := ParseFaults(canon)
 		if err != nil || !reflect.DeepEqual(again, fs) {
 			t.Fatalf("ParseFaults(%q) = %+v formats as %q, which parses to %+v, %v", spec, fs, canon, again, err)
+		}
+	})
+}
+
+// FuzzParseNodes drives the node-list parser (vrex-sim -nodes and the
+// scenario nodes line) with arbitrary strings: ParseNodes must never panic,
+// and every list it accepts must round-trip through FormatNodes to an equal
+// list. Seeded with the committed suite's nodes lines, the CLI examples,
+// every device name and non-finite device counts.
+func FuzzParseNodes(f *testing.F) {
+	for _, name := range scenarios.Names() {
+		src, _ := scenarios.Source(name)
+		for _, line := range strings.Split(string(src), "\n") {
+			if v, ok := strings.CutPrefix(line, "nodes "); ok {
+				f.Add(v)
+			}
+		}
+	}
+	for _, spec := range append(hwsim.DeviceNames(),
+		"vrex8:2@us,vrex8:2@eu", "vrex48:4,vrex48:4,vrex48:4", "a100:4@us-east,vrex8:2@eu,agx@edge",
+		"vrex8:nan", "vrex8:inf@us", "agx:+Inf", "a100:-Infinity@eu", "vrex8@", ",") {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		nodes, err := ParseNodes(spec)
+		if err != nil {
+			return
+		}
+		canon := FormatNodes(nodes)
+		again, err := ParseNodes(canon)
+		if err != nil || !reflect.DeepEqual(again, nodes) {
+			t.Fatalf("ParseNodes(%q) = %+v formats as %q, which parses to %+v, %v", spec, nodes, canon, again, err)
 		}
 	})
 }

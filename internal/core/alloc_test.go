@@ -5,7 +5,6 @@ import (
 
 	"vrex/internal/mathx"
 	"vrex/internal/model"
-	"vrex/internal/tensor"
 )
 
 // TestSelectTokensSteadyStateAllocFree pins the tentpole guarantee: once a
@@ -14,9 +13,6 @@ import (
 // reintroduces per-frame allocation (score rows, token sets, sort closures,
 // layout rebuilds) fails this test.
 func TestSelectTokensSteadyStateAllocFree(t *testing.T) {
-	tensor.SetWorkers(1)
-	t.Cleanup(func() { tensor.SetWorkers(0) })
-
 	mcfg := model.DefaultConfig()
 	cfg := DefaultConfig()
 	cfg.Workers = 1
@@ -43,9 +39,6 @@ func TestSelectTokensSteadyStateAllocFree(t *testing.T) {
 // TestSelectTokensAllocFreeEarlyExitAndExact covers both WiCSum sorter
 // variants, since they use different scratch buffers.
 func TestSelectTokensAllocFreeEarlyExitAndExact(t *testing.T) {
-	tensor.SetWorkers(1)
-	t.Cleanup(func() { tensor.SetWorkers(0) })
-
 	for _, buckets := range []int{0, 20} {
 		mcfg := model.DefaultConfig()
 		cfg := DefaultConfig()

@@ -16,11 +16,13 @@
 //
 // Like the hardware, the software kernel never redoes work as the stream
 // grows: the HC table's candidate set is maintained incrementally as frames
-// arrive, cluster scoring is batched through the sharded tensor matmul over
-// per-layer representative-key mirrors, and all per-frame working sets
-// (score rows, selection bitsets, sort buffers) live in reusable per-layer
-// scratch arenas — steady-state SelectTokens performs zero heap allocations
-// on the sequential path (pinned by TestSelectTokensSteadyStateAllocFree).
+// arrive; cluster scoring runs one fused kernel per (query token, head) row
+// over per-layer float64 mirrors of the representative keys, with the
+// queries widened to float64 once per call, and Config.Workers shards those
+// rows; and all per-frame working sets (score rows, selection bitsets, sort
+// buffers) live in reusable per-layer scratch arenas — steady-state
+// SelectTokens performs zero heap allocations on the sequential path (pinned
+// by TestSelectTokensSteadyStateAllocFree).
 //
 // ReSV implements model.Retriever, so it drops into the functional
 // transformer; its Stats feed the performance simulator and the Fig. 20 /
@@ -44,7 +46,8 @@ import (
 // Config holds ReSV's hyperparameters. The defaults are the paper's
 // evaluation setting (Sec. VI-E): N_hp = 32, Th_hd = 7, Th_r-wics = 0.3.
 type Config struct {
-	// NHp is the number of random hyperplanes (signature bits).
+	// NHp is the number of random hyperplanes (signature bits), in
+	// [1, maxNHp].
 	NHp int
 	// ThHD is the Hamming-distance clustering threshold.
 	ThHD int
@@ -61,12 +64,18 @@ type Config struct {
 	DisableClustering bool
 	// Seed draws the hyperplanes.
 	Seed uint64
-	// Workers shards the per-head WiCSum thresholding and score finishing
-	// across goroutines: 0 uses GOMAXPROCS, 1 restores the sequential
-	// kernel. (The batched Q x RepKey^T product shards through the tensor
-	// package's worker setting.) Selections are identical for any count.
+	// Workers shards the per-row cluster scoring (Q x RepKey^T and its
+	// exp-normalisation) and the per-head WiCSum thresholding across
+	// goroutines: 0 uses GOMAXPROCS, 1 restores the sequential kernel.
+	// Selections are identical for any count.
 	Workers int
 }
+
+// maxNHp bounds Config.NHp: 1024 hyperplanes are 16 signature words, 16x
+// the most the sweep-nhp experiment draws. The hyperplane matrix grows with
+// NHp, so a larger value from a policy spec could ask for more memory than
+// the process can get, which kills it instead of returning an error.
+const maxNHp = 1024
 
 // DefaultConfig returns the paper's evaluation hyperparameters.
 func DefaultConfig() Config {
@@ -78,6 +87,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.NHp <= 0:
 		return fmt.Errorf("core: NHp must be positive")
+	case c.NHp > maxNHp:
+		return fmt.Errorf("core: NHp must be at most %d, got %d", maxNHp, c.NHp)
 	case c.ThHD < 0:
 		return fmt.Errorf("core: ThHD must be non-negative")
 	case c.ThWics <= 0 || c.ThWics > 1:
@@ -98,18 +109,14 @@ type layerScratch struct {
 	// keyView is a staging matrix header over the cache's own key rows
 	// (ObserveAppend clusters in place instead of copying the chunk out).
 	keyView tensor.Matrix
-	// repMirror[kvh] mirrors every cluster's representative key segment for
-	// kv head kvh, row per cluster — the B operand of the batched scoring
-	// matmul. Rows are refreshed incrementally from the HC table's pending
-	// set as running means move.
-	repMirror []tensor.Matrix
-	// repView[kvh] is a persistent matrix header exposing the candidate
-	// prefix of repMirror[kvh] to the matmul.
-	repView []tensor.Matrix
-	// qHead gathers the chunk's query segments for one kv head.
-	qHead tensor.Matrix
-	// scores holds the Q x RepKey^T product for one kv head.
-	scores tensor.Matrix
+	// rep64[kvh] mirrors every cluster's representative key segment for kv
+	// head kvh, widened to float64, headDim values per cluster in cluster
+	// order: the keys each score row is computed against. Rows are refreshed
+	// incrementally from the HC table's pending set as running means move.
+	rep64 [][]float64
+	// q64 holds the chunk's queries widened to float64, row-major like the
+	// query matrix, so (query token, head) row i starts at i*headDim.
+	q64 []float64
 	// counts holds the per-candidate past-token counts WiCSum weights by.
 	counts []int
 	// massData is the flat arena behind masses, one exp-normalised score row
@@ -169,17 +176,11 @@ func New(modelCfg model.Config, cfg Config) *ReSV {
 		// its own singleton cluster, reducing WiCSum to per-token selection.
 		thHD = 0
 	}
-	headDim := modelCfg.HeadDim()
 	for l := 0; l < modelCfg.Layers; l++ {
 		ls := &layerState{
 			clusterer: hashbit.NewClusterer(modelCfg.KVDim(), cfg.NHp, thHD, r.rng.Split()),
 		}
-		ls.scratch.repMirror = make([]tensor.Matrix, modelCfg.KVHeads)
-		ls.scratch.repView = make([]tensor.Matrix, modelCfg.KVHeads)
-		for kvh := range ls.scratch.repMirror {
-			ls.scratch.repMirror[kvh].Cols = headDim
-			ls.scratch.repView[kvh].Cols = headDim
-		}
+		ls.scratch.rep64 = make([][]float64, modelCfg.KVHeads)
 		r.layers = append(r.layers, ls)
 	}
 	return r
@@ -214,8 +215,6 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	sc := &ls.scratch
 	headDim := r.modelCfg.HeadDim()
 	heads := r.modelCfg.Heads
-	kvHeads := r.modelCfg.KVHeads
-	group := heads / kvHeads
 	sharp := r.modelCfg.Sharpness
 	if sharp == 0 {
 		sharp = 1
@@ -230,13 +229,13 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	// least one past token — are exactly the leading PastClusters() table
 	// rows, with PastCount() past members each; no per-frame rescan.
 	nClusters := table.NumClusters()
-	for kvh := range sc.repMirror {
-		growMirror(&sc.repMirror[kvh], nClusters, headDim)
+	for kvh := range sc.rep64 {
+		sc.rep64[kvh] = growMirror(sc.rep64[kvh], nClusters*headDim)
 	}
 	for _, id := range table.PendingClusters() {
 		rep := table.Clusters[id].RepKey
-		for kvh := range sc.repMirror {
-			copy(sc.repMirror[kvh].Row(id), rep[kvh*headDim:(kvh+1)*headDim])
+		for kvh, m := range sc.rep64 {
+			mathx.Widen(m[id*headDim:(id+1)*headDim], rep[kvh*headDim:(kvh+1)*headDim])
 		}
 	}
 	table.AdvancePast(base)
@@ -250,14 +249,16 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	}
 
 	// Score matrix: one row per (query token, head) pair; columns = candidate
-	// clusters. The Q x RepKey^T scores run per kv head through the sharded
-	// tensor matmul over the mirror (the KVPU's batched dataflow); each
-	// product row is then scaled and exp-normalised into its (query, head)
-	// mass row so WiCSum accumulates attention mass. Row order never depends
-	// on scheduling.
+	// clusters. Each row scores its query segment against its kv head's
+	// mirror (the KVPU's Q x RepKey^T), scaled, then exp-normalises it so
+	// WiCSum accumulates attention mass. Rows are independent, so sharding
+	// them never changes a result.
 	nq := queries.Rows
 	nRows := nq * heads
-	prodRows := nq * group
+	if cap(sc.q64) < len(queries.Data) {
+		sc.q64 = make([]float64, len(queries.Data))
+	}
+	mathx.Widen(sc.q64, queries.Data)
 	if cap(sc.massData) < nRows*nCands {
 		sc.massData = make([]float32, nRows*nCands)
 	}
@@ -269,32 +270,17 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 		masses[row] = sc.massData[row*nCands : (row+1)*nCands]
 	}
 	rowWorkers := r.cfg.Workers
-	if prodRows*nCands < 2048 {
+	if nRows*nCands < 2048 {
 		rowWorkers = 1
 	}
-	sc.qHead.Reshape(prodRows, headDim)
-	sc.scores.Reshape(prodRows, nCands)
-	for kvh := 0; kvh < kvHeads; kvh++ {
-		for qi := 0; qi < nq; qi++ {
-			qrow := queries.Row(qi)
-			for g := 0; g < group; g++ {
-				h := kvh*group + g
-				copy(sc.qHead.Row(qi*group+g), qrow[h*headDim:(h+1)*headDim])
-			}
+	if parallel.Workers(rowWorkers) <= 1 {
+		for row, mass := range masses {
+			r.scoreRow(sc, mass, row, invSqrt)
 		}
-		rv := &sc.repView[kvh]
-		rv.Rows, rv.Cols = nCands, headDim
-		rv.Data = sc.repMirror[kvh].Data[:nCands*headDim]
-		tensor.MatMulTInto(&sc.scores, &sc.qHead, rv)
-		if parallel.Workers(rowWorkers) <= 1 {
-			for pr := 0; pr < prodRows; pr++ {
-				finishScoreRow(sc, masses, pr, kvh, group, heads, invSqrt)
-			}
-		} else {
-			parallel.ForEach(rowWorkers, prodRows, func(pr int) {
-				finishScoreRow(sc, masses, pr, kvh, group, heads, invSqrt)
-			})
-		}
+	} else {
+		parallel.ForEach(rowWorkers, nRows, func(row int) {
+			r.scoreRow(sc, masses[row], row, invSqrt)
+		})
 	}
 
 	sel := r.selector.SelectMatrix(masses, sc.counts)
@@ -335,29 +321,25 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	return tokens
 }
 
-// finishScoreRow scales one kv head's product row into its (query, head)
-// mass row and exp-normalises it.
+// scoreRow fills (query token, head) row's mass over the len(mass) leading
+// candidate clusters: the query segment against its kv head's mirrored
+// representative keys, scaled by invSqrt, then exp-normalised.
 //
 //vrex:noalloc
-func finishScoreRow(sc *layerScratch, masses [][]float32, pr, kvh, group, heads int, invSqrt float32) {
-	qi := pr / group
-	h := kvh*group + pr%group
-	mass := masses[qi*heads+h]
-	srow := sc.scores.Row(pr)
-	for j := range mass {
-		mass[j] = srow[j] * invSqrt
-	}
+func (r *ReSV) scoreRow(sc *layerScratch, mass []float32, row int, invSqrt float32) {
+	headDim, heads := r.modelCfg.HeadDim(), r.modelCfg.Heads
+	kvh := row % heads / (heads / r.modelCfg.KVHeads)
+	q := sc.q64[row*headDim : (row+1)*headDim]
+	mathx.ScoreKeys(mass, q, sc.rep64[kvh][:len(mass)*headDim], invSqrt)
 	mathx.ExpNormalize(mass, mass)
 }
 
-// growMirror grows m to rows x cols preserving existing row contents.
-func growMirror(m *tensor.Matrix, rows, cols int) {
-	need := rows * cols
-	if cap(m.Data) < need {
-		m.Data = append(m.Data[:cap(m.Data)], make([]float32, need-cap(m.Data))...)
+// growMirror returns m grown to n values, preserving its contents.
+func growMirror(m []float64, n int) []float64 {
+	if cap(m) < n {
+		m = append(m[:cap(m)], make([]float64, n-cap(m))...)
 	}
-	m.Data = m.Data[:need]
-	m.Rows, m.Cols = rows, cols
+	return m[:n]
 }
 
 // growInts returns a length-n int buffer, reusing buf's storage when it is

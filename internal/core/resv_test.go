@@ -37,8 +37,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	if err := (Config{NHp: maxNHp, ThWics: 0.3}).Validate(); err != nil {
+		t.Fatalf("NHp = maxNHp rejected: %v", err)
+	}
 	bad := []Config{
 		{NHp: 0, ThWics: 0.3},
+		{NHp: maxNHp + 1, ThWics: 0.3},
 		{NHp: 32, ThHD: -1, ThWics: 0.3},
 		{NHp: 32, ThWics: 0},
 		{NHp: 32, ThWics: 1.5},

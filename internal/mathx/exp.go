@@ -1,0 +1,95 @@
+package mathx
+
+import "math"
+
+// ExpNormalize writes exp(src[i]-max(src)) into dst without the final
+// normalisation. The result is the softmax numerator: a positive "mass" that
+// WiCSum thresholding accumulates. dst may alias src.
+//
+// Each element is float32(math.Exp(float64(x))) for x = src[i]-max(src), bit
+// for bit, but most take a cheaper route: for x in [expFastMin, expFastMax]
+// expFast returns exp(x) in float64 with a relative error below 2^-42, and
+// its float32 rounding is kept unless it lies within expWindow float64 ulps
+// of a float32 rounding midpoint. Outside that window math.Exp (error below
+// one ulp) rounds to the same float32. NaN, every x outside the range and
+// every result near a midpoint take math.Exp itself.
+func ExpNormalize(dst, src []float32) {
+	if len(dst) != len(src) {
+		panic("mathx: ExpNormalize length mismatch")
+	}
+	if len(src) == 0 {
+		return
+	}
+	maxv := src[0]
+	for _, v := range src[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	for i, v := range src {
+		x := float64(v - maxv)
+		if x >= expFastMin && x <= expFastMax {
+			if e := expFast(x); !nearMidpoint(e) {
+				dst[i] = float32(e)
+				continue
+			}
+		}
+		dst[i] = float32(math.Exp(x))
+	}
+}
+
+const (
+	// expFastMin and expFastMax bound expFast's inputs. exp(-87) is above
+	// the smallest normal float32, so every result rounds on the normal
+	// float32 grid; inputs nearer zero than 2^-20 are left to math.Exp.
+	expFastMin = -87
+	expFastMax = -0x1p-20
+	// expDropBits is the number of low float64 fraction bits that float32
+	// rounding drops (52 - 23). A float32 rounding midpoint has exactly the
+	// top one of them set.
+	expDropBits = 52 - 23
+	expMid      = 1 << (expDropBits - 1)
+	// expWindow is the fallback half-width around a midpoint, in float64
+	// ulps: 2^14 ulps is at least 2^-39 relative, over 8x expFast's error.
+	expWindow = 1 << 14
+
+	expTableBits = 8
+	expN         = 1 << expTableBits
+	expInvLn2N   = expN / math.Ln2
+	// expLn2HiN + expLn2LoN is ln2/256; the high part keeps 36 significant
+	// bits, so its product with any |n| < 2^17 is exact.
+	expLn2HiN = 0x1.62e42fefa0000p-9
+	expLn2LoN = math.Ln2/expN - expLn2HiN
+	// expShift rounds a float64 below 2^51 in magnitude to an integer held
+	// in its low fraction bits.
+	expShift = 0x1.8p52
+)
+
+// expTable[j] holds the bits of 2^(j/256) less j<<44, so that adding n<<44
+// for n = 256m + j gives the bits of 2^(m + j/256).
+var expTable = func() (t [expN]uint64) {
+	for j := range t {
+		t[j] = math.Float64bits(math.Exp2(float64(j)/expN)) - uint64(j)<<(52-expTableBits)
+	}
+	return t
+}()
+
+// nearMidpoint reports whether e lies within expWindow float64 ulps of a
+// float32 rounding midpoint.
+func nearMidpoint(e float64) bool {
+	return (math.Float64bits(e)-(expMid-expWindow))&(1<<expDropBits-1) <= 2*expWindow
+}
+
+// expFast returns exp(x) for x in [expFastMin, expFastMax]: with
+// n = round(x*256/ln2) and r = x - n*ln2/256, so |r| <= ln2/512, it is
+// 2^(n/256) from the table times the cubic Taylor polynomial of exp(r),
+// whose truncation error r^4/24 is below 1.4e-13.
+func expFast(x float64) float64 {
+	kd := x*expInvLn2N + expShift
+	ki := math.Float64bits(kd)
+	kd -= expShift
+	r := x - kd*expLn2HiN - kd*expLn2LoN
+	s := math.Float64frombits(expTable[ki%expN] + ki<<(52-expTableBits))
+	r2 := r * r
+	return s * (1 + r + r2*(0.5+r*(1.0/6)))
+}

@@ -22,6 +22,8 @@ func Softmax(dst, src []float32) {
 			maxv = v
 		}
 	}
+	// math.Exp, not ExpNormalize's table exp: the sum adds each full
+	// float64 exponential, which a float32-exact shortcut does not give.
 	var sum float64
 	for i, v := range src {
 		e := math.Exp(float64(v - maxv))
@@ -31,27 +33,6 @@ func Softmax(dst, src []float32) {
 	inv := float32(1 / sum)
 	for i := range dst {
 		dst[i] *= inv
-	}
-}
-
-// ExpNormalize writes exp(src[i]-max(src)) into dst without the final
-// normalisation. The result is the softmax numerator: a positive "mass" that
-// WiCSum thresholding accumulates. dst may alias src.
-func ExpNormalize(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("mathx: ExpNormalize length mismatch")
-	}
-	if len(src) == 0 {
-		return
-	}
-	maxv := src[0]
-	for _, v := range src[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	for i, v := range src {
-		dst[i] = float32(math.Exp(float64(v - maxv)))
 	}
 }
 
@@ -78,39 +59,62 @@ func Dot(a, b []float32) float64 {
 	return s
 }
 
-// Dot2 returns Dot(a, b0) and Dot(a, b1) from one pass over a, which both
-// products share (two keys scored against one query). Each result keeps
-// Dot's four accumulators, its s0+s1+s2+s3 reduction and its tail, so it is
-// bit-identical to Dot. The slices must have equal length.
+// ScoreKeys scores one query against len(dst) keys packed row-major in keys,
+// len(q) values each: dst[j] = float32(q·key_j) * scale. The caller widens
+// q and keys from float32 to float64 once, so no product converts an
+// operand. Each dot product keeps Dot's four accumulators, its s0+s1+s2+s3
+// reduction and its tail, so dst[j] is bit-identical to float32(Dot(q,
+// key_j)) * scale on the float32 originals. len(keys) must equal
+// len(dst)*len(q).
 //
 //vrex:noalloc
-func Dot2(a, b0, b1 []float32) (float64, float64) {
-	if len(b0) != len(a) || len(b1) != len(a) {
-		panic("mathx: Dot2 length mismatch")
+func ScoreKeys(dst []float32, q, keys []float64, scale float32) {
+	n := len(q)
+	if len(keys) != len(dst)*n {
+		panic("mathx: ScoreKeys length mismatch")
 	}
-	// Re-slicing the keys to len(a) lets the compiler drop their bounds
-	// checks.
-	b0, b1 = b0[:len(a)], b1[:len(a)]
-	var s0, s1, s2, s3, t0, t1, t2, t3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		x0, x1, x2, x3 := float64(a[i]), float64(a[i+1]), float64(a[i+2]), float64(a[i+3])
-		s0 += x0 * float64(b0[i])
-		s1 += x1 * float64(b0[i+1])
-		s2 += x2 * float64(b0[i+2])
-		s3 += x3 * float64(b0[i+3])
-		t0 += x0 * float64(b1[i])
-		t1 += x1 * float64(b1[i+1])
-		t2 += x2 * float64(b1[i+2])
-		t3 += x3 * float64(b1[i+3])
+	// Two keys per pass share the loads of q; an odd last key is scored as
+	// both of its pass's keys. Re-slicing each key to n lets the compiler
+	// drop the bounds checks on the keys.
+	for j := 0; j < len(dst); j += 2 {
+		k0 := keys[j*n:][:n]
+		k1 := k0
+		if j+1 < len(dst) {
+			k1 = keys[(j+1)*n:][:n]
+		}
+		var s0, s1, s2, s3, t0, t1, t2, t3 float64
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			x0, x1, x2, x3 := q[i], q[i+1], q[i+2], q[i+3]
+			s0 += x0 * k0[i]
+			s1 += x1 * k0[i+1]
+			s2 += x2 * k0[i+2]
+			s3 += x3 * k0[i+3]
+			t0 += x0 * k1[i]
+			t1 += x1 * k1[i+1]
+			t2 += x2 * k1[i+2]
+			t3 += x3 * k1[i+3]
+		}
+		s, t := s0+s1+s2+s3, t0+t1+t2+t3
+		for ; i < n; i++ {
+			s += q[i] * k0[i]
+			t += q[i] * k1[i]
+		}
+		dst[j] = float32(s) * scale
+		if j+1 < len(dst) {
+			dst[j+1] = float32(t) * scale
+		}
 	}
-	s, t := s0+s1+s2+s3, t0+t1+t2+t3
-	for ; i < len(a); i++ {
-		x := float64(a[i])
-		s += x * float64(b0[i])
-		t += x * float64(b1[i])
+}
+
+// Widen writes src's values, converted to float64, into dst[:len(src)].
+//
+//vrex:noalloc
+func Widen(dst []float64, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = float64(v)
 	}
-	return s, t
 }
 
 // CosineSimilarity returns the cosine of the angle between a and b, or 0 if

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 
 	"vrex/internal/kvcache"
 	"vrex/internal/mathx"
@@ -23,6 +24,9 @@ type Model struct {
 	layers []*layerWeights
 	caches []*kvcache.LayerCache
 	pos    int
+	// keys64 and q64 are attention's reusable buffers: one call's candidate
+	// keys and one query row, widened to float64.
+	keys64, q64 []float64
 }
 
 // New builds a model with deterministic random weights from cfg.Seed. The
@@ -189,33 +193,36 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 	out := tensor.NewMatrix(n, cfg.Dim)
 
 	// Query row i's candidates are the selected past tokens plus in-chunk
-	// tokens <= i, so one candidate slice grows by a token per row and one
-	// score buffer, sized for the last row, serves every row.
+	// tokens <= i: a prefix of one candidate list, scored into a prefix of
+	// one score buffer. Each candidate's key is widened to float64 once, in
+	// one block of keys per kv head, so row i scores a prefix of its kv
+	// head's block.
 	cand := append(make([]int, 0, len(sel)+n), sel...)
-	scoreBuf := make([]float32, len(sel)+n)
 	for i := 0; i < n; i++ {
 		cand = append(cand, base+i)
-		scores := scoreBuf[:len(cand)]
-		qrow := q.Row(i)
+	}
+	scoreBuf := make([]float32, len(cand))
+	block := len(cand) * headDim
+	m.keys64 = slices.Grow(m.keys64[:0], cfg.KVHeads*block)[:cfg.KVHeads*block]
+	for ci, tok := range cand {
+		key := cache.Key(tok)
+		for kvh := 0; kvh < cfg.KVHeads; kvh++ {
+			mathx.Widen(m.keys64[kvh*block+ci*headDim:], key[kvh*headDim:(kvh+1)*headDim])
+		}
+	}
+	m.q64 = slices.Grow(m.q64[:0], cfg.Dim)[:cfg.Dim]
+	for i := 0; i < n; i++ {
+		nc := len(sel) + i + 1
+		scores := scoreBuf[:nc]
+		mathx.Widen(m.q64, q.Row(i))
 		orow := out.Row(i)
 		for h := 0; h < cfg.Heads; h++ {
 			kvh := h / group
 			lo, hi := kvh*headDim, (kvh+1)*headDim
-			qh := qrow[h*headDim : (h+1)*headDim]
-			// Two keys per pass share the loads of qh; Dot2 is
-			// bit-identical to Dot.
-			ci := 0
-			for ; ci+2 <= len(cand); ci += 2 {
-				s0, s1 := mathx.Dot2(qh, cache.Key(cand[ci])[lo:hi], cache.Key(cand[ci+1])[lo:hi])
-				scores[ci] = float32(s0) * invSqrt
-				scores[ci+1] = float32(s1) * invSqrt
-			}
-			if ci < len(cand) {
-				scores[ci] = float32(mathx.Dot(qh, cache.Key(cand[ci])[lo:hi])) * invSqrt
-			}
+			mathx.ScoreKeys(scores, m.q64[h*headDim:(h+1)*headDim], m.keys64[kvh*block:][:nc*headDim], invSqrt)
 			mathx.Softmax(scores, scores)
 			oh := orow[h*headDim : (h+1)*headDim]
-			for ci, tok := range cand {
+			for ci, tok := range cand[:nc] {
 				// Skipping a zero weight is not the same as adding 0*v
 				// when v holds -0, ±Inf or NaN; keep the skip.
 				w := scores[ci]

@@ -79,6 +79,7 @@ func TestFromSpecErrors(t *testing.T) {
 		{"infinigen(text=2)", "out of (0,1]"},
 		{"rekv(framesize=0)", "framesize"},
 		{"resv(thwics=7)", "ThWics"},
+		{"resv(nhp=2000000000)", "NHp"},
 		{"dense(frame=0.5)", "does not accept"},
 	}
 	for _, c := range cases {

@@ -8,32 +8,14 @@ import (
 )
 
 // The kernel benchmarks run at the shapes the resv-stream workload traces
-// through the default model (10-token frames, width 64, FFN width 128,
-// head dim 16, about 536 ReSV clusters per layer) on one worker, and report
-// ns per output element beside ns/op.
+// through the default model (10-token frames, width 64, FFN width 128) on
+// one worker, and report ns per output element beside ns/op.
 
 var benchSink *Matrix
 
 // reportPerElement adds the ns per output element metric.
 func reportPerElement(b *testing.B, elems int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
-}
-
-// BenchmarkMatMulTInto times ReSV's cluster scoring: 10 queries against 536
-// cluster keys at head dim 16.
-func BenchmarkMatMulTInto(b *testing.B) {
-	SetWorkers(1)
-	defer SetWorkers(0)
-	rng := mathx.NewRNG(5)
-	q, keys := NewMatrix(10, 16), NewMatrix(536, 16)
-	q.Randomize(rng, 1)
-	keys.Randomize(rng, 1)
-	dst := NewMatrix(10, 536)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulTInto(dst, q, keys)
-	}
-	reportPerElement(b, len(dst.Data))
 }
 
 // BenchmarkMatMul times the model's projections on one frame: the attention

@@ -1,8 +1,8 @@
 // Package tensor implements the dense float32 linear-algebra kernels the
 // functional transformer, the vision encoder and the ReSV algorithm are built
-// on: row-major matrices, (transposed) matrix multiplication, normalisation,
-// rotary position embedding, and bf16 rounding for the KV cache storage
-// models.
+// on: row-major matrices, matrix multiplication, normalisation and
+// activations. There is no transposed product: attention and ReSV score keys
+// one row at a time through mathx.ScoreKeys.
 package tensor
 
 import (
@@ -63,21 +63,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Reshape resizes m to rows x cols in place, growing the backing slice only
-// when capacity is insufficient (scratch-matrix reuse on hot paths). The
-// element contents after a Reshape are unspecified.
-func (m *Matrix) Reshape(rows, cols int) {
-	if rows < 0 || cols < 0 {
-		panic("tensor: negative dimension")
-	}
-	need := rows * cols
-	if cap(m.Data) < need {
-		m.Data = make([]float32, need)
-	}
-	m.Data = m.Data[:need]
-	m.Rows, m.Cols = rows, cols
-}
-
 // String implements fmt.Stringer with a compact shape description.
 func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
@@ -90,18 +75,18 @@ func (m *Matrix) Randomize(rng *mathx.RNG, scale float32) {
 	}
 }
 
-// matmulGrain is the flop count below which MatMul/MatMulT stay on the
+// matmulGrain is the flop count below which MatMul stays on the
 // caller's goroutine: sharding tiny products costs more in hand-off than the
 // multiply itself.
 const matmulGrain = 1 << 16
 
-// matmulWorkers is the process-wide worker bound for MatMul/MatMulT (these
-// kernels sit below every call path, so the knob is a package setting rather
+// matmulWorkers is the process-wide worker bound for MatMul (the kernel
+// sits below every call path, so the knob is a package setting rather
 // than a parameter threaded through each caller). 0 means GOMAXPROCS.
 var matmulWorkers atomic.Int64
 
-// SetWorkers bounds the worker count MatMul and MatMulT shard across:
-// 0 uses GOMAXPROCS, 1 pins the kernels to the caller's goroutine. The CLIs
+// SetWorkers bounds the worker count MatMul shards across: 0 uses
+// GOMAXPROCS, 1 pins the kernel to the caller's goroutine. The CLIs
 // wire their -parallel flag here so `-parallel 1` is fully sequential.
 // Results are identical for any setting.
 func SetWorkers(n int) { matmulWorkers.Store(int64(n)) }
@@ -256,47 +241,6 @@ func axpy(o []float32, x float32, brow []float32) {
 	brow = brow[:len(o)]
 	for j := range o {
 		o[j] += x * brow[j]
-	}
-}
-
-// MatMulTInto computes a * b^T into dst (which must be pre-shaped to
-// a.Rows x b.Rows), overwriting its contents. This is the allocation-free
-// kernel ReSV's batched cluster scoring streams Q x RepKey^T through; the
-// sequential path avoids the fan-out closure entirely.
-func MatMulTInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulT shape mismatch %v x %v", a, b))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTInto dst shape %v, want %dx%d", dst, a.Rows, b.Rows))
-	}
-	if w := parallel.Workers(workersFor(a.Rows * a.Cols * b.Rows)); w <= 1 {
-		for i := 0; i < a.Rows; i++ {
-			matmulTRow(a.Row(i), b, dst.Row(i))
-		}
-	} else {
-		parallel.ForEach(w, a.Rows, func(i int) {
-			matmulTRow(a.Row(i), b, dst.Row(i))
-		})
-	}
-}
-
-// matmulTRow fills one output row of a * b^T, scoring two rows of b per
-// pass so they share the loads of arow (mathx.Dot2 is bit-identical to
-// mathx.Dot).
-//
-//vrex:noalloc
-func matmulTRow(arow []float32, b *Matrix, orow []float32) {
-	n := b.Cols
-	orow = orow[:b.Rows]
-	j := 0
-	for ; j+2 <= len(orow); j += 2 {
-		g := b.Data[j*n : (j+2)*n]
-		d0, d1 := mathx.Dot2(arow, g[:n], g[n:])
-		orow[j], orow[j+1] = float32(d0), float32(d1)
-	}
-	if j < len(orow) {
-		orow[j] = float32(mathx.Dot(arow, b.Data[j*n:(j+1)*n]))
 	}
 }
 

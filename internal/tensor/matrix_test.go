@@ -47,29 +47,6 @@ func TestMatMulShapePanic(t *testing.T) {
 	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
-func TestMatMulTMatchesExplicitTranspose(t *testing.T) {
-	rng := mathx.NewRNG(2)
-	a := NewMatrix(3, 5)
-	b := NewMatrix(4, 5)
-	a.Randomize(rng, 1)
-	b.Randomize(rng, 1)
-	got := NewMatrix(3, 4)
-	MatMulTInto(got, a, b)
-	// Explicit transpose of b.
-	bt := NewMatrix(5, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			bt.Set(j, i, b.At(i, j))
-		}
-	}
-	want := MatMul(a, bt)
-	for i := range got.Data {
-		if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4 {
-			t.Fatalf("MatMulT mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 func TestFromRowsRaggedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

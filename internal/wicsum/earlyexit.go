@@ -84,18 +84,19 @@ func (ws *rowScratch) selectRowEarlyExit(mass []float32, counts []int, ratio flo
 	// produces per-bucket bitmasks; we realise them as index runs in a
 	// reusable counting-sort store (entries within a bucket stay in index
 	// order, matching the per-bucket append order).
+	// Each entry's bucket is computed once, in the counting pass, and kept
+	// for the scatter pass.
 	width := (maxv - minv) / float32(nBuckets)
 	bucketCount := grabInts(&ws.bucketCount, nBuckets)
 	clear(bucketCount)
-	bucketOf := func(j int) int {
-		b := int((mass[j] - minv) / width)
+	entryBucket := grabInts(&ws.entryBucket, n)
+	for j, v := range mass {
+		b := int((v - minv) / width)
 		if b >= nBuckets {
 			b = nBuckets - 1
 		}
-		return b
-	}
-	for j := 0; j < n; j++ {
-		bucketCount[bucketOf(j)]++
+		entryBucket[j] = b
+		bucketCount[b]++
 	}
 	bucketStart := grabInts(&ws.bucketStart, nBuckets)
 	pos := 0
@@ -106,8 +107,7 @@ func (ws *rowScratch) selectRowEarlyExit(mass []float32, counts []int, ratio flo
 	items := grabInts(&ws.bucketItems, n)
 	fill := grabInts(&ws.bucketCount, nBuckets) // reuse as per-bucket cursor
 	copy(fill, bucketStart)
-	for j := 0; j < n; j++ {
-		b := bucketOf(j)
+	for j, b := range entryBucket {
 		items[fill[b]] = j
 		fill[b]++
 	}

@@ -46,13 +46,14 @@ type RowSelection struct {
 }
 
 // rowScratch is one worker's reusable buffers: the index permutation for the
-// exact sort, the bucket store for the early-exit sorter, and the arena the
-// per-row Selected slices are carved from.
+// exact sort, the bucket store for the early-exit sorter (with each entry's
+// bucket), and the arena the per-row Selected slices are carved from.
 type rowScratch struct {
 	order       []int
 	bucketCount []int
 	bucketStart []int
 	bucketItems []int
+	entryBucket []int
 	selected    []int
 }
 
