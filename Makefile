@@ -23,7 +23,7 @@ COVER_FLOOR ?= 60
 # Fuzz smoke budget for `make fuzz-smoke` (native Go fuzzing).
 FUZZTIME ?= 20s
 
-.PHONY: build test test-race bench bench-smoke bench-json bench-perf bench-compare cover examples fmt fmt-check vet scenario-lint scenarios telemetry-check fuzz-smoke perfbench-check ci
+.PHONY: build test test-race bench bench-smoke bench-json bench-perf bench-compare cover examples fmt fmt-check vet scenario-lint scenarios telemetry-check fuzz-smoke perfbench-check portable ci
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,15 @@ perfbench-check:
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
 
+# The portable kernels: on amd64 the ReSV kernels are SSE2 assembly, and
+# every other architecture runs their Go loops instead. GOARCH=386 test
+# binaries run natively on an amd64 host and take the Go loops, so the
+# kernel identity tests pin the portable path too; arm64 is vetted (build
+# constraints and the Go loops), not run.
+portable:
+	GOARCH=386 $(GO) test -count=1 ./internal/mathx ./internal/tensor ./internal/model ./internal/core
+	GOARCH=arm64 $(GO) vet ./...
+
 # Coverage profile across all packages (per-package lines from go test,
 # totals from cover -func); CI uploads cover.out as an artifact and the
 # COVER_FLOOR gate fails the job if total coverage regresses below it.
@@ -161,7 +170,7 @@ vet:
 	$(GO) run ./cmd/vrex-vet ./...
 	$(GO) test -count=1 -run TestNoDeadExports ./internal/analysis
 
-# Same steps as the workflow: build, vet, gofmt, race tests, examples,
-# scenario lint + suite golden, telemetry nil-perturbation check, benchmark
-# correctness checks, bench smoke + JSON artifact.
-ci: build vet fmt-check test-race examples scenario-lint scenarios telemetry-check perfbench-check bench-smoke bench-json
+# Same steps as the workflow: build, vet, gofmt, race tests, portable
+# kernels, examples, scenario lint + suite golden, telemetry nil-perturbation
+# check, benchmark correctness checks, bench smoke + JSON artifact.
+ci: build vet fmt-check test-race portable examples scenario-lint scenarios telemetry-check perfbench-check bench-smoke bench-json

@@ -19,7 +19,8 @@
 // arrive; cluster scoring runs one fused kernel per (query token, head) row
 // over per-layer float64 mirrors of the representative keys, with the
 // queries widened to float64 once per call, and Config.Workers shards those
-// rows; and all per-frame working sets (score rows, selection bitsets, sort
+// rows (the kernel, mathx.ScoreKeys, is SSE2 assembly on amd64 and a Go loop
+// elsewhere, with the same bits on both); and all per-frame working sets (score rows, selection bitsets, sort
 // buffers) live in reusable per-layer scratch arenas — steady-state
 // SelectTokens performs zero heap allocations on the sequential path (pinned
 // by TestSelectTokensSteadyStateAllocFree).

@@ -1,0 +1,58 @@
+//go:build !amd64
+
+package mathx
+
+// The portable kernels: the only path on architectures without an
+// assembly version. Each product is converted explicitly to its own type,
+// which rounds it and so keeps the compiler from fusing it with the add
+// that follows into one FMA instruction: every output has the roundings
+// the SSE2 kernels give it.
+
+// scoreKeysKernel is ScoreKeys after its length check.
+//
+//vrex:noalloc
+func scoreKeysKernel(dst []float32, q, keys []float64, scale float32) {
+	n := len(q)
+	// Two keys per pass share the loads of q; an odd last key is scored as
+	// both of its pass's keys. Re-slicing each key to n lets the compiler
+	// drop the bounds checks on the keys.
+	for j := 0; j < len(dst); j += 2 {
+		k0 := keys[j*n:][:n]
+		k1 := k0
+		if j+1 < len(dst) {
+			k1 = keys[(j+1)*n:][:n]
+		}
+		var s0, s1, s2, s3, t0, t1, t2, t3 float64
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			x0, x1, x2, x3 := q[i], q[i+1], q[i+2], q[i+3]
+			s0 += float64(x0 * k0[i])
+			s1 += float64(x1 * k0[i+1])
+			s2 += float64(x2 * k0[i+2])
+			s3 += float64(x3 * k0[i+3])
+			t0 += float64(x0 * k1[i])
+			t1 += float64(x1 * k1[i+1])
+			t2 += float64(x2 * k1[i+2])
+			t3 += float64(x3 * k1[i+3])
+		}
+		s, t := s0+s1+s2+s3, t0+t1+t2+t3
+		for ; i < n; i++ {
+			s += float64(q[i] * k0[i])
+			t += float64(q[i] * k1[i])
+		}
+		dst[j] = float32(s) * scale
+		if j+1 < len(dst) {
+			dst[j+1] = float32(t) * scale
+		}
+	}
+}
+
+// widenKernel is Widen with len(dst) == len(src).
+//
+//vrex:noalloc
+func widenKernel(dst []float64, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = float64(v)
+	}
+}

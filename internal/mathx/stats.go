@@ -67,54 +67,23 @@ func Dot(a, b []float32) float64 {
 // key_j)) * scale on the float32 originals. len(keys) must equal
 // len(dst)*len(q).
 //
+// On amd64 the loop is SSE2 assembly (kernels_amd64.s); elsewhere it is Go
+// (kernels_generic.go). Both perform the same roundings in the same order.
+//
 //vrex:noalloc
 func ScoreKeys(dst []float32, q, keys []float64, scale float32) {
-	n := len(q)
-	if len(keys) != len(dst)*n {
+	if len(keys) != len(dst)*len(q) {
 		panic("mathx: ScoreKeys length mismatch")
 	}
-	// Two keys per pass share the loads of q; an odd last key is scored as
-	// both of its pass's keys. Re-slicing each key to n lets the compiler
-	// drop the bounds checks on the keys.
-	for j := 0; j < len(dst); j += 2 {
-		k0 := keys[j*n:][:n]
-		k1 := k0
-		if j+1 < len(dst) {
-			k1 = keys[(j+1)*n:][:n]
-		}
-		var s0, s1, s2, s3, t0, t1, t2, t3 float64
-		i := 0
-		for ; i+4 <= n; i += 4 {
-			x0, x1, x2, x3 := q[i], q[i+1], q[i+2], q[i+3]
-			s0 += x0 * k0[i]
-			s1 += x1 * k0[i+1]
-			s2 += x2 * k0[i+2]
-			s3 += x3 * k0[i+3]
-			t0 += x0 * k1[i]
-			t1 += x1 * k1[i+1]
-			t2 += x2 * k1[i+2]
-			t3 += x3 * k1[i+3]
-		}
-		s, t := s0+s1+s2+s3, t0+t1+t2+t3
-		for ; i < n; i++ {
-			s += q[i] * k0[i]
-			t += q[i] * k1[i]
-		}
-		dst[j] = float32(s) * scale
-		if j+1 < len(dst) {
-			dst[j+1] = float32(t) * scale
-		}
-	}
+	scoreKeysKernel(dst, q, keys, scale)
 }
 
 // Widen writes src's values, converted to float64, into dst[:len(src)].
+// The conversion is exact.
 //
 //vrex:noalloc
 func Widen(dst []float64, src []float32) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = float64(v)
-	}
+	widenKernel(dst[:len(src)], src)
 }
 
 // CosineSimilarity returns the cosine of the angle between a and b, or 0 if

@@ -6,7 +6,8 @@
 // newly appended KV entries and selects which past tokens attention may use.
 //
 // The functional plane runs at small dimensions with deterministic random
-// weights; query/key projections are tied so attention scores
+// weights; the key projection is tied to the query projection (a token's key
+// is the leading KVDim columns of its rotated query) so attention scores
 // track content similarity (the stand-in for trained attention), and rotary
 // embedding is applied to half the head dimensions (partial rotary) so
 // semantic matching survives long distances.

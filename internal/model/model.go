@@ -11,7 +11,7 @@ import (
 
 // layerWeights holds one decoder layer's parameters.
 type layerWeights struct {
-	wq, wk, wv, wo    *tensor.Matrix
+	wq, wv, wo        *tensor.Matrix
 	w1, w2, w3        *tensor.Matrix // SwiGLU: gate, down, up
 	attnGain, ffnGain []float32
 }
@@ -25,12 +25,15 @@ type Model struct {
 	caches []*kvcache.LayerCache
 	pos    int
 	// keys64 and q64 are attention's reusable buffers: one call's candidate
-	// keys and one query row, widened to float64.
+	// keys and one query row, widened to float64. vals holds the same
+	// call's candidate value rows.
 	keys64, q64 []float64
+	vals        []float32
 }
 
 // New builds a model with deterministic random weights from cfg.Seed. The
-// key projection is tied to the query projection (see package comment).
+// key projection is tied to the query projection (see package comment): a
+// token's key is the leading KVDim columns of its rotated query.
 func New(cfg Config) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -53,13 +56,6 @@ func New(cfg Config) *Model {
 		lw.w1.Randomize(rng, scale)
 		lw.w2.Randomize(rng, 1/float32(math.Sqrt(float64(cfg.FFNDim))))
 		lw.w3.Randomize(rng, scale)
-		// Tied QK: wk reuses the leading KVDim columns of wq so attention
-		// scores track content similarity (substitution for trained
-		// attention; see the package comment of internal/model/config.go).
-		lw.wk = tensor.NewMatrix(cfg.Dim, cfg.KVDim())
-		for i := 0; i < cfg.Dim; i++ {
-			copy(lw.wk.Row(i), lw.wq.Row(i)[:cfg.KVDim()])
-		}
 		lw.attnGain = ones(cfg.Dim)
 		lw.ffnGain = ones(cfg.Dim)
 		m.layers = append(m.layers, lw)
@@ -120,14 +116,17 @@ func (m *Model) Forward(x *tensor.Matrix, r Retriever, stage Stage, record bool)
 	for l, lw := range m.layers {
 		normed := tensor.RMSNorm(h, lw.attnGain, 1e-6)
 		q := tensor.MatMul(normed, lw.wq)
-		k := tensor.MatMul(normed, lw.wk)
 		v := tensor.MatMul(normed, lw.wv)
 		m.applyRotary(q, m.Cfg.Heads, base)
-		m.applyRotary(k, m.Cfg.KVHeads, base)
 
+		// Tied QK: the key projection is wq's leading KVDim columns, so a
+		// key is its query's leading KVDim columns. MatMul computes each
+		// output column from its own B column alone, and rotary turns the
+		// heads below KVHeads by the same angles in both, so these are the
+		// bits a separate key MatMul and rotary pass would give.
 		cache := m.caches[l]
 		for i := 0; i < n; i++ {
-			cache.Append(k.Row(i), v.Row(i))
+			cache.Append(q.Row(i)[:m.Cfg.KVDim()], v.Row(i))
 		}
 		r.ObserveAppend(l, cache, base, n)
 		sel := r.SelectTokens(l, cache, q, base, stage)
@@ -194,9 +193,9 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 
 	// Query row i's candidates are the selected past tokens plus in-chunk
 	// tokens <= i: a prefix of one candidate list, scored into a prefix of
-	// one score buffer. Each candidate's key is widened to float64 once, in
-	// one block of keys per kv head, so row i scores a prefix of its kv
-	// head's block.
+	// one score buffer. Each candidate's key is widened to float64 once, and
+	// its value row copied once, into one block of keys and one of values
+	// per kv head, so row i reads a prefix of its kv head's blocks.
 	cand := append(make([]int, 0, len(sel)+n), sel...)
 	for i := 0; i < n; i++ {
 		cand = append(cand, base+i)
@@ -204,10 +203,13 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 	scoreBuf := make([]float32, len(cand))
 	block := len(cand) * headDim
 	m.keys64 = slices.Grow(m.keys64[:0], cfg.KVHeads*block)[:cfg.KVHeads*block]
+	m.vals = slices.Grow(m.vals[:0], cfg.KVHeads*block)[:cfg.KVHeads*block]
 	for ci, tok := range cand {
-		key := cache.Key(tok)
+		key, val := cache.Key(tok), cache.Value(tok)
 		for kvh := 0; kvh < cfg.KVHeads; kvh++ {
-			mathx.Widen(m.keys64[kvh*block+ci*headDim:], key[kvh*headDim:(kvh+1)*headDim])
+			at, lo, hi := kvh*block+ci*headDim, kvh*headDim, (kvh+1)*headDim
+			mathx.Widen(m.keys64[at:], key[lo:hi])
+			copy(m.vals[at:], val[lo:hi])
 		}
 	}
 	m.q64 = slices.Grow(m.q64[:0], cfg.Dim)[:cfg.Dim]
@@ -218,27 +220,35 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 		orow := out.Row(i)
 		for h := 0; h < cfg.Heads; h++ {
 			kvh := h / group
-			lo, hi := kvh*headDim, (kvh+1)*headDim
 			mathx.ScoreKeys(scores, m.q64[h*headDim:(h+1)*headDim], m.keys64[kvh*block:][:nc*headDim], invSqrt)
 			mathx.Softmax(scores, scores)
-			oh := orow[h*headDim : (h+1)*headDim]
+			addWeighted(orow[h*headDim:(h+1)*headDim], scores, m.vals[kvh*block:][:nc*headDim])
+			if attnMass == nil {
+				continue
+			}
 			for ci, tok := range cand[:nc] {
-				// Skipping a zero weight is not the same as adding 0*v
-				// when v holds -0, ±Inf or NaN; keep the skip.
-				w := scores[ci]
-				if w == 0 {
-					continue
-				}
-				// Slicing vrow to len(oh) drops the loop's bounds checks.
-				vrow := cache.Value(tok)[lo:hi][:len(oh)]
-				for d := range oh {
-					oh[d] += w * vrow[d]
-				}
-				if attnMass != nil && tok < base {
+				if w := scores[ci]; w != 0 && tok < base {
 					attnMass[tok] += float64(w)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// addWeighted adds w[c] * vals[c*len(oh):][:len(oh)] to oh for each
+// candidate c in order, so each oh[d] receives its terms in candidate order.
+// A weight equal to zero (+0 or -0) is skipped, which is not the same as
+// adding 0*v when v holds -0, ±Inf or NaN; a NaN weight is not skipped. The
+// kernel is SSE2 assembly on amd64 (valuesum_amd64.s) and Go elsewhere
+// (valuesum_generic.go); both round each product and sum as
+// oh[d] += w[c]*v[d] does. This wrapper checks the lengths the assembly
+// relies on.
+//
+//vrex:noalloc
+func addWeighted(oh, w, vals []float32) {
+	if len(vals) != len(w)*len(oh) {
+		panic("model: addWeighted length mismatch")
+	}
+	addWeightedKernel(oh, w, vals)
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"vrex/internal/mathx"
@@ -145,5 +146,116 @@ func TestKernelsMatchUnpairedReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// canary sits just past each output row in the axpy kernel tests: a kernel
+// that writes beyond its row changes it. It is finite, because arithmetic on
+// a NaN canary could leave its bits as they were.
+const canary float32 = -1234.5
+
+// offsetRow returns n values that start off elements into a fresh buffer,
+// so off 1-3 misaligns them, and the buffer element just past them, which
+// holds canary. With special > 0, about that fraction of the values is -0,
+// ±Inf or NaN.
+func offsetRow(rng *mathx.RNG, n, off int, special float64) ([]float32, *float32) {
+	buf := make([]float32, off+n+1)
+	for i := range buf[:off+n] {
+		buf[i] = rng.Norm32()
+		if rng.Float64() < special {
+			buf[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	buf[off+n] = canary
+	return buf[off : off+n : off+n], &buf[off+n]
+}
+
+// nonZeroGroup draws a 4-group of A values, not all zero (refMatMulRow
+// skips an all-zero group, which the kernels are never called with).
+func nonZeroGroup(rng *mathx.RNG, special float64) *[4]float32 {
+	g, _ := offsetRow(rng, 4, 0, special)
+	x := (*[4]float32)(g)
+	if x[0] == 0 && x[1] == 0 && x[2] == 0 && x[3] == 0 {
+		x[0] = 1
+	}
+	return x
+}
+
+// TestAxpyKernelsUnaligned pins axpy4, axpy4x2 and axpy, called directly, to
+// the unpaired reference row bit for bit at every width from 0 to 70 (every
+// tail of the 4-wide loop) with the output rows and B rows starting at every
+// offset 0-3 from an allocation, so the kernels' loads and stores are
+// unaligned, and with and without -0, ±Inf and NaN entries. Nothing past an
+// output row may be written.
+func TestAxpyKernelsUnaligned(t *testing.T) {
+	rng := mathx.NewRNG(11)
+	check := func(name string, n, off int, got, want []float32, guard *float32) {
+		t.Helper()
+		if i, ok := sameBits32(got, want); !ok {
+			t.Fatalf("%s, width %d, offset %d: element %d is %v, reference %v", name, n, off, i, got[i], want[i])
+		}
+		if math.Float32bits(*guard) != math.Float32bits(canary) {
+			t.Fatalf("%s, width %d, offset %d: wrote past the output row", name, n, off)
+		}
+	}
+	for n := 0; n <= 70; n++ {
+		for _, special := range []float64{0, 0.1} {
+			for off := 0; off < 4; off++ {
+				g, _ := offsetRow(rng, 4*n, (off+1)%4, special)
+				group := &Matrix{Rows: 4, Cols: n, Data: g}
+				x, y := nonZeroGroup(rng, special), nonZeroGroup(rng, special)
+
+				o, guard := offsetRow(rng, n, off, special)
+				want := slices.Clone(o)
+				refMatMulRow(x[:], group, want)
+				axpy4(o, x, g)
+				check("axpy4", n, off, o, want, guard)
+
+				o0, guard0 := offsetRow(rng, n, off, special)
+				o1, guard1 := offsetRow(rng, n, (off+2)%4, special)
+				want0, want1 := slices.Clone(o0), slices.Clone(o1)
+				refMatMulRow(x[:], group, want0)
+				refMatMulRow(y[:], group, want1)
+				axpy4x2(o0, o1, x, y, g)
+				check("axpy4x2 row 0", n, off, o0, want0, guard0)
+				check("axpy4x2 row 1", n, off, o1, want1, guard1)
+
+				a := x[0]
+				if a == 0 {
+					a = -2 // matmulRow never calls axpy with a zero A value
+				}
+				brow, _ := offsetRow(rng, n, (off+3)%4, special)
+				o, guard = offsetRow(rng, n, off, special)
+				want = slices.Clone(o)
+				refMatMulRow([]float32{a}, &Matrix{Rows: 1, Cols: n, Data: brow}, want)
+				axpy(o, a, brow)
+				check("axpy", n, off, o, want, guard)
+			}
+		}
+	}
+}
+
+// TestAxpyLengthMismatchPanics requires the wrappers to reject rows too
+// short for the kernels, which check no bounds themselves.
+func TestAxpyLengthMismatchPanics(t *testing.T) {
+	x := &[4]float32{1, 2, 3, 4}
+	cases := []struct {
+		name string
+		call func()
+	}{
+		{"axpy4 short group", func() { axpy4(make([]float32, 8), x, make([]float32, 31)) }},
+		{"axpy4x2 short second row", func() { axpy4x2(make([]float32, 8), make([]float32, 7), x, x, make([]float32, 32)) }},
+		{"axpy4x2 short group", func() { axpy4x2(make([]float32, 8), make([]float32, 8), x, x, make([]float32, 31)) }},
+		{"axpy short B row", func() { axpy(make([]float32, 8), 1, make([]float32, 7)) }},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			c.call()
+		}()
 	}
 }

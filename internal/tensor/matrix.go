@@ -3,6 +3,11 @@
 // on: row-major matrices, matrix multiplication, normalisation and
 // activations. There is no transposed product: attention and ReSV score keys
 // one row at a time through mathx.ScoreKeys.
+//
+// MatMul's inner loops, the axpy kernels, are SSE2 assembly on amd64, four
+// output columns per instruction, and plain Go loops on other
+// architectures. Both round every product and sum in the order of the Go
+// expression, with no FMA, so every output has the same bits on both.
 package tensor
 
 import (
@@ -201,47 +206,38 @@ func matmulRow2(a0, a1 []float32, b *Matrix, o0, o1 []float32) {
 
 // axpy4 adds one 4-group's terms to an output row:
 // o[j] += x[0]*b0[j] + x[1]*b1[j] + x[2]*b2[j] + x[3]*b3[j], where g holds
-// the group's four B rows b0..b3 of len(o) columns each.
+// the group's four B rows b0..b3 of len(o) columns each. The three axpy
+// kernels are SSE2 assembly on amd64 (axpy_amd64.s) and Go elsewhere
+// (axpy_generic.go); both round every product and sum as this expression
+// does, in its order. These wrappers check the lengths the assembly relies
+// on.
 //
 //vrex:noalloc
 func axpy4(o []float32, x *[4]float32, g []float32) {
-	b0, b1, b2, b3 := group4(g, len(o))
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	for j := range o {
-		o[j] += x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+	if len(g) != 4*len(o) {
+		panic("tensor: axpy4 length mismatch")
 	}
+	axpy4Kernel(o, x, g)
 }
 
 // axpy4x2 is axpy4 for two output rows over the same four B rows.
 //
 //vrex:noalloc
 func axpy4x2(o0, o1 []float32, x, y *[4]float32, g []float32) {
-	b0, b1, b2, b3 := group4(g, len(o0))
-	o1 = o1[:len(o0)]
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
-	for j := range o0 {
-		c0, c1, c2, c3 := b0[j], b1[j], b2[j], b3[j]
-		o0[j] += x0*c0 + x1*c1 + x2*c2 + x3*c3
-		o1[j] += y0*c0 + y1*c1 + y2*c2 + y3*c3
+	if len(o1) != len(o0) || len(g) != 4*len(o0) {
+		panic("tensor: axpy4x2 length mismatch")
 	}
-}
-
-// group4 splits g into its four B rows of n columns each. Each is re-sliced
-// to [:n] so the compiler can prove indices below n in bounds and drop the
-// checks from the callers' inner loops.
-func group4(g []float32, n int) (b0, b1, b2, b3 []float32) {
-	return g[:n], g[n:][:n], g[2*n:][:n], g[3*n:][:n]
+	axpy4x2Kernel(o0, o1, x, y, g)
 }
 
 // axpy adds one tail term to an output row: o[j] += x * brow[j].
 //
 //vrex:noalloc
 func axpy(o []float32, x float32, brow []float32) {
-	brow = brow[:len(o)]
-	for j := range o {
-		o[j] += x * brow[j]
+	if len(brow) != len(o) {
+		panic("tensor: axpy length mismatch")
 	}
+	axpyKernel(o, x, brow)
 }
 
 // AddInPlace adds b to a element-wise.
