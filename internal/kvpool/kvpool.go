@@ -14,8 +14,9 @@
 package kvpool
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Mover prices page movement between device memory and the backing store, in
@@ -72,6 +73,8 @@ type Pool struct {
 	order     []*session // admission order, for deterministic victim scans
 	admitSeq  int
 	stats     Stats
+	// victims is evictable's result buffer, reused across reclaims.
+	victims []*session
 }
 
 // New builds a pool; the configuration must be valid (positive capacity and
@@ -130,22 +133,23 @@ func (p *Pool) Admitted(id int) bool {
 
 // evictable lists victim sessions (resident pages, not the requester) in
 // eviction order: the configured policy's order with a final session-id
-// tie-break, scanned over the deterministic admission-order slice.
+// tie-break, scanned over the deterministic admission-order slice. The
+// result is the pool's reused buffer, valid until the next call.
 func (p *Pool) evictable(requester int) []*session {
-	var out []*session
+	out := p.victims[:0]
 	for _, s := range p.order {
 		if s.id != requester && s.resident > 0 {
 			out = append(out, s)
 		}
 	}
 	ev := p.cfg.Spill.Evict
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortStableFunc(out, func(a, b *session) int {
 		if c := ev.Compare(victim(a), victim(b)); c != 0 {
-			return c < 0
+			return c
 		}
-		return a.id < b.id
+		return cmp.Compare(a.id, b.id)
 	})
+	p.victims = out
 	return out
 }
 

@@ -83,13 +83,16 @@ func nearMidpoint(e float64) bool {
 // expFast returns exp(x) for x in [expFastMin, expFastMax]: with
 // n = round(x*256/ln2) and r = x - n*ln2/256, so |r| <= ln2/512, it is
 // 2^(n/256) from the table times the cubic Taylor polynomial of exp(r),
-// whose truncation error r^4/24 is below 1.4e-13.
+// whose truncation error r^4/24 is below 1.4e-13. Each product is converted
+// explicitly, which rounds it and so keeps the compiler from fusing it with
+// the add that follows into an FMA (arm64 would): every architecture
+// computes amd64's bits.
 func expFast(x float64) float64 {
-	kd := x*expInvLn2N + expShift
+	kd := float64(x*expInvLn2N) + expShift
 	ki := math.Float64bits(kd)
 	kd -= expShift
-	r := x - kd*expLn2HiN - kd*expLn2LoN
+	r := x - float64(kd*expLn2HiN) - float64(kd*expLn2LoN)
 	s := math.Float64frombits(expTable[ki%expN] + ki<<(52-expTableBits))
 	r2 := r * r
-	return s * (1 + r + r2*(0.5+r*(1.0/6)))
+	return s * (1 + r + float64(r2*(0.5+float64(r*(1.0/6)))))
 }

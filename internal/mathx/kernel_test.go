@@ -7,19 +7,20 @@ import (
 
 // refDot is Dot's float expression, kept here so ScoreKeys is pinned to it
 // even if Dot itself is rewritten: four float64 accumulators, reduced as
-// s0+s1+s2+s3, then the tail added in order.
+// s0+s1+s2+s3, then the tail added in order, each product rounded on its own
+// (converted explicitly, so that no architecture fuses it into an FMA).
 func refDot(a, b []float32) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += float64(a[i]) * float64(b[i])
-		s1 += float64(a[i+1]) * float64(b[i+1])
-		s2 += float64(a[i+2]) * float64(b[i+2])
-		s3 += float64(a[i+3]) * float64(b[i+3])
+		s0 += float64(float64(a[i]) * float64(b[i]))
+		s1 += float64(float64(a[i+1]) * float64(b[i+1]))
+		s2 += float64(float64(a[i+2]) * float64(b[i+2]))
+		s3 += float64(float64(a[i+3]) * float64(b[i+3]))
 	}
 	s := s0 + s1 + s2 + s3
 	for ; i < len(a); i++ {
-		s += float64(a[i]) * float64(b[i])
+		s += float64(float64(a[i]) * float64(b[i]))
 	}
 	return s
 }

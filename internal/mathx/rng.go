@@ -85,9 +85,14 @@ func (r *RNG) Norm() float64 {
 		return r.spare
 	}
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		// u and v are 2*Float64()-1 from the same draw, computed exactly in
+		// integers: written in floating point, arm64 fuses the doubling into
+		// an FMA even with the product converted. The squares are converted
+		// explicitly for the same reason, so every architecture draws
+		// amd64's variates.
+		u := float64(int64(r.Uint64()>>11)-1<<52) / (1 << 52)
+		v := float64(int64(r.Uint64()>>11)-1<<52) / (1 << 52)
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}

@@ -47,14 +47,14 @@ func Dot(a, b []float32) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += float64(a[i]) * float64(b[i])
-		s1 += float64(a[i+1]) * float64(b[i+1])
-		s2 += float64(a[i+2]) * float64(b[i+2])
-		s3 += float64(a[i+3]) * float64(b[i+3])
+		s0 += float64(float64(a[i]) * float64(b[i]))
+		s1 += float64(float64(a[i+1]) * float64(b[i+1]))
+		s2 += float64(float64(a[i+2]) * float64(b[i+2]))
+		s3 += float64(float64(a[i+3]) * float64(b[i+3]))
 	}
 	s := s0 + s1 + s2 + s3
 	for ; i < len(a); i++ {
-		s += float64(a[i]) * float64(b[i])
+		s += float64(float64(a[i]) * float64(b[i]))
 	}
 	return s
 }
@@ -118,9 +118,9 @@ func PearsonCorrelation(xs, ys []float64) float64 {
 	var cov, vx, vy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
+		cov += float64(dx * dy)
+		vx += float64(dx * dx)
+		vy += float64(dy * dy)
 	}
 	if vx == 0 || vy == 0 {
 		return 0
@@ -145,24 +145,36 @@ func Mean(xs []float64) float64 {
 // every number (the sort.Float64s order), so an interpolation that touches a
 // NaN rank is NaN. A rank <= 0 or >= 100 returns an extreme, an empty xs
 // returns 0 and a NaN rank returns NaN. p and q may come in either order. xs
-// is not modified: Percentiles copies its numbers once and selects only the
-// ranks it interpolates between, in expected O(n) time; the higher rank is
-// selected only among the values above the lower one.
+// is not modified: Percentiles is PercentilesInPlace on a copy of xs.
 func Percentiles(xs []float64, p, q float64) (float64, float64) {
+	return PercentilesInPlace(slices.Clone(xs), p, q)
+}
+
+// PercentilesInPlace returns what Percentiles returns for xs, reordering xs
+// instead of copying it: xs comes back a permutation of itself, its NaNs at
+// the back. It selects only the ranks it interpolates between, in expected
+// O(n) time; the higher rank is selected only among the values above the
+// lower one.
+//
+//vrex:noalloc
+func PercentilesInPlace(xs []float64, p, q float64) (float64, float64) {
 	if q < p {
-		vq, vp := Percentiles(xs, q, p)
+		vq, vp := PercentilesInPlace(xs, q, p)
 		return vp, vq
 	}
 	if len(xs) == 0 {
 		return 0, 0
 	}
-	c := make([]float64, 0, len(xs))
-	for _, v := range xs {
+	// Everything in xs[n:i] is NaN, so each swap keeps the numbers in their
+	// order: xs[:n] ends as the numbers a filtering copy would hold.
+	n := 0
+	for i, v := range xs {
 		if !math.IsNaN(v) {
-			c = append(c, v)
+			xs[n], xs[i] = v, xs[n]
+			n++
 		}
 	}
-	nans := len(xs) - len(c)
+	c, nans := xs[:n], len(xs)-n
 	vp, from := percentileFrom(c, nans, p, 0)
 	vq, _ := percentileFrom(c, nans, q, from)
 	return vp, vq
@@ -197,7 +209,7 @@ func percentileFrom(c []float64, nans int, p float64, from int) (float64, int) {
 		return c[k], k + 1
 	}
 	frac := rank - float64(lo)
-	return c[k]*(1-frac) + slices.Min(c[k+1:])*frac, k + 1
+	return float64(c[k]*(1-frac)) + float64(slices.Min(c[k+1:])*frac), k + 1
 }
 
 // selectRank reorders xs, which holds no NaN, so that xs[k] is its k-th

@@ -196,7 +196,8 @@ func TestPercentile(t *testing.T) {
 
 // percentileBySort is the sort-based definition Percentiles must match: sort
 // a copy (sort.Float64s puts NaNs first) and interpolate between the closest
-// ranks.
+// ranks, each product rounded on its own (converted explicitly, so that no
+// architecture fuses it into an FMA with the subtraction or addition after it).
 func percentileBySort(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -212,19 +213,22 @@ func percentileBySort(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return c[len(c)-1]
 	}
-	rank := p / 100 * float64(len(c)-1)
+	rank := float64(p / 100 * float64(len(c)-1))
 	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
 	if lo == hi {
 		return c[lo]
 	}
 	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
+	return float64(c[lo]*(1-frac)) + float64(c[hi]*frac)
 }
 
 // TestPercentileMatchesSortReference: on random slices with many duplicates,
 // signed zeros, infinities and NaNs, the selection-based Percentiles, for
 // every pair of ranks in either order (equal ranks included), equals the
 // sort-based definition (NaN matching NaN) and leaves its input as it was.
+// PercentilesInPlace, on a copy of the same input, returns the same values
+// and leaves the copy a permutation of the input: the same multiset of bit
+// patterns.
 func TestPercentileMatchesSortReference(t *testing.T) {
 	rng := NewRNG(11)
 	ps := []float64{-1, 0, 0.5, 10, 50, 90, 99, 99.9, 100, 101, math.NaN()}
@@ -244,6 +248,7 @@ func TestPercentileMatchesSortReference(t *testing.T) {
 			}
 		}
 		orig := slices.Clone(xs)
+		origBits := sortedBits(orig)
 		wants := make([]float64, len(ps))
 		for i, p := range ps {
 			wants[i] = percentileBySort(xs, p)
@@ -268,7 +273,27 @@ func TestPercentileMatchesSortReference(t *testing.T) {
 				if modified() {
 					t.Fatalf("Percentiles(_, %v, %v) modified its input: %v, was %v", p, q, xs, orig)
 				}
+				ys := slices.Clone(xs)
+				gp, gq = PercentilesInPlace(ys, p, q)
+				if !same(gp, wants[i]) || !same(gq, wants[j]) {
+					t.Fatalf("PercentilesInPlace(%v, %v, %v) = %v, %v, sort reference says %v, %v", xs, p, q, gp, gq, wants[i], wants[j])
+				}
+				if !slices.Equal(sortedBits(ys), origBits) {
+					t.Fatalf("PercentilesInPlace(_, %v, %v) left %v, not a permutation of %v", p, q, ys, orig)
+				}
 			}
 		}
 	}
+}
+
+// sortedBits returns xs's bit patterns in ascending order: two slices hold
+// the same multiset of values, NaN payloads and zero signs included, exactly
+// when their sortedBits are equal.
+func sortedBits(xs []float64) []uint64 {
+	b := make([]uint64, len(xs))
+	for i, v := range xs {
+		b[i] = math.Float64bits(v)
+	}
+	slices.Sort(b)
+	return b
 }

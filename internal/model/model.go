@@ -26,9 +26,11 @@ type Model struct {
 	pos    int
 	// keys64 and q64 are attention's reusable buffers: one call's candidate
 	// keys and one query row, widened to float64. vals holds the same
-	// call's candidate value rows.
-	keys64, q64 []float64
-	vals        []float32
+	// call's candidate value rows, cand its candidate token indices and
+	// scores one query row's scores.
+	keys64, q64  []float64
+	vals, scores []float32
+	cand         []int
 }
 
 // New builds a model with deterministic random weights from cfg.Seed. The
@@ -196,11 +198,12 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 	// one score buffer. Each candidate's key is widened to float64 once, and
 	// its value row copied once, into one block of keys and one of values
 	// per kv head, so row i reads a prefix of its kv head's blocks.
-	cand := append(make([]int, 0, len(sel)+n), sel...)
+	cand := append(m.cand[:0], sel...)
 	for i := 0; i < n; i++ {
 		cand = append(cand, base+i)
 	}
-	scoreBuf := make([]float32, len(cand))
+	m.cand = cand
+	m.scores = slices.Grow(m.scores[:0], len(cand))[:len(cand)]
 	block := len(cand) * headDim
 	m.keys64 = slices.Grow(m.keys64[:0], cfg.KVHeads*block)[:cfg.KVHeads*block]
 	m.vals = slices.Grow(m.vals[:0], cfg.KVHeads*block)[:cfg.KVHeads*block]
@@ -215,7 +218,7 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 	m.q64 = slices.Grow(m.q64[:0], cfg.Dim)[:cfg.Dim]
 	for i := 0; i < n; i++ {
 		nc := len(sel) + i + 1
-		scores := scoreBuf[:nc]
+		scores := m.scores[:nc]
 		mathx.Widen(m.q64, q.Row(i))
 		orow := out.Row(i)
 		for h := 0; h < cfg.Heads; h++ {

@@ -339,7 +339,7 @@ func (e *engine) serveFrames(d int, members []readyItem, paging, at float64) {
 		e.metrics[s].FramesServed++
 		e.devMetrics[d].FramesServed++
 		lat := done - it.at
-		e.latencies[s] = append(e.latencies[s], lat)
+		e.latLog = append(e.latLog, sample{s, lat})
 		e.observe(EventFrameServed, it.at, s, lat)
 		e.served(s, d, it.at, start-it.at, lat, true)
 		e.resolve(s, at)

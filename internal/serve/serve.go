@@ -630,6 +630,7 @@ func Run(cfg Config) Result {
 
 	events, seq := seedEvents(sessions, cfg.Control, cfg.Duration, nDev)
 	sched, batchMax := cfg.Scheduler.Effective()
+	frames, items := sampleHint(sessions)
 	e := &engine{
 		cfg: cfg, classes: classes, sims: sims, sessions: sessions,
 		nDev: nDev, bal: bal,
@@ -642,8 +643,8 @@ func Run(cfg Config) Result {
 		reqs:          make([]hwsim.StepReq, 0, batchMax),
 		kv:            make([]int, len(sessions)),
 		metrics:       make([]StreamMetrics, len(sessions)),
-		latencies:     make([][]float64, len(sessions)),
-		waits:         make([][]float64, len(sessions)),
+		latLog:        make([]sample, 0, frames),
+		waitLog:       make([]sample, 0, items),
 		devs:          make([]DeviceState, nDev),
 		devMetrics:    make([]DeviceMetrics, nDev),
 		waitSum:       make([]float64, nDev),
@@ -687,7 +688,6 @@ func Run(cfg Config) Result {
 	e.deg = newDegradePlane(cfg, len(sessions))
 
 	e.run()
-	kv, metrics, latencies := e.kv, e.metrics, e.latencies
 	devs, devMetrics, plane := e.devs, e.devMetrics, e.plane
 
 	var busy float64
@@ -707,41 +707,52 @@ func Run(cfg Config) Result {
 		}
 	}
 	res := Result{
-		PerStream: metrics, PerDevice: devMetrics, RealTime: true,
+		PerStream: e.metrics, PerDevice: devMetrics,
 		Utilization: clampUtil(busy / (cfg.Duration * float64(nDev))),
 	}
 	if plane != nil {
 		res.Memory = plane.memory(devMetrics)
 	}
 	res.Migrations = e.mig
-	// Post-loop reduction: each session's latency percentiles are
-	// independent, so they run across the pool; the real-time verdict folds
-	// in session order afterwards.
-	parallel.ForEach(cfg.Workers, len(sessions), func(s int) {
+	res.PerClass, res.Aggregate, res.RealTime = e.reduceStreams()
+	return res
+}
+
+// reduceStreams completes each session's metrics once the loop has ended and
+// pools them into per-class and aggregate summaries; it also returns the
+// real-time verdict. Every latency and queue-wait percentile is selected in
+// place on its own range of a grouped sample buffer, which reorders only that
+// range: first each session's latency pair, across the worker pool (the
+// ranges are disjoint), then, in reduceClasses, each class's and the run's.
+func (e *engine) reduceStreams() ([]ClassMetrics, ClassMetrics, bool) {
+	classes, sessions, metrics := e.classes, e.sessions, e.metrics
+	bySession := make([]span, len(sessions))
+	lat := groupSamples(e.latLog, sessions, len(classes), bySession)
+	parallel.ForEach(e.cfg.Workers, len(sessions), func(s int) {
 		m := &metrics[s]
 		m.Class = classes[sessions[s].class].Name
 		m.Device = sessions[s].device
 		if window := sessions[s].end - sessions[s].start; window > 0 {
 			m.AchievedFPS = float64(m.FramesServed) / window
 		}
-		m.FinalKV = kv[s]
-		if len(latencies[s]) > 0 {
-			m.P50, m.P99 = mathx.Percentiles(latencies[s], 50, 99)
-		}
+		m.FinalKV = e.kv[s]
+		m.P50, m.P99 = mathx.PercentilesInPlace(lat.vals[bySession[s].lo:bySession[s].hi], 50, 99)
 		if e.deg != nil && e.deg.servedN[s] > 0 {
 			n := float64(e.deg.servedN[s])
 			m.MeanBudget = e.deg.budgetSum[s] / n
 			m.AccuracyProxy = e.deg.retainSum[s] / n
 		}
 	})
+	realTime := true
 	for s := range metrics {
 		m := &metrics[s]
 		if m.FramesArrived > 0 && float64(m.FramesServed) < 0.95*float64(m.FramesArrived) {
-			res.RealTime = false
+			realTime = false
 		}
 	}
-	res.PerClass, res.Aggregate = reduceClasses(classes, sessions, metrics, latencies, e.waits, cfg.Duration)
-	return res
+	wait := groupSamples(e.waitLog, sessions, len(classes), bySession)
+	perClass, agg := reduceClasses(classes, sessions, metrics, lat, wait, e.cfg.Duration)
+	return perClass, agg, realTime
 }
 
 // engine bundles one Run's mutable state: the event loop (run), session
@@ -759,15 +770,14 @@ type engine struct {
 	nDev     int
 	bal      Balancer
 
-	kv        []int
-	metrics   []StreamMetrics
-	latencies [][]float64
-	// waits collects per-session queue waits (service start minus arrival)
-	// of served frames and queries; reduceClasses pools them into the class
-	// queue-wait percentiles.
-	waits      [][]float64
-	devs       []DeviceState
-	devMetrics []DeviceMetrics
+	kv      []int
+	metrics []StreamMetrics
+	// latLog logs every served frame's completion latency, and waitLog every
+	// served frame's and query's queue wait (service start minus arrival), in
+	// service order; reduceStreams groups them for the percentiles.
+	latLog, waitLog []sample
+	devs            []DeviceState
+	devMetrics      []DeviceMetrics
 	// waitSum / waitN accumulate per-device queue waits for MeanQueueWait.
 	waitSum []float64
 	waitN   []int
@@ -963,7 +973,7 @@ func (e *engine) releaseSession(s int, at float64) {
 // deadline misses (they were still served — only DropThreshold discards
 // work).
 func (e *engine) served(s, d int, at, wait, lat float64, frame bool) {
-	e.waits[s] = append(e.waits[s], wait)
+	e.waitLog = append(e.waitLog, sample{s, wait})
 	e.waitSum[d] += wait
 	e.waitN[d]++
 	if frame && lat > e.slo[e.sessions[s].class] {
@@ -1059,17 +1069,14 @@ func clampUtil(u float64) float64 {
 }
 
 // reduceClasses pools per-session metrics into per-class and aggregate
-// summaries. Latency and queue-wait percentiles are computed over the pooled
-// samples of each group, so they reflect frames, not sessions.
-func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMetrics, latencies, waits [][]float64, duration float64) ([]ClassMetrics, ClassMetrics) {
+// summaries. Latency and queue-wait percentiles are selected in place over
+// each group's samples in lat and wait, so they reflect frames, not sessions.
+func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMetrics, lat, wait grouped, duration float64) ([]ClassMetrics, ClassMetrics) {
 	perClass := make([]ClassMetrics, len(classes))
-	pooled := make([][]float64, len(classes))
-	pooledWait := make([][]float64, len(classes))
 	for c := range classes {
 		perClass[c].Class = classes[c].Name
 	}
 	agg := ClassMetrics{Class: "all"}
-	var aggPool, aggWait []float64
 	var aggFPS float64
 	fps := make([]float64, len(classes))
 	// Served-work-weighted budget/proxy accumulators per class plus the
@@ -1101,13 +1108,9 @@ func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMe
 		if m.FramesArrived > 0 && float64(m.FramesServed) >= 0.95*float64(m.FramesArrived) {
 			cm.RealTimeSessions++
 		}
-		pooled[c] = append(pooled[c], latencies[s]...)
-		pooledWait[c] = append(pooledWait[c], waits[s]...)
 		aggFPS += m.AchievedFPS
-		aggPool = append(aggPool, latencies[s]...)
-		aggWait = append(aggWait, waits[s]...)
 	}
-	finish := func(cm *ClassMetrics, pool, wait []float64, fpsSum float64) {
+	finish := func(cm *ClassMetrics, latVals, waitVals []float64, fpsSum float64) {
 		if cm.Sessions > 0 {
 			cm.MeanFPS = fpsSum / float64(cm.Sessions)
 		}
@@ -1118,15 +1121,11 @@ func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMe
 		if duration > 0 {
 			cm.Goodput = float64(cm.FramesServed-cm.DeadlineMisses) / duration
 		}
-		if len(pool) > 0 {
-			cm.P50, cm.P99 = mathx.Percentiles(pool, 50, 99)
-		}
-		if len(wait) > 0 {
-			cm.QueueP50, cm.QueueP99 = mathx.Percentiles(wait, 50, 99)
-		}
+		cm.P50, cm.P99 = mathx.PercentilesInPlace(latVals, 50, 99)
+		cm.QueueP50, cm.QueueP99 = mathx.PercentilesInPlace(waitVals, 50, 99)
 	}
 	for c := range perClass {
-		finish(&perClass[c], pooled[c], pooledWait[c], fps[c])
+		finish(&perClass[c], lat.class(c), wait.class(c), fps[c])
 		if budgetW[c] > 0 {
 			perClass[c].MeanBudget = budgetSum[c] / budgetW[c]
 			perClass[c].AccuracyProxy = proxySum[c] / budgetW[c]
@@ -1142,7 +1141,7 @@ func reduceClasses(classes []StreamClass, sessions []session, metrics []StreamMe
 		agg.Degradations += perClass[c].Degradations
 		agg.Restorations += perClass[c].Restorations
 	}
-	finish(&agg, aggPool, aggWait, aggFPS)
+	finish(&agg, lat.vals, wait.vals, aggFPS)
 	if w := budgetW[len(classes)]; w > 0 {
 		agg.MeanBudget = budgetSum[len(classes)] / w
 		agg.AccuracyProxy = proxySum[len(classes)] / w
