@@ -127,14 +127,20 @@ perfbench-check:
 # The portable kernels: on amd64 the ReSV kernels are SSE2 assembly, and
 # every other architecture runs their Go loops instead. GOARCH=386 test
 # binaries run natively on an amd64 host and take the Go loops, so the
-# kernel identity tests pin the portable path too; arm64 is vetted (build
-# constraints and the Go loops), not run. Last, the arm64 build of
-# internal/mathx (whose RNG draws every model weight) must hold no
-# FMADD-family instruction: arm64 fuses x*y + z unless the product is
-# converted explicitly, and a fused result has other bits than amd64's. The
-# build cache replays -S output, so a warm cache checks too.
+# kernel identity tests pin the portable path too. math.Exp has two amd64
+# paths: on a CPU with AVX and FMA it fuses (VFMADD), which gives other
+# float64 bits than the path without. The ReSV outputs depend on math.Exp
+# only through float32 roundings, so the packages whose identity tests
+# compare with it run again with GODEBUG=cpu.fma=off, which pins the other
+# path on any host. arm64 is vetted (build constraints and the Go loops),
+# not run. Last, the arm64 build of internal/mathx (whose RNG draws every
+# model weight) must hold no FMADD-family instruction: arm64 fuses x*y + z
+# unless the product is converted explicitly, and a fused result has other
+# bits than amd64's. The build cache replays -S output, so a warm cache
+# checks too.
 portable:
 	GOARCH=386 $(GO) test -count=1 ./internal/mathx ./internal/tensor ./internal/model ./internal/core
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/mathx ./internal/model ./internal/core
 	GOARCH=arm64 $(GO) vet ./...
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/mathx 2>&1) || { echo "$$asm" >&2; exit 1; }; \
 	echo "$$asm" | grep -q STEXT || { echo "portable: no assembly listing for internal/mathx" >&2; exit 1; }; \

@@ -50,3 +50,21 @@ func BenchmarkExpNormalize(b *testing.B) {
 	}
 	reportPerElement(b, benchRow)
 }
+
+// BenchmarkSoftmax times one (query, head) row of attention's softmax at
+// BenchmarkAttention's operating point, 250 candidates, into a separate
+// destination as model.attention calls it.
+func BenchmarkSoftmax(b *testing.B) {
+	const n = 250
+	rng := NewRNG(7)
+	src := make([]float32, n)
+	for i := range src {
+		src[i] = rng.Norm32() * 2
+	}
+	dst := make([]float32, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Softmax(dst, src)
+	}
+	reportPerElement(b, n)
+}

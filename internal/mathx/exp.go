@@ -20,22 +20,106 @@ func ExpNormalize(dst, src []float32) {
 	if len(src) == 0 {
 		return
 	}
+	expRow(dst, src, rowMax(src))
+}
+
+// softmaxTableMax is the longest row whose table-exp sum Softmax can keep.
+const softmaxTableMax = 2048
+
+// Softmax writes the softmax of src into dst in the numerically stable
+// max-subtraction form: dst[i] = float32(e_i) * float32(1/sum), where e_i =
+// math.Exp(float64(src[i]-max(src))) and sum adds the e_i in index order.
+// Both slices must have the same length; zero-length input is a no-op. dst
+// may be src itself; otherwise the two must not overlap.
+//
+// Every output bit is that formula's, but most rows take a cheaper route.
+// The numerators are ExpNormalize's, which equal float32(e_i). Of the sum
+// only float32(1/sum) reaches the output, so Softmax keeps the sum of
+// ExpNormalize's own float64 exponentials (expFast's, and math.Exp's where
+// it falls back) unless its reciprocal lies within expWindow float64 ulps
+// of a float32 rounding midpoint. For n <= softmaxTableMax elements the two
+// sums differ by at most about 1.5*2^-41 of the sum: each expFast is within
+// 2^-42 of math.Exp, and each sum's roundings add at most (n-1)*2^-53. That
+// is under 6,200 float64 ulps of 1/sum, inside the 2^14-ulp window, so
+// outside the window both reciprocals round to the same float32. A
+// reciprocal inside it, and a sum below 1 or not finite (which NaN or
+// infinite elements of src can cause), take the math.Exp sum, recomputed
+// from src. Longer rows, whose
+// summation error grows with n, and a dst that is src itself, whose
+// exponentials overwrite src before such a recomputation could read it,
+// run the math.Exp loop throughout.
+func Softmax(dst, src []float32) {
+	if len(dst) != len(src) {
+		panic("mathx: Softmax length mismatch")
+	}
+	if len(src) == 0 {
+		return
+	}
+	maxv := rowMax(src)
+	var sum float64
+	if len(src) <= softmaxTableMax && &dst[0] != &src[0] {
+		sum = softmaxSum(expRow(dst, src, maxv), src, maxv)
+	} else {
+		for i, v := range src {
+			e := math.Exp(float64(v - maxv))
+			dst[i] = float32(e)
+			sum += e
+		}
+	}
+	inv := float32(1 / sum)
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
+// softmaxSum returns the sum Softmax divides by, given tableSum, the sum
+// expRow returned for src and maxv: tableSum itself when float32(1/tableSum)
+// must equal float32(1/s) for s the math.Exp sum (see Softmax), else s.
+func softmaxSum(tableSum float64, src []float32, maxv float32) float64 {
+	if tableSum >= 1 && tableSum <= math.MaxFloat64 && !nearMidpoint(1/tableSum) {
+		return tableSum
+	}
+	var sum float64
+	for _, v := range src {
+		sum += math.Exp(float64(v - maxv))
+	}
+	return sum
+}
+
+// rowMax returns the largest element of a non-empty row, as ExpNormalize and
+// Softmax subtract it: NaN elements after the first are skipped, and a NaN
+// first element is the result.
+func rowMax(src []float32) float32 {
 	maxv := src[0]
 	for _, v := range src[1:] {
 		if v > maxv {
 			maxv = v
 		}
 	}
-	for i, v := range src {
-		x := float64(v - maxv)
-		if x >= expFastMin && x <= expFastMax {
-			if e := expFast(x); !nearMidpoint(e) {
-				dst[i] = float32(e)
-				continue
-			}
+	return maxv
+}
+
+// expRow writes ExpNormalize's float32(exp(x)) for x = float64(src[i]-maxv)
+// into dst, which must be as long as src and may be src itself, and returns
+// the float64 sum of the exponentials it rounded, in index order: expFast's
+// where expRowKernel takes the element, math.Exp's where it stops. On amd64
+// the kernel is SSE2 assembly (kernels_amd64.s); elsewhere it is Go
+// (kernels_generic.go).
+//
+//vrex:noalloc
+func expRow(dst, src []float32, maxv float32) float64 {
+	var sum float64
+	for i := 0; i < len(src); i++ {
+		n, s := expRowKernel(dst[i:], src[i:], maxv, sum)
+		i, sum = i+n, s
+		if i == len(src) {
+			break
 		}
-		dst[i] = float32(math.Exp(x))
+		e := math.Exp(float64(src[i] - maxv))
+		dst[i] = float32(e)
+		sum += e
 	}
+	return sum
 }
 
 const (
@@ -85,8 +169,8 @@ func nearMidpoint(e float64) bool {
 // 2^(n/256) from the table times the cubic Taylor polynomial of exp(r),
 // whose truncation error r^4/24 is below 1.4e-13. Each product is converted
 // explicitly, which rounds it and so keeps the compiler from fusing it with
-// the add that follows into an FMA (arm64 would): every architecture
-// computes amd64's bits.
+// the add that follows into an FMA (arm64 would), the result too, which
+// expRowKernel adds to its sum: every architecture computes amd64's bits.
 func expFast(x float64) float64 {
 	kd := float64(x*expInvLn2N) + expShift
 	ki := math.Float64bits(kd)
@@ -94,5 +178,5 @@ func expFast(x float64) float64 {
 	r := x - float64(kd*expLn2HiN) - float64(kd*expLn2LoN)
 	s := math.Float64frombits(expTable[ki%expN] + ki<<(52-expTableBits))
 	r2 := r * r
-	return s * (1 + r + float64(r2*(0.5+float64(r*(1.0/6)))))
+	return float64(s * (1 + r + float64(r2*(0.5+float64(r*(1.0/6))))))
 }

@@ -1,5 +1,7 @@
 package mathx
 
+import "math"
+
 // The SSE2 kernels in kernels_amd64.s. SSE2 is part of every amd64 CPU, so
 // there is no feature detection and no other amd64 path. The assembly does
 // no bounds checks: the exported wrappers check the lengths first.
@@ -17,3 +19,39 @@ func scoreKeysKernel(dst []float32, q, keys []float64, scale float32)
 //
 //go:noescape
 func widenKernel(dst []float64, src []float32)
+
+// expRowKernel is expRow's fast loop, with len(dst) >= len(src): from index
+// 0 on it writes dst[i] = float32(e) for e = expFast(float64(src[i]-maxv))
+// and adds e to sum in index order. It stops at the first element whose x
+// lies outside [expFastMin, expFastMax] (NaN included) or whose e is
+// nearMidpoint, leaving that element unwritten, and returns the number of
+// elements written and the sum. One pass takes two elements, one per lane,
+// through expFast's operations in its order; only the table loads and the
+// lane checks' results leave the vector registers. There is no FMA, so every
+// rounding is Go's.
+//
+//go:noescape
+func expRowKernel(dst, src []float32, maxv float32, sum float64) (n int, s float64)
+
+// expKernelConsts holds expRowKernel's packed operands, each in both lanes,
+// at the byte offsets kernels_amd64.s loads them from: expFast's constants,
+// the fast range, and nearMidpoint's bias, mask and bound (the bound as
+// signed 32-bit lanes, -1 in the high half of each, for PCMPGTL).
+var expKernelConsts = func() [24]uint64 {
+	f := math.Float64bits
+	bound := uint64(2*expWindow) | 0xffffffff<<32
+	return [24]uint64{
+		f(expInvLn2N), f(expInvLn2N), // 0
+		f(expShift), f(expShift), // 16
+		f(expLn2HiN), f(expLn2HiN), // 32
+		f(expLn2LoN), f(expLn2LoN), // 48
+		f(1.0 / 6), f(1.0 / 6), // 64
+		f(0.5), f(0.5), // 80
+		f(1), f(1), // 96
+		f(expFastMin), f(expFastMin), // 112
+		f(expFastMax), f(expFastMax), // 128
+		expMid - expWindow, expMid - expWindow, // 144
+		1<<expDropBits - 1, 1<<expDropBits - 1, // 160
+		bound, bound, // 176
+	}
+}()

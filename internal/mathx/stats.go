@@ -6,36 +6,6 @@ import (
 	"slices"
 )
 
-// Softmax writes the softmax of src into dst (which may alias src). It uses
-// the numerically stable max-subtraction form. Both slices must have the same
-// length; zero-length input is a no-op.
-func Softmax(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("mathx: Softmax length mismatch")
-	}
-	if len(src) == 0 {
-		return
-	}
-	maxv := src[0]
-	for _, v := range src[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	// math.Exp, not ExpNormalize's table exp: the sum adds each full
-	// float64 exponential, which a float32-exact shortcut does not give.
-	var sum float64
-	for i, v := range src {
-		e := math.Exp(float64(v - maxv))
-		dst[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
 // Dot returns the dot product of a and b, accumulated in float64 for
 // stability. The slices must have equal length.
 func Dot(a, b []float32) float64 {

@@ -26,11 +26,11 @@ type Model struct {
 	pos    int
 	// keys64 and q64 are attention's reusable buffers: one call's candidate
 	// keys and one query row, widened to float64. vals holds the same
-	// call's candidate value rows, cand its candidate token indices and
-	// scores one query row's scores.
-	keys64, q64  []float64
-	vals, scores []float32
-	cand         []int
+	// call's candidate value rows, cand its candidate token indices,
+	// scores one (query row, head)'s scores and probs their softmax.
+	keys64, q64         []float64
+	vals, scores, probs []float32
+	cand                []int
 }
 
 // New builds a model with deterministic random weights from cfg.Seed. The
@@ -204,6 +204,7 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 	}
 	m.cand = cand
 	m.scores = slices.Grow(m.scores[:0], len(cand))[:len(cand)]
+	m.probs = slices.Grow(m.probs[:0], len(cand))[:len(cand)]
 	block := len(cand) * headDim
 	m.keys64 = slices.Grow(m.keys64[:0], cfg.KVHeads*block)[:cfg.KVHeads*block]
 	m.vals = slices.Grow(m.vals[:0], cfg.KVHeads*block)[:cfg.KVHeads*block]
@@ -218,19 +219,19 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 	m.q64 = slices.Grow(m.q64[:0], cfg.Dim)[:cfg.Dim]
 	for i := 0; i < n; i++ {
 		nc := len(sel) + i + 1
-		scores := m.scores[:nc]
+		scores, probs := m.scores[:nc], m.probs[:nc]
 		mathx.Widen(m.q64, q.Row(i))
 		orow := out.Row(i)
 		for h := 0; h < cfg.Heads; h++ {
 			kvh := h / group
 			mathx.ScoreKeys(scores, m.q64[h*headDim:(h+1)*headDim], m.keys64[kvh*block:][:nc*headDim], invSqrt)
-			mathx.Softmax(scores, scores)
-			addWeighted(orow[h*headDim:(h+1)*headDim], scores, m.vals[kvh*block:][:nc*headDim])
+			mathx.Softmax(probs, scores)
+			addWeighted(orow[h*headDim:(h+1)*headDim], probs, m.vals[kvh*block:][:nc*headDim])
 			if attnMass == nil {
 				continue
 			}
 			for ci, tok := range cand[:nc] {
-				if w := scores[ci]; w != 0 && tok < base {
+				if w := probs[ci]; w != 0 && tok < base {
 					attnMass[tok] += float64(w)
 				}
 			}

@@ -14,12 +14,12 @@ import (
 // -race. A change that moves one updates it here and names the cause, as
 // with an output golden.
 var runAllocs = map[string]float64{
-	"burst.vrex":        108,
-	"diurnal.vrex":      98,
+	"burst.vrex":        68,
+	"diurnal.vrex":      66,
 	"flash-crowd.vrex":  70,
-	"heavy-tail.vrex":   91,
+	"heavy-tail.vrex":   70,
 	"pressure.vrex":     100,
-	"trace-replay.vrex": 102,
+	"trace-replay.vrex": 57,
 }
 
 // TestRunAllocsGolden: every committed single-node scenario allocates

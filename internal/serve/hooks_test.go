@@ -50,6 +50,40 @@ func TestHookPoissonExponentialEquivalence(t *testing.T) {
 	}
 }
 
+// TestHookRNGFreshPerDraw: every Class and Lifetime call sees the stream a
+// fresh NewRNG of the replaced draw's seed gives, although Run reuses one
+// RNG for them. Each hook draws one Norm, which leaves a cached variate
+// behind, so a reuse that kept the previous call's state would hand the
+// next call that variate instead.
+func TestHookRNGFreshPerDraw(t *testing.T) {
+	cfg := mixConfig(4, 1)
+	cfg.Duration = 10
+	cfg.Churn.Arrivals = func(rng *mathx.RNG, duration float64) []float64 { return []float64{1, 2, 3} }
+	var classDraws, lifeDraws []float64
+	cfg.Churn.Class = func(rng *mathx.RNG, ordinal int, start float64) int {
+		classDraws = append(classDraws, rng.Norm())
+		return 0
+	}
+	cfg.Churn.Lifetime = func(rng *mathx.RNG, ordinal int, start float64) float64 {
+		lifeDraws = append(lifeDraws, rng.Norm())
+		return 0
+	}
+	Run(cfg)
+	var wantClass, wantLife []float64
+	for _, d := range []struct {
+		domain uint64
+		n      int
+	}{{cfg.Seed, cfg.Streams}, {cfg.Seed ^ churnSessionSalt, 3}} {
+		for i := 0; i < d.n; i++ {
+			wantClass = append(wantClass, mathx.NewRNG(parallel.SeedFor(d.domain^classSeedSalt, i)).Norm())
+			wantLife = append(wantLife, mathx.NewRNG(parallel.SeedFor(d.domain^lifeSeedSalt, i)).Norm())
+		}
+	}
+	if !reflect.DeepEqual(classDraws, wantClass) || !reflect.DeepEqual(lifeDraws, wantLife) {
+		t.Fatalf("hook draws class %v, lifetime %v; fresh RNGs draw %v, %v", classDraws, lifeDraws, wantClass, wantLife)
+	}
+}
+
 // TestHookLifetimeNonPositiveMeansWholeRun pins the sentinel: a Lifetime hook
 // returning 0 keeps the session for the rest of the run.
 func TestHookLifetimeNonPositiveMeansWholeRun(t *testing.T) {

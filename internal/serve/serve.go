@@ -81,8 +81,10 @@ type StreamClass struct {
 // (internal/scenario compiles .vrex scenario files into them): each replaces
 // one draw while keeping the derived-seed discipline — the hook receives a
 // private RNG seeded exactly like the draw it replaces, so enabling one hook
-// never perturbs the randomness the others consume. All hooks nil reduces
-// byte-identically to the Poisson/exponential process above.
+// never perturbs the randomness the others consume. A hook's rng is valid
+// only during the call: Run reseeds the same RNG for the next draw, so a
+// hook must not keep it. All hooks nil reduces byte-identically to the
+// Poisson/exponential process above.
 type ChurnConfig struct {
 	// ArrivalRate is the mean session arrivals per second (0 disables).
 	ArrivalRate float64
@@ -463,10 +465,19 @@ func buildSessions(cfg Config, classes []StreamClass) []session {
 	// churn session domain) plus the session's ordinal within that domain.
 	// The Churn hooks, when set, consume the same privately seeded RNG as the
 	// draw they replace, so the hook and built-in paths never share state.
+	// The RNG escapes through the hook call, so the hooks share one, reseeded
+	// before each call and allocated at the first.
+	var hookRNG *mathx.RNG
+	seedHook := func(seed uint64) *mathx.RNG {
+		if hookRNG == nil {
+			hookRNG = new(mathx.RNG)
+		}
+		*hookRNG = *mathx.NewRNG(seed)
+		return hookRNG
+	}
 	pickClass := func(domain uint64, i int, start float64) int {
 		if cfg.Churn.Class != nil {
-			rng := mathx.NewRNG(parallel.SeedFor(domain^classSeedSalt, i))
-			c := cfg.Churn.Class(rng, i, start)
+			c := cfg.Churn.Class(seedHook(parallel.SeedFor(domain^classSeedSalt, i)), i, start)
 			if c < 0 || c >= len(classes) {
 				panic(fmt.Sprintf("serve: Churn.Class returned %d with %d classes", c, len(classes)))
 			}
@@ -487,7 +498,7 @@ func buildSessions(cfg Config, classes []StreamClass) []session {
 	endOf := func(domain uint64, i int, start float64) float64 {
 		var life float64
 		if cfg.Churn.Lifetime != nil {
-			life = cfg.Churn.Lifetime(mathx.NewRNG(parallel.SeedFor(domain^lifeSeedSalt, i)), i, start)
+			life = cfg.Churn.Lifetime(seedHook(parallel.SeedFor(domain^lifeSeedSalt, i)), i, start)
 			if !(life > 0) { // non-positive or NaN: stays for the rest of the run
 				return cfg.Duration
 			}
