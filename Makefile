@@ -133,20 +133,23 @@ perfbench-check:
 # only through float32 roundings, so the packages whose identity tests
 # compare with it run again with GODEBUG=cpu.fma=off, which pins the other
 # path on any host. arm64 is vetted (build constraints and the Go loops),
-# not run. Last, the arm64 build of internal/mathx (whose RNG draws every
-# model weight) must hold no FMADD-family instruction: arm64 fuses x*y + z
-# unless the product is converted explicitly, and a fused result has other
-# bits than amd64's. The build cache replays -S output, so a warm cache
-# checks too.
+# not run. Last, the arm64 builds of internal/mathx (whose RNG draws every
+# model weight) and internal/wicsum (whose weighted masses decide which
+# clusters ReSV selects) must hold no FMADD-family instruction: arm64 fuses
+# x*y + z unless the product is converted explicitly, and a fused result has
+# other bits than amd64's. The build cache replays -S output, so a warm
+# cache checks too.
 portable:
-	GOARCH=386 $(GO) test -count=1 ./internal/mathx ./internal/tensor ./internal/model ./internal/core
+	GOARCH=386 $(GO) test -count=1 ./internal/mathx ./internal/tensor ./internal/model ./internal/core ./internal/wicsum
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/mathx ./internal/model ./internal/core
 	GOARCH=arm64 $(GO) vet ./...
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/mathx 2>&1) || { echo "$$asm" >&2; exit 1; }; \
-	echo "$$asm" | grep -q STEXT || { echo "portable: no assembly listing for internal/mathx" >&2; exit 1; }; \
-	if echo "$$asm" | grep -E '\sFN?M(ADD|SUB)[DS]\s'; then \
-		echo "portable: FMA instructions in the arm64 build of internal/mathx (above)" >&2; exit 1; \
-	fi
+	@for pkg in ./internal/mathx ./internal/wicsum; do \
+		asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S $$pkg 2>&1) || { echo "$$asm" >&2; exit 1; }; \
+		echo "$$asm" | grep -q STEXT || { echo "portable: no assembly listing for $$pkg" >&2; exit 1; }; \
+		if echo "$$asm" | grep -E '\sFN?M(ADD|SUB)[DS]\s'; then \
+			echo "portable: FMA instructions in the arm64 build of $$pkg (above)" >&2; exit 1; \
+		fi; \
+	done
 
 # Coverage profile across all packages (per-package lines from go test,
 # totals from cover -func); CI uploads cover.out as an artifact and the

@@ -110,7 +110,7 @@ func checkMapRange(pass *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt) {
 // sortedCollectIdiom recognizes the canonical determinism idiom: the loop
 // only collects keys/values into slices (mutating per-iteration locals on
 // the way is fine), and the enclosing function later sorts one of those
-// slices — sort.*, slices.Sort*, or a local sort helper (sortAsc, sortInts).
+// slices — sort.*, slices.Sort*, or a local sort helper (sortAsc, sortByScoreDesc).
 func sortedCollectIdiom(pass *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt) bool {
 	locals := map[types.Object]bool{}
 	for _, v := range []ast.Expr{rs.Key, rs.Value} {
@@ -141,7 +141,7 @@ func sortedCollectIdiom(pass *Pass, fn *ast.FuncDecl, rs *ast.RangeStmt) bool {
 }
 
 // isSortCall matches sort.* / slices.Sort* plus local helpers whose name
-// starts with "sort" (sortAsc, sortInts — the repo's small-slice sorters).
+// starts with "sort" (sortAsc, sortByScoreDesc — the repo's own sorters).
 func isSortCall(pass *Pass, call *ast.CallExpr) bool {
 	f := calleeFunc(pass.TypesInfo, call)
 	if f == nil {

@@ -64,26 +64,3 @@ func TestSelectTokensAllocFreeEarlyExitAndExact(t *testing.T) {
 		}
 	}
 }
-
-// TestSortIntsMatchesSorted exercises both the insertion-sort and the
-// slices.Sort fallback branch.
-func TestSortIntsMatchesSorted(t *testing.T) {
-	rng := mathx.NewRNG(23)
-	for _, n := range []int{0, 1, 2, sortIntsCutoff, sortIntsCutoff + 1, 500} {
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = rng.Intn(1000)
-		}
-		sorted := append([]int(nil), xs...)
-		sortInts(xs)
-		// Reference: simple selection of ascending order.
-		for i := 1; i < len(xs); i++ {
-			if xs[i] < xs[i-1] {
-				t.Fatalf("n=%d: not sorted at %d", n, i)
-			}
-		}
-		if len(xs) != len(sorted) {
-			t.Fatalf("n=%d: length changed", n)
-		}
-	}
-}

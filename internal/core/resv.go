@@ -20,10 +20,11 @@
 // over per-layer float64 mirrors of the representative keys, with the
 // queries widened to float64 once per call, and Config.Workers shards those
 // rows (the kernel, mathx.ScoreKeys, is SSE2 assembly on amd64 and a Go loop
-// elsewhere, with the same bits on both); and all per-frame working sets (score rows, selection bitsets, sort
-// buffers) live in reusable per-layer scratch arenas — steady-state
-// SelectTokens performs zero heap allocations on the sequential path (pinned
-// by TestSelectTokensSteadyStateAllocFree).
+// elsewhere, with the same bits on both); and all per-frame working sets
+// (score rows, selection bitsets, the token buffer) live in reusable
+// per-layer scratch arenas — steady-state SelectTokens performs zero heap
+// allocations on the sequential path (pinned by
+// TestSelectTokensSteadyStateAllocFree).
 //
 // ReSV implements model.Retriever, so it drops into the functional
 // transformer; its Stats feed the performance simulator and the Fig. 20 /
@@ -33,7 +34,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"vrex/internal/hashbit"
 	"vrex/internal/kvcache"
@@ -127,9 +128,9 @@ type layerScratch struct {
 	// tokens is the selection buffer returned to the caller (valid until the
 	// next SelectTokens call on this layer).
 	tokens []int
-	// tokenBits is a bitset over past tokens deduplicating the selected
-	// cluster expansion against the recent window. Invariant: all bits are
-	// zero between SelectTokens calls.
+	// tokenBits is a bitset over past tokens: the selected clusters' tokens
+	// and the recent window are marked in it and read out in ascending
+	// order. Invariant: all bits are zero between SelectTokens calls.
 	tokenBits []uint64
 	// headMark/headEpoch stamp (head, cluster) pairs seen in the current
 	// call's per-head union (recordStats) without any clearing pass.
@@ -286,36 +287,30 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 
 	sel := r.selector.SelectMatrix(masses, sc.counts)
 
-	// Union of selected clusters -> past-token indices. Clusters partition
-	// tokens, so their expansions never overlap; the bitset only deduplicates
-	// the always-attended recent window against them, and all marks are
-	// cleared again before returning.
+	// Union of selected clusters -> past-token indices: mark the selected
+	// clusters' tokens and the always-attended recent window in a bitset
+	// over past tokens, then read the set bits out in ascending order,
+	// clearing each word as it is read.
 	words := (base + 63) / 64
 	if cap(sc.tokenBits) < words {
 		sc.tokenBits = make([]uint64, words)
 	}
-	bits := sc.tokenBits[:words]
-	tokens := sc.tokens[:0]
+	marks := sc.tokenBits[:words]
 	for _, ci := range sel.Union {
 		for _, tok := range table.PastTokens(ci) {
-			bits[tok>>6] |= 1 << (uint(tok) & 63)
-			tokens = append(tokens, tok)
+			marks[tok>>6] |= 1 << (uint(tok) & 63)
 		}
 	}
-	nClusterToks := len(tokens)
-	lo := base - r.cfg.RecentWindow
-	if lo < 0 {
-		lo = 0
+	for tok := max(base-r.cfg.RecentWindow, 0); tok < base; tok++ {
+		marks[tok>>6] |= 1 << (uint(tok) & 63)
 	}
-	for tok := lo; tok < base; tok++ {
-		if bits[tok>>6]&(1<<(uint(tok)&63)) == 0 {
-			tokens = append(tokens, tok)
+	tokens := sc.tokens[:0]
+	for w, word := range marks {
+		for ; word != 0; word &= word - 1 {
+			tokens = append(tokens, w<<6|bits.TrailingZeros64(word))
 		}
+		marks[w] = 0
 	}
-	for _, tok := range tokens[:nClusterToks] {
-		bits[tok>>6] &^= 1 << (uint(tok) & 63)
-	}
-	sortInts(tokens)
 	sc.tokens = tokens
 
 	r.recordStats(layer, stage, sel, base, len(tokens), nCands)
@@ -352,27 +347,6 @@ func growInts(buf []int, n int) []int {
 		return make([]int, n)
 	}
 	return buf[:n]
-}
-
-// sortIntsCutoff is where insertion sort's quadratic cost overtakes the
-// stdlib pdqsort on nearly-sorted selection lists.
-const sortIntsCutoff = 48
-
-// sortInts sorts ascending: insertion sort for short, mostly-ordered
-// selections (the cluster table is in creation order), stdlib sort beyond
-// the cutoff where quadratic cost would bite.
-//
-//vrex:noalloc
-func sortInts(xs []int) {
-	if len(xs) > sortIntsCutoff {
-		slices.Sort(xs)
-		return
-	}
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // recordStats folds one selection into the ratio statistics. Per-head unions

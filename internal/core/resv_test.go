@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vrex/internal/kvcache"
@@ -196,6 +197,53 @@ func TestReSVRecentWindowAlwaysIncluded(t *testing.T) {
 	for tok := base - 5; tok < base; tok++ {
 		if !inSel[tok] {
 			t.Fatalf("recent token %d missing from selection", tok)
+		}
+	}
+}
+
+// TestSelectTokensIsSortedUnion requires SelectTokens to return exactly the
+// sorted union of the selected clusters' past tokens and the recent window.
+// Frames of 7 tokens put every base off a multiple of 64, and the 70-token
+// window spans words of the token bitset.
+func TestSelectTokensIsSortedUnion(t *testing.T) {
+	mcfg := model.DefaultConfig()
+	for _, window := range []int{5, 70} {
+		cfg := DefaultConfig()
+		cfg.RecentWindow = window
+		cfg.Workers = 1
+		m := model.New(mcfg)
+		r := New(mcfg, cfg)
+		rng := mathx.NewRNG(24)
+		beyondWindow := 0
+		for _, frame := range driftFrames(20, 7, mcfg.Dim, 0.95, rng) {
+			m.Forward(frame, r, model.StageFrame, false)
+			base := m.Pos()
+			q := frameInput(3, mcfg.Dim, rng)
+			for layer := 0; layer < mcfg.Layers; layer++ {
+				got := slices.Clone(r.SelectTokens(layer, m.Cache(layer), q, base, model.StageText))
+				// Select again on the masses and counts SelectTokens left in
+				// the layer's scratch, and expand the union by hand.
+				sc := &r.layers[layer].scratch
+				sel := r.selector.SelectMatrix(sc.masses[:q.Rows*mcfg.Heads], sc.counts)
+				var want []int
+				for _, ci := range sel.Union {
+					want = append(want, r.HCTable(layer).PastTokens(ci)...)
+				}
+				for tok := max(base-window, 0); tok < base; tok++ {
+					want = append(want, tok)
+				}
+				slices.Sort(want)
+				want = slices.Compact(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("window %d, base %d, layer %d: SelectTokens = %v, want %v", window, base, layer, got, want)
+				}
+				if len(want) > min(window, base) {
+					beyondWindow++
+				}
+			}
+		}
+		if beyondWindow == 0 {
+			t.Fatalf("window %d: no selection reached past the recent window", window)
 		}
 	}
 }

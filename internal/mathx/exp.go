@@ -11,8 +11,9 @@ import "math"
 // expFast returns exp(x) in float64 with a relative error below 2^-42, and
 // its float32 rounding is kept unless it lies within expWindow float64 ulps
 // of a float32 rounding midpoint. Outside that window math.Exp (error below
-// one ulp) rounds to the same float32. NaN, every x outside the range and
-// every result near a midpoint take math.Exp itself.
+// one ulp) rounds to the same float32. For x = ±0, the row maximum's own
+// element, expFast returns exactly 1, as math.Exp does. NaN, every other x
+// outside the range and every result near a midpoint take math.Exp itself.
 func ExpNormalize(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("mathx: ExpNormalize length mismatch")
@@ -164,10 +165,11 @@ func nearMidpoint(e float64) bool {
 	return (math.Float64bits(e)-(expMid-expWindow))&(1<<expDropBits-1) <= 2*expWindow
 }
 
-// expFast returns exp(x) for x in [expFastMin, expFastMax]: with
-// n = round(x*256/ln2) and r = x - n*ln2/256, so |r| <= ln2/512, it is
-// 2^(n/256) from the table times the cubic Taylor polynomial of exp(r),
-// whose truncation error r^4/24 is below 1.4e-13. Each product is converted
+// expFast returns exp(x) for x in [expFastMin, expFastMax], and exactly 1
+// for x = ±0: with n = round(x*256/ln2) and r = x - n*ln2/256, so
+// |r| <= ln2/512, it is 2^(n/256) from the table times the cubic Taylor
+// polynomial of exp(r), whose truncation error r^4/24 is below 1.4e-13
+// (at ±0, n and r are 0 and every term is exact). Each product is converted
 // explicitly, which rounds it and so keeps the compiler from fusing it with
 // the add that follows into an FMA (arm64 would), the result too, which
 // expRowKernel adds to its sum: every architecture computes amd64's bits.

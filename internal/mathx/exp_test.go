@@ -117,7 +117,8 @@ func TestExpNormalizeSpecials(t *testing.T) {
 // fast range. A row [x] gives lane 0's e as the sum. A row [y, x] with the
 // sum starting at -expFast(y) gives lane 1's: the sum is 0 after lane 0 and
 // then exactly e. The kernel must stop before x exactly when x falls back,
-// and write nothing there.
+// and write nothing there. At x = ±0 it must write 1 and add exactly 1 to
+// the sum, in both lanes.
 func TestExpRowKernelMatchesExpFast(t *testing.T) {
 	const lo, hi, stride = 0x80000000, 0xC2D00000, 256 // -0 and -104
 	const y = -1
@@ -132,6 +133,9 @@ func TestExpRowKernelMatchesExpFast(t *testing.T) {
 		var want float64
 		if fast {
 			want = expFast(xd)
+		}
+		if xd == 0 {
+			fast, want = true, 1
 		}
 		// Lane 0.
 		src[0], dst[0] = x, canary32
@@ -159,7 +163,7 @@ func TestExpRowKernelMatchesExpFast(t *testing.T) {
 	for b := uint64(lo); b <= hi; b += stride {
 		check(math.Float32frombits(uint32(b)))
 	}
-	for _, x := range []float32{0, -0x1p-20, -0x1p-21, -87, math.Nextafter32(-87, -100), -1e30, 1, 1e30,
+	for _, x := range []float32{0, float32(math.Copysign(0, -1)), -0x1p-20, -0x1p-21, -87, math.Nextafter32(-87, -100), -1e30, 1, 1e30,
 		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
 		check(x)
 	}

@@ -23,12 +23,12 @@ func widenKernel(dst []float64, src []float32)
 // expRowKernel is expRow's fast loop, with len(dst) >= len(src): from index
 // 0 on it writes dst[i] = float32(e) for e = expFast(float64(src[i]-maxv))
 // and adds e to sum in index order. It stops at the first element whose x
-// lies outside [expFastMin, expFastMax] (NaN included) or whose e is
-// nearMidpoint, leaving that element unwritten, and returns the number of
-// elements written and the sum. One pass takes two elements, one per lane,
-// through expFast's operations in its order; only the table loads and the
-// lane checks' results leave the vector registers. There is no FMA, so every
-// rounding is Go's.
+// is not ±0 and lies outside [expFastMin, expFastMax] (NaN included), or
+// whose e is nearMidpoint, leaving that element unwritten, and returns the
+// number of elements written and the sum. One pass takes two elements, one
+// per lane, through expFast's operations in its order; only the table loads
+// and the lane checks' results leave the vector registers. There is no FMA,
+// so every rounding is Go's.
 //
 //go:noescape
 func expRowKernel(dst, src []float32, maxv float32, sum float64) (n int, s float64)

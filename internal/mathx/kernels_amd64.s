@@ -206,13 +206,16 @@ expcalc:
 	ADDPD    X5, X2             // 1 + r + float64(r2*(...))
 	MULPD    X4, X2             // e = s * (...)
 
-	// A lane takes the fast path if expFastMin <= x <= expFastMax, which
-	// NaN fails, and !nearMidpoint(e): the masked low dword of e's bits,
-	// less the bias, is above 2*expWindow. BX gets the lanes' verdicts in
-	// bits 0 and 2.
+	// A lane takes the fast path if expFastMin <= x <= expFastMax or x is
+	// ±0, which NaN fails, and !nearMidpoint(e): the masked low dword of
+	// e's bits, less the bias, is above 2*expWindow. BX gets the lanes'
+	// verdicts in bits 0 and 2.
 	MOVAPD   X0, X3
 	MOVUPD   128(R11), X1
 	CMPPD    X1, X3, $2         // x <= expFastMax
+	XORPD    X1, X1
+	CMPPD    X0, X1, $0         // x == 0
+	ORPD     X1, X3
 	MOVUPD   112(R11), X4
 	CMPPD    X0, X4, $2         // expFastMin <= x
 	ANDPD    X4, X3

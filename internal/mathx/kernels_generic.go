@@ -60,16 +60,16 @@ func widenKernel(dst []float64, src []float32) {
 // expRowKernel is expRow's fast loop, with len(dst) >= len(src): from index
 // 0 on it writes dst[i] = float32(e) for e = expFast(float64(src[i]-maxv))
 // and adds e to sum in index order. It stops at the first element whose x
-// lies outside [expFastMin, expFastMax] (NaN included) or whose e is
-// nearMidpoint, leaving that element unwritten, and returns the number of
-// elements written and the sum.
+// is not ±0 and lies outside [expFastMin, expFastMax] (NaN included), or
+// whose e is nearMidpoint, leaving that element unwritten, and returns the
+// number of elements written and the sum.
 //
 //vrex:noalloc
 func expRowKernel(dst, src []float32, maxv float32, sum float64) (n int, s float64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
 		x := float64(v - maxv)
-		if !(x >= expFastMin && x <= expFastMax) {
+		if !(x >= expFastMin && (x <= expFastMax || x == 0)) {
 			return i, sum
 		}
 		e := expFast(x)

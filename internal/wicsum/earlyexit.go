@@ -1,5 +1,7 @@
 package wicsum
 
+import "math"
+
 // SelectRowEarlyExit implements the WTU's early-exit sorting dataflow
 // (Fig. 11). Instead of a full sort, the preprocess step computes the row's
 // weighted sum, threshold and min/max score range; the token-selection step
@@ -21,9 +23,29 @@ func SelectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets in
 	return ws.selectRowEarlyExit(mass, counts, ratio, nBuckets)
 }
 
-// selectRowEarlyExit is the scratch-backed kernel behind SelectRowEarlyExit:
-// the bucket store is a counting sort over reusable buffers (the hardware's
-// fixed bucket memory), so the steady state allocates nothing.
+// selectRowEarlyExit is the scratch-backed kernel behind SelectRowEarlyExit.
+// After the preprocess pass it splits the lowest bucket off with one
+// subtract-and-compare per entry, and buckets only the entries above it:
+// exp-normalised rows crowd near zero, so that is about 14 of a
+// 292-entry row on resv-stream. Those entries are counting-sorted, highest
+// bucket first, over reusable buffers (the hardware's fixed bucket memory),
+// and walked in that order. Only if the threshold has not tripped is the
+// lowest bucket walked, in index order straight from mass. Each bucket's
+// entries stay in index order, so the walk visits the entries a counting
+// sort of the whole row would, in the same order, and the steady state
+// allocates nothing.
+//
+// The split is exact: for a = v-minv >= 0 and a positive finite width,
+// int(a/width) >= 1 holds in float32 exactly when a >= width, because
+// a < width puts a/width at or below 1-2^-24. A NaN entry fails the
+// compare and joins the lowest bucket.
+//
+// A row that is one bucket is walked whole in index order. That is a row
+// with nBuckets == 1, where the clamp puts every entry back into bucket 0,
+// and a row whose width is not positive and finite: all entries equal, a
+// range that underflows when divided, a NaN first entry or an infinite
+// entry. A total that is not finite never trips the threshold, so such a
+// row selects every entry, as SelectRow does.
 func (ws *rowScratch) selectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int) RowSelection {
 	if len(mass) != len(counts) {
 		panic("wicsum: mass/counts length mismatch")
@@ -55,7 +77,7 @@ func (ws *rowScratch) selectRowEarlyExit(mass []float32, counts []int, ratio flo
 		if v > maxv {
 			maxv = v
 		}
-		total += float64(v) * float64(counts[j])
+		total += float64(float64(v) * float64(counts[j]))
 	}
 	sel.TotalMass = total
 	if total == 0 {
@@ -64,14 +86,10 @@ func (ws *rowScratch) selectRowEarlyExit(mass []float32, counts []int, ratio flo
 	th := total * ratio
 	start := len(ws.selected)
 
-	if maxv == minv { //vrex:float-eq degenerate-range detection wants bit equality, not closeness
-		// Degenerate range: a single bucket holds everything; accumulate in
-		// index order until the threshold trips.
-		for j := 0; j < n; j++ {
-			sel.Examined++
-			ws.selected = append(ws.selected, j)
-			sel.MassCovered += float64(mass[j]) * float64(counts[j])
-			if sel.MassCovered > th {
+	width := (maxv - minv) / float32(nBuckets)
+	if nBuckets == 1 || !(width > 0 && width <= math.MaxFloat32) {
+		for j := range mass {
+			if ws.take(&sel, mass, counts, j, th) {
 				break
 			}
 		}
@@ -79,57 +97,70 @@ func (ws *rowScratch) selectRowEarlyExit(mass []float32, counts []int, ratio flo
 		return sel
 	}
 
-	// Bucket sort: bucket b covers scores in
-	// [minv + b*width, minv + (b+1)*width). The bucket-range updater
-	// produces per-bucket bitmasks; we realise them as index runs in a
-	// reusable counting-sort store (entries within a bucket stay in index
-	// order, matching the per-bucket append order).
-	// Each entry's bucket is computed once, in the counting pass, and kept
-	// for the scatter pass.
-	width := (maxv - minv) / float32(nBuckets)
-	bucketCount := grabInts(&ws.bucketCount, nBuckets)
-	clear(bucketCount)
-	entryBucket := grabInts(&ws.entryBucket, n)
+	// Split: upper lists the entries above the lowest bucket, in index
+	// order. Every index is written and kept only by advancing k, so the
+	// pass has no branch that depends on the data.
+	upper := grabInts(&ws.upper, n)
+	k := 0
 	for j, v := range mass {
-		b := int((v - minv) / width)
-		if b >= nBuckets {
-			b = nBuckets - 1
+		upper[k] = j
+		if v-minv >= width {
+			k++
 		}
-		entryBucket[j] = b
-		bucketCount[b]++
 	}
-	bucketStart := grabInts(&ws.bucketStart, nBuckets)
+	upper = upper[:k]
+
+	// Bucket sort of the upper entries: bucket b covers scores in
+	// [minv + b*width, minv + (b+1)*width), the top one maxv too. The
+	// bucket-range updater produces per-bucket bitmasks; we realise them as
+	// index runs in a counting-sort store laid out from the highest bucket
+	// down, so walking the store is walking the buckets. next holds each
+	// bucket's count, then the store slot its next entry goes to.
+	next := grabInts(&ws.bucketNext, nBuckets)
+	clear(next)
+	entryBucket := grabInts(&ws.entryBucket, k)
+	for i, j := range upper {
+		b := min(int((mass[j]-minv)/width), nBuckets-1)
+		entryBucket[i] = b
+		next[b]++
+	}
 	pos := 0
-	for b := 0; b < nBuckets; b++ {
-		bucketStart[b] = pos
-		pos += bucketCount[b]
+	for b := nBuckets - 1; b >= 1; b-- {
+		pos, next[b] = pos+next[b], pos
 	}
-	items := grabInts(&ws.bucketItems, n)
-	fill := grabInts(&ws.bucketCount, nBuckets) // reuse as per-bucket cursor
-	copy(fill, bucketStart)
-	for j, b := range entryBucket {
-		items[fill[b]] = j
-		fill[b]++
+	items := grabInts(&ws.bucketItems, k)
+	for i, b := range entryBucket {
+		items[next[b]] = upper[i]
+		next[b]++
 	}
 
 	// Token selection step: walk from the highest-range bucket downward,
 	// early-exiting once the cumulative weighted sum exceeds the threshold.
-	// (fill aliased bucketCount, so bucket extents come from the starts.)
-	for b := nBuckets - 1; b >= 0; b-- {
-		end := n
-		if b+1 < nBuckets {
-			end = bucketStart[b+1]
+	tripped := false
+	for _, j := range items {
+		if tripped = ws.take(&sel, mass, counts, j, th); tripped {
+			break
 		}
-		for _, j := range items[bucketStart[b]:end] {
-			sel.Examined++
-			ws.selected = append(ws.selected, j)
-			sel.MassCovered += float64(mass[j]) * float64(counts[j])
-			if sel.MassCovered > th {
-				sel.Selected = ws.selected[start:]
-				return sel
+	}
+	if !tripped {
+		for j, v := range mass {
+			if v-minv >= width {
+				continue // walked above
+			}
+			if ws.take(&sel, mass, counts, j, th) {
+				break
 			}
 		}
 	}
 	sel.Selected = ws.selected[start:]
 	return sel
+}
+
+// take examines entry j of the row: it appends j to the selection, adds its
+// weighted mass, and reports whether the covered mass now exceeds th.
+func (ws *rowScratch) take(sel *RowSelection, mass []float32, counts []int, j int, th float64) bool {
+	sel.Examined++
+	ws.selected = append(ws.selected, j)
+	sel.MassCovered += float64(float64(mass[j]) * float64(counts[j]))
+	return sel.MassCovered > th
 }

@@ -46,14 +46,17 @@ type RowSelection struct {
 }
 
 // rowScratch is one worker's reusable buffers: the index permutation for the
-// exact sort, the bucket store for the early-exit sorter (with each entry's
-// bucket), and the arena the per-row Selected slices are carved from.
+// exact sort; for the early-exit sorter, the indices of a row's entries
+// above its lowest bucket (upper), their buckets (entryBucket), the bucket
+// store they are counting-sorted into (bucketItems) and each bucket's count,
+// then next store slot (bucketNext); and the arena the per-row Selected
+// slices are carved from.
 type rowScratch struct {
 	order       []int
-	bucketCount []int
-	bucketStart []int
-	bucketItems []int
+	upper       []int
 	entryBucket []int
+	bucketNext  []int
+	bucketItems []int
 	selected    []int
 }
 
@@ -93,7 +96,7 @@ func (ws *rowScratch) selectRow(mass []float32, counts []int, ratio float64) Row
 	n := len(mass)
 	var total float64
 	for j := 0; j < n; j++ {
-		total += float64(mass[j]) * float64(counts[j])
+		total += float64(float64(mass[j]) * float64(counts[j]))
 	}
 	if n == 0 || total == 0 {
 		return RowSelection{TotalMass: total}
@@ -121,7 +124,7 @@ func (ws *rowScratch) selectRow(mass []float32, counts []int, ratio float64) Row
 	for _, j := range order {
 		sel.Examined++
 		ws.selected = append(ws.selected, j)
-		sel.MassCovered += float64(mass[j]) * float64(counts[j])
+		sel.MassCovered += float64(float64(mass[j]) * float64(counts[j]))
 		if sel.MassCovered > th {
 			break
 		}
