@@ -133,17 +133,19 @@ perfbench-check:
 # only through float32 roundings, so the packages whose identity tests
 # compare with it run again with GODEBUG=cpu.fma=off, which pins the other
 # path on any host. arm64 is vetted (build constraints and the Go loops),
-# not run. Last, the arm64 builds of internal/mathx (whose RNG draws every
-# model weight) and internal/wicsum (whose weighted masses decide which
-# clusters ReSV selects) must hold no FMADD-family instruction: arm64 fuses
-# x*y + z unless the product is converted explicitly, and a fused result has
-# other bits than amd64's. The build cache replays -S output, so a warm
-# cache checks too.
+# not run. Last, the arm64 builds of the packages resv-stream runs (mathx,
+# whose RNG draws every model weight; tensor, model, hashbit and core; and
+# wicsum, whose weighted masses decide which clusters ReSV selects) must
+# hold no FMADD-family instruction: arm64 fuses x*y + z unless the product
+# is converted explicitly, and a fused result has other bits than amd64's.
+# This covers the module's code only: math.Pow, math.Sincos and math.Exp
+# still fuse inside the standard library on arm64. The build cache replays
+# -S output, so a warm cache checks too.
 portable:
-	GOARCH=386 $(GO) test -count=1 ./internal/mathx ./internal/tensor ./internal/model ./internal/core ./internal/wicsum
+	GOARCH=386 $(GO) test -count=1 ./internal/mathx ./internal/tensor ./internal/model ./internal/hashbit ./internal/core ./internal/wicsum
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/mathx ./internal/model ./internal/core
 	GOARCH=arm64 $(GO) vet ./...
-	@for pkg in ./internal/mathx ./internal/wicsum; do \
+	@for pkg in ./internal/mathx ./internal/tensor ./internal/model ./internal/hashbit ./internal/core ./internal/wicsum; do \
 		asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S $$pkg 2>&1) || { echo "$$asm" >&2; exit 1; }; \
 		echo "$$asm" | grep -q STEXT || { echo "portable: no assembly listing for $$pkg" >&2; exit 1; }; \
 		if echo "$$asm" | grep -E '\sFN?M(ADD|SUB)[DS]\s'; then \

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"vrex/internal/mathx"
@@ -36,31 +37,38 @@ func TestSelectTokensSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestSelectTokensAllocFreeEarlyExitAndExact covers both WiCSum sorter
-// variants, since they use different scratch buffers.
+// TestSelectTokensAllocFreeEarlyExitAndExact selects for a deeper layer in
+// the text stage with a recent window, which marks tokens outside the
+// selected clusters, through the WTU's early exit, the one sorter
+// SelectTokens runs. Warm calls must allocate nothing and return exactly the
+// tokens of the cold first call: reusing the arenas must not change a
+// selection.
 func TestSelectTokensAllocFreeEarlyExitAndExact(t *testing.T) {
-	for _, buckets := range []int{0, 20} {
-		mcfg := model.DefaultConfig()
-		cfg := DefaultConfig()
-		cfg.Workers = 1
-		cfg.Buckets = buckets
-		cfg.RecentWindow = 4
-		m := model.New(mcfg)
-		r := New(mcfg, cfg)
-		rng := mathx.NewRNG(22)
-		for _, f := range driftFrames(5, 6, mcfg.Dim, 0.97, rng) {
-			m.Forward(f, r, model.StageFrame, false)
+	mcfg := model.DefaultConfig()
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.RecentWindow = 4
+	m := model.New(mcfg)
+	r := New(mcfg, cfg)
+	rng := mathx.NewRNG(22)
+	for _, f := range driftFrames(5, 6, mcfg.Dim, 0.97, rng) {
+		m.Forward(f, r, model.StageFrame, false)
+	}
+	base := m.Pos()
+	q := frameInput(2, mcfg.Dim, rng)
+	cold := slices.Clone(r.SelectTokens(1, m.Cache(1), q, base, model.StageText))
+	for i := 0; i < 3; i++ {
+		if got := r.SelectTokens(1, m.Cache(1), q, base, model.StageText); !slices.Equal(got, cold) {
+			t.Fatalf("warm call %d selected %v, cold call %v", i, got, cold)
 		}
-		base := m.Pos()
-		q := frameInput(2, mcfg.Dim, rng)
-		for i := 0; i < 3; i++ {
-			r.SelectTokens(1, m.Cache(1), q, base, model.StageText)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			r.SelectTokens(1, m.Cache(1), q, base, model.StageText)
-		})
-		if allocs != 0 {
-			t.Fatalf("buckets=%d: steady-state SelectTokens allocates %v times per call, want 0", buckets, allocs)
-		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.SelectTokens(1, m.Cache(1), q, base, model.StageText)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state SelectTokens allocates %v times per call, want 0", allocs)
+	}
+	if got := r.SelectTokens(1, m.Cache(1), q, base, model.StageText); !slices.Equal(got, cold) {
+		t.Fatalf("after the warm calls selected %v, cold call %v", got, cold)
 	}
 }

@@ -16,15 +16,14 @@
 //
 // Like the hardware, the software kernel never redoes work as the stream
 // grows: the HC table's candidate set is maintained incrementally as frames
-// arrive; cluster scoring runs one fused kernel per (query token, head) row
-// over per-layer float64 mirrors of the representative keys, with the
-// queries widened to float64 once per call, and Config.Workers shards those
-// rows (the kernel, mathx.ScoreKeys, is SSE2 assembly on amd64 and a Go loop
-// elsewhere, with the same bits on both); and all per-frame working sets
-// (score rows, selection bitsets, the token buffer) live in reusable
-// per-layer scratch arenas — steady-state SelectTokens performs zero heap
-// allocations on the sequential path (pinned by
-// TestSelectTokensSteadyStateAllocFree).
+// arrive. Each (query token, head) row is scored (mathx.ScoreKeys over
+// per-layer float64 mirrors of the representative keys: SSE2 assembly on
+// amd64 and a Go loop elsewhere, with the same bits on both), exp-normalised
+// and thresholded (a wicsum.Scratch) in one pass on one worker, and
+// Config.Workers shards the rows. All per-frame working sets (score rows,
+// selection bitsets, the token buffer) live in reusable scratch arenas —
+// steady-state SelectTokens performs zero heap allocations on the
+// sequential path (pinned by TestSelectTokensSteadyStateAllocFree).
 //
 // ReSV implements model.Retriever, so it drops into the functional
 // transformer; its Stats feed the performance simulator and the Fig. 20 /
@@ -55,9 +54,6 @@ type Config struct {
 	ThHD int
 	// ThWics is the WiCSum mass ratio Th_r-wics in (0, 1].
 	ThWics float64
-	// Buckets enables the WTU's early-exit bucket sorter when > 0 (the
-	// hardware uses 20 buckets); 0 selects the exact software sort.
-	Buckets int
 	// RecentWindow tokens immediately preceding the current chunk are always
 	// attended (they are device-resident "recent KV" in Fig. 12).
 	RecentWindow int
@@ -66,12 +62,17 @@ type Config struct {
 	DisableClustering bool
 	// Seed draws the hyperplanes.
 	Seed uint64
-	// Workers shards the per-row cluster scoring (Q x RepKey^T and its
-	// exp-normalisation) and the per-head WiCSum thresholding across
-	// goroutines: 0 uses GOMAXPROCS, 1 restores the sequential kernel.
-	// Selections are identical for any count.
+	// Workers shards a SelectTokens call's (query token, head) rows across
+	// goroutines in contiguous chunks, each row scored, exp-normalised and
+	// thresholded by one worker: 0 uses GOMAXPROCS, 1 keeps every row on the
+	// caller's goroutine, as does a call under shardEntries score entries.
+	// Selections and statistics are identical for any count.
 	Workers int
 }
+
+// shardEntries is the fewest score entries (rows x candidate clusters) a
+// SelectTokens call shards: a smaller one costs less than the fan-out.
+const shardEntries = 2048
 
 // maxNHp bounds Config.NHp: 1024 hyperplanes are 16 signature words, 16x
 // the most the sweep-nhp experiment draws. The hyperplane matrix grows with
@@ -81,7 +82,7 @@ const maxNHp = 1024
 
 // DefaultConfig returns the paper's evaluation hyperparameters.
 func DefaultConfig() Config {
-	return Config{NHp: 32, ThHD: 7, ThWics: 0.3, Buckets: 20, RecentWindow: 0, Seed: 1}
+	return Config{NHp: 32, ThHD: 7, ThWics: 0.3, RecentWindow: 0, Seed: 1}
 }
 
 // Validate checks hyperparameter sanity.
@@ -95,8 +96,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ThHD must be non-negative")
 	case c.ThWics <= 0 || c.ThWics > 1:
 		return fmt.Errorf("core: ThWics must be in (0,1]")
-	case c.Buckets < 0:
-		return fmt.Errorf("core: Buckets must be non-negative")
 	case c.RecentWindow < 0:
 		return fmt.Errorf("core: RecentWindow must be non-negative")
 	}
@@ -121,10 +120,9 @@ type layerScratch struct {
 	q64 []float64
 	// counts holds the per-candidate past-token counts WiCSum weights by.
 	counts []int
-	// massData is the flat arena behind masses, one exp-normalised score row
-	// per (query token, head) pair.
+	// massData holds one exp-normalised score row per (query token, head)
+	// pair, row i at i*nCands over the call's nCands candidate clusters.
 	massData []float32
-	masses   [][]float32
 	// tokens is the selection buffer returned to the caller (valid until the
 	// next SelectTokens call on this layer).
 	tokens []int
@@ -132,10 +130,17 @@ type layerScratch struct {
 	// and the recent window are marked in it and read out in ascending
 	// order. Invariant: all bits are zero between SelectTokens calls.
 	tokenBits []uint64
-	// headMark/headEpoch stamp (head, cluster) pairs seen in the current
-	// call's per-head union (recordStats) without any clearing pass.
-	headMark  []uint64
-	headEpoch uint64
+}
+
+// rowWorker is one worker's share of a SelectTokens call: the WiCSum scratch
+// its rows are thresholded in, one bitset per head over the candidate
+// clusters its rows selected (head h's cwords words at h*cwords), and how
+// many score entries its rows examined. Invariant: the bitsets are zero
+// between SelectTokens calls.
+type rowWorker struct {
+	ws       wicsum.Scratch
+	headBits []uint64
+	examined int
 }
 
 // layerState is ReSV's per-decoder-layer working set.
@@ -150,9 +155,11 @@ type ReSV struct {
 	cfg      Config
 	modelCfg model.Config
 	layers   []*layerState
-	selector wicsum.Selector
-	stats    Stats
-	rng      *mathx.RNG
+	// workers are the row workers' states, shared by the layers: a model
+	// selects for one layer at a time.
+	workers []rowWorker
+	stats   Stats
+	rng     *mathx.RNG
 }
 
 var _ model.Retriever = (*ReSV)(nil)
@@ -168,7 +175,6 @@ func New(modelCfg model.Config, cfg Config) *ReSV {
 	r := &ReSV{
 		cfg:      cfg,
 		modelCfg: modelCfg,
-		selector: wicsum.Selector{Ratio: cfg.ThWics, Buckets: cfg.Buckets, Workers: cfg.Workers},
 		rng:      mathx.NewRNG(cfg.Seed),
 		stats:    NewStats(modelCfg.Layers, modelCfg.Heads),
 	}
@@ -250,13 +256,11 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 		sc.counts[ci] = table.PastCount(ci)
 	}
 
-	// Score matrix: one row per (query token, head) pair; columns = candidate
-	// clusters. Each row scores its query segment against its kv head's
-	// mirror (the KVPU's Q x RepKey^T), scaled, then exp-normalises it so
-	// WiCSum accumulates attention mass. Rows are independent, so sharding
-	// them never changes a result.
-	nq := queries.Rows
-	nRows := nq * heads
+	// Score and threshold: one row per (query token, head) pair over the
+	// candidate clusters. Workers take contiguous chunks of rows; rows are
+	// independent, and everything folded from them below is an integer sum
+	// or a bit OR, so sharding never changes a result.
+	nRows := queries.Rows * heads
 	if cap(sc.q64) < len(queries.Data) {
 		sc.q64 = make([]float64, len(queries.Data))
 	}
@@ -264,41 +268,59 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	if cap(sc.massData) < nRows*nCands {
 		sc.massData = make([]float32, nRows*nCands)
 	}
-	if cap(sc.masses) < nRows {
-		sc.masses = make([][]float32, nRows)
+	cwords := (nCands + 63) / 64
+	workers := 1
+	if nRows*nCands >= shardEntries {
+		workers = min(parallel.Workers(r.cfg.Workers), nRows)
 	}
-	masses := sc.masses[:nRows]
-	for row := 0; row < nRows; row++ {
-		masses[row] = sc.massData[row*nCands : (row+1)*nCands]
+	for len(r.workers) < workers {
+		r.workers = append(r.workers, rowWorker{})
 	}
-	rowWorkers := r.cfg.Workers
-	if nRows*nCands < 2048 {
-		rowWorkers = 1
-	}
-	if parallel.Workers(rowWorkers) <= 1 {
-		for row, mass := range masses {
-			r.scoreRow(sc, mass, row, invSqrt)
+	active := r.workers[:workers]
+	for w := range active {
+		if cap(active[w].headBits) < heads*cwords {
+			active[w].headBits = make([]uint64, heads*cwords)
 		}
+	}
+	if workers == 1 {
+		r.selectRows(sc, &active[0], 0, nRows, nCands, invSqrt)
 	} else {
-		parallel.ForEach(rowWorkers, nRows, func(row int) {
-			r.scoreRow(sc, masses[row], row, invSqrt)
+		chunk := (nRows + workers - 1) / workers
+		parallel.ForEach(workers, workers, func(w int) {
+			lo := w * chunk
+			r.selectRows(sc, &active[w], lo, min(lo+chunk, nRows), nCands, invSqrt)
 		})
 	}
 
-	sel := r.selector.SelectMatrix(masses, sc.counts)
-
-	// Union of selected clusters -> past-token indices: mark the selected
-	// clusters' tokens and the always-attended recent window in a bitset
-	// over past tokens, then read the set bits out in ascending order,
-	// clearing each word as it is read.
+	// Read the per-head bitsets out, clearing each word. A head's set bits
+	// are its distinct clusters; clusters partition tokens, so its
+	// unique-token count is the sum of their past counts. OR-ed over heads,
+	// they are the selected clusters: their past tokens and the
+	// always-attended recent window are marked in a bitset over past tokens,
+	// whose set bits read out in ascending order (clearing each word) are
+	// the selection.
 	words := (base + 63) / 64
 	if cap(sc.tokenBits) < words {
 		sc.tokenBits = make([]uint64, words)
 	}
 	marks := sc.tokenBits[:words]
-	for _, ci := range sel.Union {
-		for _, tok := range table.PastTokens(ci) {
-			marks[tok>>6] |= 1 << (uint(tok) & 63)
+	for cw := 0; cw < cwords; cw++ {
+		var union uint64
+		for h := 0; h < heads; h++ {
+			var word uint64
+			for w := range active {
+				word |= active[w].headBits[h*cwords+cw]
+				active[w].headBits[h*cwords+cw] = 0
+			}
+			union |= word
+			for ; word != 0; word &= word - 1 {
+				r.stats.PerHead[h].Selected += int64(table.PastCount(cw<<6 | bits.TrailingZeros64(word)))
+			}
+		}
+		for ; union != 0; union &= union - 1 {
+			for _, tok := range table.PastTokens(cw<<6 | bits.TrailingZeros64(union)) {
+				marks[tok>>6] |= 1 << (uint(tok) & 63)
+			}
 		}
 	}
 	for tok := max(base-r.cfg.RecentWindow, 0); tok < base; tok++ {
@@ -313,21 +335,41 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	}
 	sc.tokens = tokens
 
-	r.recordStats(layer, stage, sel, base, len(tokens), nCands)
+	examined := 0
+	for _, rw := range active {
+		examined += rw.examined
+	}
+	r.recordStats(layer, stage, base, len(tokens), nRows, examined, nCands)
 	return tokens
 }
 
-// scoreRow fills (query token, head) row's mass over the len(mass) leading
-// candidate clusters: the query segment against its kv head's mirrored
-// representative keys, scaled by invSqrt, then exp-normalised.
+// selectRows runs rows [lo, hi) on one worker. Each row scores its query
+// segment against its kv head's mirrored representative keys (the KVPU's
+// Q x RepKey^T), scaled by invSqrt, and exp-normalises the scores into its
+// massData row, so WiCSum accumulates attention mass; rw's scratch then
+// thresholds the row (the WTU), and its clusters are set in rw's bitset for
+// the row's head.
 //
 //vrex:noalloc
-func (r *ReSV) scoreRow(sc *layerScratch, mass []float32, row int, invSqrt float32) {
+func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, invSqrt float32) {
 	headDim, heads := r.modelCfg.HeadDim(), r.modelCfg.Heads
-	kvh := row % heads / (heads / r.modelCfg.KVHeads)
-	q := sc.q64[row*headDim : (row+1)*headDim]
-	mathx.ScoreKeys(mass, q, sc.rep64[kvh][:len(mass)*headDim], invSqrt)
-	mathx.ExpNormalize(mass, mass)
+	group := heads / r.modelCfg.KVHeads
+	cwords := (nCands + 63) / 64
+	examined := 0
+	for row := lo; row < hi; row++ {
+		h := row % heads
+		mass := sc.massData[row*nCands : (row+1)*nCands]
+		mathx.ScoreKeys(mass, sc.q64[row*headDim:(row+1)*headDim], sc.rep64[h/group][:nCands*headDim], invSqrt)
+		mathx.ExpNormalize(mass, mass)
+		rw.ws.Reset()
+		sel := rw.ws.Select(mass, sc.counts, r.cfg.ThWics)
+		hb := rw.headBits[h*cwords : (h+1)*cwords]
+		for _, ci := range sel.Selected {
+			hb[ci>>6] |= 1 << (uint(ci) & 63)
+		}
+		examined += sel.Examined
+	}
+	rw.examined = examined
 }
 
 // growMirror returns m grown to n values, preserving its contents.
@@ -349,40 +391,23 @@ func growInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// recordStats folds one selection into the ratio statistics. Per-head unions
-// are deduplicated at cluster granularity with epoch-stamped marks: clusters
-// partition tokens, so a head's unique-token count is the sum of past counts
-// over its distinct selected clusters.
-func (r *ReSV) recordStats(layer int, stage model.Stage, sel wicsum.MatrixSelection, base, selectedTokens, nCands int) {
+// recordStats folds one call's counts into the stage, per-layer and per-head
+// candidate statistics (SelectTokens adds the per-head selections as it reads
+// them out). The examined fraction is the call's examined entries over its
+// rows x nCands score entries.
+func (r *ReSV) recordStats(layer int, stage model.Stage, base, selectedTokens, rows, examined, nCands int) {
 	ss := r.stats.stage(stage)
 	ss.SelectedTokens += int64(selectedTokens)
 	ss.CandidateTokens += int64(base)
-	ss.Rows += int64(len(sel.Rows))
-	ss.ExaminedFraction += sel.ExaminedFraction
+	ss.Rows += int64(rows)
+	if rows > 0 {
+		ss.ExaminedFraction += float64(examined) / float64(rows*nCands)
+	}
 	ss.Calls++
 
 	r.stats.PerLayer[layer].Selected += int64(selectedTokens)
 	r.stats.PerLayer[layer].Candidate += int64(base)
-
-	sc := &r.layers[layer].scratch
-	table := r.layers[layer].clusterer.Table
-	heads := r.modelCfg.Heads
-	if cap(sc.headMark) < heads*nCands {
-		sc.headMark = make([]uint64, heads*nCands)
-	}
-	mark := sc.headMark[:heads*nCands]
-	sc.headEpoch++
-	for rowIdx := range sel.Rows {
-		h := rowIdx % heads
-		markRow := mark[h*nCands : (h+1)*nCands]
-		for _, ci := range sel.Rows[rowIdx].Selected {
-			if markRow[ci] != sc.headEpoch {
-				markRow[ci] = sc.headEpoch
-				r.stats.PerHead[h].Selected += int64(table.PastCount(ci))
-			}
-		}
-	}
-	for h := 0; h < heads; h++ {
+	for h := range r.stats.PerHead {
 		r.stats.PerHead[h].Candidate += int64(base)
 	}
 }

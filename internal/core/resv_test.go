@@ -10,6 +10,7 @@ import (
 	"vrex/internal/mathx"
 	"vrex/internal/model"
 	"vrex/internal/tensor"
+	"vrex/internal/wicsum"
 )
 
 func frameInput(rows, dim int, rng *mathx.RNG) *tensor.Matrix {
@@ -47,7 +48,6 @@ func TestConfigValidate(t *testing.T) {
 		{NHp: 32, ThHD: -1, ThWics: 0.3},
 		{NHp: 32, ThWics: 0},
 		{NHp: 32, ThWics: 1.5},
-		{NHp: 32, ThWics: 0.3, Buckets: -1},
 		{NHp: 32, ThWics: 0.3, RecentWindow: -1},
 	}
 	for i, c := range bad {
@@ -176,6 +176,9 @@ func bucket3(v float64) string {
 	return string(rune('0'+int(v*1000)%10)) + string(rune('0'+int(v*100)%10)) + string(rune('0'+int(v*10)%10))
 }
 
+// TestReSVRecentWindowAlwaysIncluded also selects for a chunk with no query
+// rows: it scores nothing, yet returns exactly the recent window and counts
+// one call with no rows and nothing examined.
 func TestReSVRecentWindowAlwaysIncluded(t *testing.T) {
 	mcfg := model.DefaultConfig()
 	m := model.New(mcfg)
@@ -199,6 +202,16 @@ func TestReSVRecentWindowAlwaysIncluded(t *testing.T) {
 			t.Fatalf("recent token %d missing from selection", tok)
 		}
 	}
+
+	before := r.Stats().Text
+	sel = r.SelectTokens(0, m.Cache(0), tensor.NewMatrix(0, mcfg.Dim), base, model.StageText)
+	if want := []int{base - 5, base - 4, base - 3, base - 2, base - 1}; !slices.Equal(sel, want) {
+		t.Fatalf("no query rows: selection %v, want the recent window %v", sel, want)
+	}
+	after := r.Stats().Text
+	if after.Calls != before.Calls+1 || after.Rows != before.Rows || after.ExaminedFraction != before.ExaminedFraction {
+		t.Fatalf("no query rows: text stats went from %+v to %+v, want one more call and nothing else scored", before, after)
+	}
 }
 
 // TestSelectTokensIsSortedUnion requires SelectTokens to return exactly the
@@ -221,13 +234,18 @@ func TestSelectTokensIsSortedUnion(t *testing.T) {
 			q := frameInput(3, mcfg.Dim, rng)
 			for layer := 0; layer < mcfg.Layers; layer++ {
 				got := slices.Clone(r.SelectTokens(layer, m.Cache(layer), q, base, model.StageText))
-				// Select again on the masses and counts SelectTokens left in
-				// the layer's scratch, and expand the union by hand.
+				// Threshold again the score rows SelectTokens left in the
+				// layer's scratch, and expand every row's clusters by hand.
 				sc := &r.layers[layer].scratch
-				sel := r.selector.SelectMatrix(sc.masses[:q.Rows*mcfg.Heads], sc.counts)
+				nCands := r.HCTable(layer).PastClusters()
+				var ws wicsum.Scratch
 				var want []int
-				for _, ci := range sel.Union {
-					want = append(want, r.HCTable(layer).PastTokens(ci)...)
+				for row := 0; row < q.Rows*mcfg.Heads; row++ {
+					ws.Reset()
+					sel := ws.Select(sc.massData[row*nCands:(row+1)*nCands], sc.counts[:nCands], cfg.ThWics)
+					for _, ci := range sel.Selected {
+						want = append(want, r.HCTable(layer).PastTokens(ci)...)
+					}
 				}
 				for tok := max(base-window, 0); tok < base; tok++ {
 					want = append(want, tok)
@@ -277,7 +295,6 @@ func TestReSVLowerThresholdSelectsFewer(t *testing.T) {
 		m := model.New(mcfg)
 		cfg := DefaultConfig()
 		cfg.ThWics = th
-		cfg.Buckets = 0 // exact
 		r := New(mcfg, cfg)
 		rng := mathx.NewRNG(10)
 		for _, f := range driftFrames(8, 6, mcfg.Dim, 0.95, rng) {

@@ -1,7 +1,5 @@
 package hashbit
 
-import "sort"
-
 // Cluster is one row of the hash cluster (HC) table: a group of tokens whose
 // key signatures are within Th_hd Hamming distance of the cluster
 // representative. RepKey is the running mean of member keys (Key_cluster in
@@ -29,7 +27,7 @@ type Cluster struct {
 func (c *Cluster) addMember(tokenIdx int, key []float32) {
 	n := float32(len(c.TokenIdxs))
 	for j, v := range key {
-		c.RepKey[j] = (c.RepKey[j]*n + v) / (n + 1)
+		c.RepKey[j] = (float32(c.RepKey[j]*n) + v) / (n + 1)
 	}
 	c.TokenIdxs = append(c.TokenIdxs, tokenIdx)
 }
@@ -149,10 +147,10 @@ func (t *HCTable) Insert(tokenIdx int, key []float32, sig Signature) (clusterID,
 // grows monotonically — so steady-state cost is O(new tokens + touched
 // clusters), independent of the total cluster count.
 //
-// Boundaries normally only move forward (streaming prefill); moving the
-// boundary backwards takes a full-rescan slow path. The incremental
-// bookkeeping requires monotonically increasing token indices and panics if
-// tokens were inserted out of order.
+// Boundaries only move forward within a session (streaming prefill; Reset
+// returns the boundary to 0): a boundary below the last one panics. The
+// incremental bookkeeping also requires monotonically increasing token
+// indices and panics if tokens were inserted out of order.
 //
 //vrex:noalloc
 func (t *HCTable) AdvancePast(boundary int) {
@@ -163,8 +161,7 @@ func (t *HCTable) AdvancePast(boundary int) {
 		panic("hashbit: AdvancePast requires monotonically increasing token insertion")
 	}
 	if boundary < t.pastBoundary {
-		t.rewindPast(boundary)
-		return
+		panic("hashbit: AdvancePast boundary moved backwards")
 	}
 	keep := t.dirty[:0]
 	for _, id := range t.dirty {
@@ -183,28 +180,6 @@ func (t *HCTable) AdvancePast(boundary int) {
 	// candidate set stays a prefix of the cluster list.
 	for t.numPast < len(t.Clusters) && t.Clusters[t.numPast].TokenIdxs[0] < boundary {
 		t.numPast++
-	}
-	t.pastBoundary = boundary
-}
-
-// rewindPast is the slow path for a boundary that moved backwards: every
-// cluster's cursor is recomputed by binary search and the dirty list rebuilt.
-//
-//vrex:noalloc
-func (t *HCTable) rewindPast(boundary int) {
-	t.dirty = t.dirty[:0]
-	t.numPast = 0
-	for _, c := range t.Clusters {
-		c.pastLen = sort.SearchInts(c.TokenIdxs, boundary)
-		if c.pastLen < len(c.TokenIdxs) {
-			c.pending = true
-			t.dirty = append(t.dirty, c.ID)
-		} else {
-			c.pending = false
-		}
-		if c.TokenIdxs[0] < boundary {
-			t.numPast++
-		}
 	}
 	t.pastBoundary = boundary
 }

@@ -64,7 +64,9 @@ func TestAdvancePastMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestAdvancePastRewind covers the backwards (slow-path) boundary move.
+// TestAdvancePastRewind pins the forward-only contract: a boundary below the
+// last one panics instead of recounting the past, and Reset returns the
+// boundary to 0.
 func TestAdvancePastRewind(t *testing.T) {
 	c := addFrames(t, 4, 5, 16, 52)
 	tab := c.Table
@@ -72,27 +74,26 @@ func TestAdvancePastRewind(t *testing.T) {
 	if tab.PastClusters() != tab.NumClusters() {
 		t.Fatal("all clusters should be past at the final boundary")
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AdvancePast(5) after AdvancePast(20): expected panic")
+			}
+		}()
+		tab.AdvancePast(5)
+	}()
+	// A new session after Reset advances from 0 again.
+	tab.Reset()
+	keys := tensor.NewMatrix(5, 16)
+	keys.Randomize(mathx.NewRNG(53), 1)
+	c.AddFrame(keys, 0)
 	tab.AdvancePast(5)
 	total := 0
-	for id := 0; id < tab.NumClusters(); id++ {
-		for _, tok := range tab.PastTokens(id) {
-			if tok >= 5 {
-				t.Fatalf("token %d beyond rewound boundary", tok)
-			}
-			total++
-		}
-	}
-	if total != 5 {
-		t.Fatalf("rewound past tokens = %d, want 5", total)
-	}
-	// Forward again must agree with a fresh rescan.
-	tab.AdvancePast(12)
-	total = 0
 	for id := 0; id < tab.PastClusters(); id++ {
 		total += tab.PastCount(id)
 	}
-	if total != 12 {
-		t.Fatalf("re-advanced past tokens = %d, want 12", total)
+	if total != 5 {
+		t.Fatalf("past tokens after Reset = %d, want 5", total)
 	}
 }
 

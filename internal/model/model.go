@@ -171,8 +171,8 @@ func (m *Model) applyRotary(mat *tensor.Matrix, nHeads, base int) {
 			for hd := 0; hd < nHeads; hd++ {
 				pair := row[hd*headDim+2*kk : hd*headDim+2*kk+2]
 				a, b := float64(pair[0]), float64(pair[1])
-				pair[0] = float32(a*cos - b*sin)
-				pair[1] = float32(a*sin + b*cos)
+				pair[0] = float32(float64(a*cos) - float64(b*sin))
+				pair[1] = float32(float64(a*sin) + float64(b*cos))
 			}
 		}
 	}

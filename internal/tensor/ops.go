@@ -16,7 +16,7 @@ func RMSNorm(m *Matrix, gain []float32, eps float32) *Matrix {
 		row := m.Row(i)
 		var ss float64
 		for _, v := range row {
-			ss += float64(v) * float64(v)
+			ss += float64(float64(v) * float64(v))
 		}
 		inv := float32(1 / math.Sqrt(ss/float64(m.Cols)+float64(eps)))
 		orow := out.Row(i)

@@ -6,16 +6,13 @@ import (
 	"vrex/internal/mathx"
 )
 
-// TestSelectMatrixSteadyStateAllocFree pins the scratch-reuse guarantee for
-// both sorter variants: after the first call sizes the selector's arenas,
-// sequential matrix thresholding performs zero heap allocations.
-func TestSelectMatrixSteadyStateAllocFree(t *testing.T) {
-	rng := mathx.NewRNG(31)
-	const rows, cols = 48, 300
+// randomRows returns rows uniform score rows of cols entries and cols
+// cluster counts in [1, maxCount].
+func randomRows(rng *mathx.RNG, rows, cols, maxCount int) ([][]float32, []int) {
 	masses := make([][]float32, rows)
 	counts := make([]int, cols)
 	for j := range counts {
-		counts[j] = 1 + rng.Intn(32)
+		counts[j] = 1 + rng.Intn(maxCount)
 	}
 	for i := range masses {
 		row := make([]float32, cols)
@@ -24,61 +21,59 @@ func TestSelectMatrixSteadyStateAllocFree(t *testing.T) {
 		}
 		masses[i] = row
 	}
-	for _, buckets := range []int{0, 20} {
-		s := Selector{Ratio: 0.3, Buckets: buckets, Workers: 1}
-		for i := 0; i < 3; i++ {
-			s.SelectMatrix(masses, counts)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			s.SelectMatrix(masses, counts)
-		})
-		if allocs != 0 {
-			t.Fatalf("buckets=%d: steady-state SelectMatrix allocates %v times per call, want 0", buckets, allocs)
-		}
+	return masses, counts
+}
+
+// selectAll thresholds every row through ws after one Reset and returns the
+// rows' selections in sels.
+func selectAll(ws *Scratch, sels []RowSelection, masses [][]float32, counts []int, ratio float64) []RowSelection {
+	ws.Reset()
+	for i, row := range masses {
+		sels[i] = ws.Select(row, counts, ratio)
+	}
+	return sels
+}
+
+// TestSelectMatrixSteadyStateAllocFree pins the scratch-reuse guarantee:
+// after the first pass sizes a Scratch's buffers, thresholding a whole
+// matrix through it performs zero heap allocations.
+func TestSelectMatrixSteadyStateAllocFree(t *testing.T) {
+	masses, counts := randomRows(mathx.NewRNG(31), 48, 300, 32)
+	var ws Scratch
+	sels := make([]RowSelection, len(masses))
+	for i := 0; i < 3; i++ {
+		selectAll(&ws, sels, masses, counts, 0.3)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		selectAll(&ws, sels, masses, counts, 0.3)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state thresholding allocates %v times per pass, want 0", allocs)
 	}
 }
 
 // TestSelectMatrixScratchReuseKeepsResults guards the arena lifetime
-// contract: results from one call must be fully consumed before the next
-// call on the same selector, and consecutive calls on identical input yield
-// identical selections.
+// contract: every row selected since the last Reset keeps its selection
+// while later rows grow the arena, and consecutive passes on identical input
+// yield identical selections.
 func TestSelectMatrixScratchReuseKeepsResults(t *testing.T) {
-	rng := mathx.NewRNG(32)
-	const rows, cols = 8, 64
-	masses := make([][]float32, rows)
-	counts := make([]int, cols)
-	for j := range counts {
-		counts[j] = 1 + rng.Intn(8)
-	}
-	for i := range masses {
-		row := make([]float32, cols)
-		for j := range row {
-			row[j] = rng.Float32()
+	masses, counts := randomRows(mathx.NewRNG(32), 8, 64, 8)
+	var ws Scratch
+	first := selectAll(&ws, make([]RowSelection, len(masses)), masses, counts, 0.3)
+	selected := make([][]int, len(first))
+	for i, r := range first {
+		if want := SelectRowEarlyExit(masses[i], counts, 0.3, buckets); !sameSelection(r, want) {
+			t.Fatalf("row %d: arena selection %v, want %v", i, r.Selected, want.Selected)
 		}
-		masses[i] = row
-	}
-	s := Selector{Ratio: 0.3, Buckets: 20}
-	first := s.SelectMatrix(masses, counts)
-	union := append([]int(nil), first.Union...)
-	selected := make([][]int, len(first.Rows))
-	for i, r := range first.Rows {
 		selected[i] = append([]int(nil), r.Selected...)
 	}
-	second := s.SelectMatrix(masses, counts)
-	if len(second.Union) != len(union) {
-		t.Fatalf("union size changed across identical calls: %d vs %d", len(second.Union), len(union))
-	}
-	for i := range union {
-		if second.Union[i] != union[i] {
-			t.Fatal("union diverged across identical calls")
-		}
-	}
+	second := selectAll(&ws, make([]RowSelection, len(masses)), masses, counts, 0.3)
 	for i := range selected {
-		if len(second.Rows[i].Selected) != len(selected[i]) {
+		if len(second[i].Selected) != len(selected[i]) {
 			t.Fatalf("row %d selection size changed", i)
 		}
 		for j := range selected[i] {
-			if second.Rows[i].Selected[j] != selected[i][j] {
+			if second[i].Selected[j] != selected[i][j] {
 				t.Fatalf("row %d selection diverged", i)
 			}
 		}

@@ -11,7 +11,8 @@ import (
 // 268 candidate clusters, the workload's mean per SelectTokens call, each row
 // exp-normalised as ReSV normalises it, with the early-exit sorter at 20
 // buckets, ratio 0.3 and one worker. It reports ns per (row, candidate)
-// entry and allocs/op.
+// entry and allocs/op. One op thresholds every row through one Scratch
+// after one Reset.
 //
 // The skewed case draws scores N(0, 4), as the workload's rows look: most
 // entries land in the lowest bucket, which the sorter walks only if the
@@ -39,12 +40,13 @@ func BenchmarkSelectMatrix(b *testing.B) {
 				mathx.ExpNormalize(row, row)
 				masses[i] = row
 			}
-			s := Selector{Ratio: 0.3, Buckets: 20, Workers: 1}
-			s.SelectMatrix(masses, counts) // size the scratch
+			var ws Scratch
+			sels := make([]RowSelection, rows)
+			selectAll(&ws, sels, masses, counts, 0.3) // size the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.SelectMatrix(masses, counts)
+				selectAll(&ws, sels, masses, counts, 0.3)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*cols), "ns/entry")
 		})

@@ -17,17 +17,17 @@ import "math"
 // mass guarantee (covered > ratio*total) always holds, which is what
 // accuracy depends on.
 //
-//vrex:testonly the early-exit reference for Selector's rows; the root WiCSum benchmarks call it too
+//vrex:testonly the early-exit sorter at any bucket count, for the differential tests; the root WiCSum benchmarks call it too
 func SelectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int) RowSelection {
-	var ws rowScratch
+	var ws Scratch
 	return ws.selectRowEarlyExit(mass, counts, ratio, nBuckets)
 }
 
-// selectRowEarlyExit is the scratch-backed kernel behind SelectRowEarlyExit.
-// After the preprocess pass it splits the lowest bucket off with one
-// subtract-and-compare per entry, and buckets only the entries above it:
-// exp-normalised rows crowd near zero, so that is about 14 of a
-// 292-entry row on resv-stream. Those entries are counting-sorted, highest
+// selectRowEarlyExit is the scratch-backed kernel behind SelectRowEarlyExit
+// and Select. After the preprocess pass it splits the lowest bucket off with
+// one subtract-and-compare per entry, and buckets only the entries above it:
+// exp-normalised rows crowd near zero, so that is about 14 of a 292-entry
+// row on resv-stream. Those entries are counting-sorted, highest
 // bucket first, over reusable buffers (the hardware's fixed bucket memory),
 // and walked in that order. Only if the threshold has not tripped is the
 // lowest bucket walked, in index order straight from mass. Each bucket's
@@ -46,7 +46,7 @@ func SelectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets in
 // range that underflows when divided, a NaN first entry or an infinite
 // entry. A total that is not finite never trips the threshold, so such a
 // row selects every entry, as SelectRow does.
-func (ws *rowScratch) selectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int) RowSelection {
+func (ws *Scratch) selectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int) RowSelection {
 	if len(mass) != len(counts) {
 		panic("wicsum: mass/counts length mismatch")
 	}
@@ -158,7 +158,7 @@ func (ws *rowScratch) selectRowEarlyExit(mass []float32, counts []int, ratio flo
 
 // take examines entry j of the row: it appends j to the selection, adds its
 // weighted mass, and reports whether the covered mass now exceeds th.
-func (ws *rowScratch) take(sel *RowSelection, mass []float32, counts []int, j int, th float64) bool {
+func (ws *Scratch) take(sel *RowSelection, mass []float32, counts []int, j int, th float64) bool {
 	sel.Examined++
 	ws.selected = append(ws.selected, j)
 	sel.MassCovered += float64(float64(mass[j]) * float64(counts[j]))

@@ -146,8 +146,8 @@ func edgeRow(rng *mathx.RNG, mass []float32, nBuckets int) int {
 // 0 to 600 entries and one of five shapes: exp-normalised scores, uniform
 // values, values on bucket edges, all-equal values, and exp-normalised
 // scores with a third of the counts zero. Each runs at 1, 2, 3, 20 and 40
-// buckets and at ratios 0, 1 and a random one, through one scratch that is
-// reused throughout, as a Selector's is.
+// buckets and at ratios 0, 1 and a random one, through one Scratch that is
+// reused throughout, as a SelectTokens worker's is.
 func TestEarlyExitMatchesCountingSort(t *testing.T) {
 	rng := mathx.NewRNG(51)
 	rows := 6000
@@ -155,7 +155,7 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 		rows = 1500
 	}
 	bucketCounts := []int{1, 2, 3, 20, 40}
-	var ws rowScratch
+	var ws Scratch
 	compared, edges, lowestWalks := 0, 0, 0
 	mass := make([]float32, 600)
 	counts := make([]int, 600)
@@ -201,7 +201,7 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 			}
 			for _, ratio := range []float64{0, 1, 0.05 + 0.9*rng.Float64()} {
 				want := refEarlyExit(m, c, ratio, nb)
-				ws.selected = ws.selected[:0]
+				ws.Reset()
 				got := ws.selectRowEarlyExit(m, c, ratio, nb)
 				if !sameSelection(got, want) {
 					t.Fatalf("row %d (shape %d, %d entries), %d buckets, ratio %v:\ngot  %+v\nwant %+v", r, shape, n, nb, ratio, got, want)

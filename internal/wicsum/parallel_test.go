@@ -5,41 +5,38 @@ import (
 	"testing"
 
 	"vrex/internal/mathx"
+	"vrex/internal/parallel"
 )
 
-// TestSelectMatrixParallelEquivalence: sharded row thresholding must produce
-// exactly the sequential result — same rows, same union order, same
-// examined-fraction accumulation — for both sorter variants.
+// TestSelectMatrixParallelEquivalence: thresholding a matrix's rows in
+// contiguous chunks, one Scratch per worker as core.SelectTokens does, must
+// produce exactly the sequential result of one Scratch: same rows, same
+// union, same examined count. Three workers leave the last chunk uneven.
 func TestSelectMatrixParallelEquivalence(t *testing.T) {
-	rng := mathx.NewRNG(9)
-	const rows, cols = 64, 300
-	masses := make([][]float32, rows)
-	counts := make([]int, cols)
-	for j := range counts {
-		counts[j] = 1 + rng.Intn(32)
-	}
-	for i := range masses {
-		row := make([]float32, cols)
-		for j := range row {
-			row[j] = rng.Float32()
+	masses, counts := randomRows(mathx.NewRNG(9), 64, 300, 32)
+	var seqWS Scratch
+	seq := selectAll(&seqWS, make([]RowSelection, len(masses)), masses, counts, 0.3)
+	seqUnion, seqExamined := unionOf(seq, len(counts))
+	for _, w := range []int{2, 3, 4, 16} {
+		scratches := make([]Scratch, w)
+		par := make([]RowSelection, len(masses))
+		chunk := (len(masses) + w - 1) / w
+		parallel.ForEach(w, w, func(k int) {
+			lo := min(k*chunk, len(masses))
+			hi := min(lo+chunk, len(masses))
+			selectAll(&scratches[k], par[lo:hi], masses[lo:hi], counts, 0.3)
+		})
+		for i := range seq {
+			if !sameSelection(seq[i], par[i]) {
+				t.Fatalf("workers=%d: row %d diverged: %v vs %v", w, i, par[i].Selected, seq[i].Selected)
+			}
 		}
-		masses[i] = row
-	}
-	for _, buckets := range []int{0, 20} {
-		seqSel := Selector{Ratio: 0.3, Buckets: buckets, Workers: 1}
-		seq := seqSel.SelectMatrix(masses, counts)
-		for _, w := range []int{2, 4, 16} {
-			parSel := Selector{Ratio: 0.3, Buckets: buckets, Workers: w}
-			par := parSel.SelectMatrix(masses, counts)
-			if !reflect.DeepEqual(seq.Rows, par.Rows) {
-				t.Fatalf("buckets=%d workers=%d: rows diverged", buckets, w)
-			}
-			if !reflect.DeepEqual(seq.Union, par.Union) {
-				t.Fatalf("buckets=%d workers=%d: union diverged", buckets, w)
-			}
-			if seq.ExaminedFraction != par.ExaminedFraction {
-				t.Fatalf("buckets=%d workers=%d: examined fraction diverged", buckets, w)
-			}
+		union, examined := unionOf(par, len(counts))
+		if !reflect.DeepEqual(seqUnion, union) {
+			t.Fatalf("workers=%d: union diverged", w)
+		}
+		if seqExamined != examined {
+			t.Fatalf("workers=%d: examined %d entries, want %d", w, examined, seqExamined)
 		}
 	}
 }

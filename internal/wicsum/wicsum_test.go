@@ -232,16 +232,36 @@ func TestEarlyExitPanics(t *testing.T) {
 	SelectRowEarlyExit([]float32{1}, []int{1}, 0.5, 0)
 }
 
+// unionOf returns the ascending union of the rows' selected clusters, of
+// cols candidates, and the entries the rows examined in total.
+func unionOf(sels []RowSelection, cols int) ([]int, int) {
+	mark := make([]bool, cols)
+	examined := 0
+	for _, s := range sels {
+		for _, ci := range s.Selected {
+			mark[ci] = true
+		}
+		examined += s.Examined
+	}
+	var union []int
+	for ci, m := range mark {
+		if m {
+			union = append(union, ci)
+		}
+	}
+	return union, examined
+}
+
 func TestSelectMatrixUnion(t *testing.T) {
 	masses := [][]float32{
 		{10, 0.1, 0.1},
 		{0.1, 10, 0.1},
 	}
 	counts := []int{1, 1, 1}
-	s := Selector{Ratio: 0.8}
-	res := s.SelectMatrix(masses, counts)
-	if len(res.Union) != 2 || res.Union[0] != 0 || res.Union[1] != 1 {
-		t.Fatalf("union = %v, want [0 1]", res.Union)
+	var ws Scratch
+	union, _ := unionOf(selectAll(&ws, make([]RowSelection, len(masses)), masses, counts, 0.8), len(counts))
+	if len(union) != 2 || union[0] != 0 || union[1] != 1 {
+		t.Fatalf("union = %v, want [0 1]", union)
 	}
 }
 
@@ -257,33 +277,18 @@ func TestSelectMatrixPerRowAdaptivity(t *testing.T) {
 		counts[i] = 1
 	}
 	skew[0] = 100
-	s := Selector{Ratio: 0.8}
-	res := s.SelectMatrix([][]float32{skew, uni}, counts)
-	if len(res.Rows[0].Selected) >= len(res.Rows[1].Selected) {
+	var ws Scratch
+	skewed, uniform := ws.Select(skew, counts, 0.8), ws.Select(uni, counts, 0.8)
+	if len(skewed.Selected) >= len(uniform.Selected) {
 		t.Fatalf("adaptive selection failed: skewed=%d uniform=%d",
-			len(res.Rows[0].Selected), len(res.Rows[1].Selected))
-	}
-}
-
-func TestSelectMatrixEarlyExitMode(t *testing.T) {
-	masses := [][]float32{{5, 1, 0.1, 0.1}}
-	counts := []int{1, 1, 1, 1}
-	exactSel := Selector{Ratio: 0.8}
-	exact := exactSel.SelectMatrix(masses, counts)
-	eeSel := Selector{Ratio: 0.8, Buckets: 10}
-	ee := eeSel.SelectMatrix(masses, counts)
-	if len(ee.Union) < len(exact.Union) {
-		t.Fatal("early-exit union smaller than exact")
-	}
-	if ee.ExaminedFraction <= 0 || ee.ExaminedFraction > 1 {
-		t.Fatalf("examined fraction out of range: %v", ee.ExaminedFraction)
+			len(skewed.Selected), len(uniform.Selected))
 	}
 }
 
 func TestSelectMatrixEmpty(t *testing.T) {
-	s := Selector{Ratio: 0.5}
-	res := s.SelectMatrix(nil, nil)
-	if len(res.Union) != 0 || res.ExaminedFraction != 0 {
-		t.Fatal("empty matrix should yield empty selection")
+	var ws Scratch
+	sel := ws.Select(nil, nil, 0.5)
+	if len(sel.Selected) != 0 || sel.Examined != 0 || sel.TotalMass != 0 {
+		t.Fatal("empty row should yield empty selection")
 	}
 }
