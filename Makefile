@@ -126,23 +126,30 @@ perfbench-check:
 
 # The portable kernels: on amd64 the ReSV kernels are SSE2 assembly, and
 # every other architecture runs their Go loops instead. GOARCH=386 test
-# binaries run natively on an amd64 host and take the Go loops, so the
-# kernel identity tests pin the portable path too. math.Exp has two amd64
-# paths: on a CPU with AVX and FMA it fuses (VFMADD), which gives other
-# float64 bits than the path without. The ReSV outputs depend on math.Exp
-# only through float32 roundings, so the packages whose identity tests
-# compare with it run again with GODEBUG=cpu.fma=off, which pins the other
-# path on any host. arm64 is vetted (build constraints and the Go loops),
-# not run. Last, the arm64 builds of the packages resv-stream runs (mathx,
-# whose RNG draws every model weight; tensor, model, hashbit and core; and
-# wicsum, whose weighted masses decide which clusters ReSV selects) must
-# hold no FMADD-family instruction: arm64 fuses x*y + z unless the product
-# is converted explicitly, and a fused result has other bits than amd64's.
-# This covers the module's code only: math.Pow, math.Sincos and math.Exp
-# still fuse inside the standard library on arm64. The build cache replays
-# -S output, so a warm cache checks too.
+# binaries run natively on an amd64 host and take the Go loops, so the whole
+# module's tests run again as 386: the kernel identity tests pin the
+# portable path, and every golden pins a 32-bit build too (the allocation
+# goldens keep a 32-bit column). The benchmark's correctness checks then run
+# on a perfbench built as 386, as perfbench-check runs them. math.Exp has
+# two amd64 paths: on a CPU with AVX and FMA it fuses (VFMADD), which gives
+# other float64 bits than the path without. The ReSV outputs depend on
+# math.Exp only through float32 roundings, so the packages whose identity
+# tests compare with it run again with GODEBUG=cpu.fma=off, which pins the
+# other path on any host. arm64 is vetted (build constraints and the Go
+# loops), not run. Last, the arm64 builds of the packages resv-stream runs
+# (mathx, whose RNG draws every model weight; tensor, model, hashbit and
+# core; and wicsum, whose weighted masses decide which clusters ReSV
+# selects) must hold no FMADD-family instruction: arm64 fuses x*y + z unless
+# the product is converted explicitly, and a fused result has other bits
+# than amd64's. This covers the module's code only: math.Pow, math.Sincos
+# and math.Exp still fuse inside the standard library on arm64. The build
+# cache replays -S output, so a warm cache checks too.
 portable:
-	GOARCH=386 $(GO) test -count=1 ./internal/mathx ./internal/tensor ./internal/model ./internal/hashbit ./internal/core ./internal/wicsum
+	GOARCH=386 $(GO) test -count=1 ./...
+	@for w in resv-stream serve-suite cluster-fault; do \
+		echo "== perfbench $$w (GOARCH=386)"; \
+		GOARCH=386 bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/mathx ./internal/model ./internal/core
 	GOARCH=arm64 $(GO) vet ./...
 	@for pkg in ./internal/mathx ./internal/tensor ./internal/model ./internal/hashbit ./internal/core ./internal/wicsum; do \

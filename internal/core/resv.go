@@ -19,8 +19,12 @@
 // arrive. Each (query token, head) row is scored (mathx.ScoreKeys over
 // per-layer float64 mirrors of the representative keys: SSE2 assembly on
 // amd64 and a Go loop elsewhere, with the same bits on both), exp-normalised
-// and thresholded (a wicsum.Scratch) in one pass on one worker, and
-// Config.Workers shards the rows. All per-frame working sets (score rows,
+// (mathx.ExpNormalizeWeighted) and thresholded (a wicsum.Scratch) in one
+// pass on one worker, and Config.Workers shards the rows. The kernels that
+// write a row also reduce it: scoring returns the row's maximum, which the
+// exp pass subtracts, and the exp pass returns the WTU's preprocess results
+// (the weighted total, minimum and maximum), so thresholding never re-reads
+// a row to reduce it. All per-frame working sets (score rows,
 // selection bitsets, the token buffer) live in reusable scratch arenas —
 // steady-state SelectTokens performs zero heap allocations on the
 // sequential path (pinned by TestSelectTokensSteadyStateAllocFree).
@@ -94,8 +98,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: NHp must be at most %d, got %d", maxNHp, c.NHp)
 	case c.ThHD < 0:
 		return fmt.Errorf("core: ThHD must be non-negative")
-	case c.ThWics <= 0 || c.ThWics > 1:
-		return fmt.Errorf("core: ThWics must be in (0,1]")
+	case !(c.ThWics > 0 && c.ThWics <= 1): // NaN fails too
+		return fmt.Errorf("core: ThWics must be in (0,1], got %v", c.ThWics)
 	case c.RecentWindow < 0:
 		return fmt.Errorf("core: RecentWindow must be non-negative")
 	}
@@ -118,8 +122,11 @@ type layerScratch struct {
 	// q64 holds the chunk's queries widened to float64, row-major like the
 	// query matrix, so (query token, head) row i starts at i*headDim.
 	q64 []float64
-	// counts holds the per-candidate past-token counts WiCSum weights by.
-	counts []int
+	// counts holds the per-candidate past-token counts WiCSum weights by,
+	// and weights the same counts converted to float64 once per call, as
+	// the exp pass multiplies by them.
+	counts  []int
+	weights []float64
 	// massData holds one exp-normalised score row per (query token, head)
 	// pair, row i at i*nCands over the call's nCands candidate clusters.
 	massData []float32
@@ -252,8 +259,13 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 		return nil
 	}
 	sc.counts = growInts(sc.counts, nCands)
+	if cap(sc.weights) < nCands {
+		sc.weights = make([]float64, nCands)
+	}
+	sc.weights = sc.weights[:nCands]
 	for ci := 0; ci < nCands; ci++ {
 		sc.counts[ci] = table.PastCount(ci)
+		sc.weights[ci] = float64(sc.counts[ci])
 	}
 
 	// Score and threshold: one row per (query token, head) pair over the
@@ -345,10 +357,12 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 
 // selectRows runs rows [lo, hi) on one worker. Each row scores its query
 // segment against its kv head's mirrored representative keys (the KVPU's
-// Q x RepKey^T), scaled by invSqrt, and exp-normalises the scores into its
-// massData row, so WiCSum accumulates attention mass; rw's scratch then
+// Q x RepKey^T), scaled by invSqrt, which also yields the row's maximum,
+// and exp-normalises the scores into its massData row, so WiCSum
+// accumulates attention mass; that pass also returns the row's weighted
+// total, min and max (the WTU's preprocess step). rw's scratch then
 // thresholds the row (the WTU), and its clusters are set in rw's bitset for
-// the row's head.
+// the row's head. No pass re-reads a row to reduce it.
 //
 //vrex:noalloc
 func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, invSqrt float32) {
@@ -359,10 +373,10 @@ func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, i
 	for row := lo; row < hi; row++ {
 		h := row % heads
 		mass := sc.massData[row*nCands : (row+1)*nCands]
-		mathx.ScoreKeys(mass, sc.q64[row*headDim:(row+1)*headDim], sc.rep64[h/group][:nCands*headDim], invSqrt)
-		mathx.ExpNormalize(mass, mass)
+		maxv := mathx.ScoreKeys(mass, sc.q64[row*headDim:(row+1)*headDim], sc.rep64[h/group][:nCands*headDim], invSqrt)
+		total, minv, maxm := mathx.ExpNormalizeWeighted(mass, mass, maxv, sc.weights)
 		rw.ws.Reset()
-		sel := rw.ws.Select(mass, sc.counts, r.cfg.ThWics)
+		sel := rw.ws.Select(mass, sc.counts, r.cfg.ThWics, total, minv, maxm)
 		hb := rw.headBits[h*cwords : (h+1)*cwords]
 		for _, ci := range sel.Selected {
 			hb[ci>>6] |= 1 << (uint(ci) & 63)

@@ -48,6 +48,8 @@ func TestConfigValidate(t *testing.T) {
 		{NHp: 32, ThHD: -1, ThWics: 0.3},
 		{NHp: 32, ThWics: 0},
 		{NHp: 32, ThWics: 1.5},
+		{NHp: 32, ThWics: math.NaN()}, // would never trip the threshold
+		{NHp: 32, ThWics: math.Inf(1)},
 		{NHp: 32, ThWics: 0.3, RecentWindow: -1},
 	}
 	for i, c := range bad {
@@ -235,14 +237,14 @@ func TestSelectTokensIsSortedUnion(t *testing.T) {
 			for layer := 0; layer < mcfg.Layers; layer++ {
 				got := slices.Clone(r.SelectTokens(layer, m.Cache(layer), q, base, model.StageText))
 				// Threshold again the score rows SelectTokens left in the
-				// layer's scratch, and expand every row's clusters by hand.
+				// layer's scratch, through the reference sorter at the
+				// WTU's 20 buckets, whose preprocess step is its own pass
+				// over the row, and expand every row's clusters by hand.
 				sc := &r.layers[layer].scratch
 				nCands := r.HCTable(layer).PastClusters()
-				var ws wicsum.Scratch
 				var want []int
 				for row := 0; row < q.Rows*mcfg.Heads; row++ {
-					ws.Reset()
-					sel := ws.Select(sc.massData[row*nCands:(row+1)*nCands], sc.counts[:nCands], cfg.ThWics)
+					sel := wicsum.SelectRowEarlyExit(sc.massData[row*nCands:(row+1)*nCands], sc.counts[:nCands], cfg.ThWics, 20)
 					for _, ci := range sel.Selected {
 						want = append(want, r.HCTable(layer).PastTokens(ci)...)
 					}

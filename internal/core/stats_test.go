@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
 
 	"vrex/internal/model"
+	"vrex/internal/tensor"
 	"vrex/internal/workload"
 )
 
@@ -16,7 +19,9 @@ import (
 // per-layer and per-head selections, and ExaminedFraction's float64 bits.
 // The goldens print three digits and the benchmark's check reads only the
 // selected-token count and the hidden states, so this is where PerHead and
-// the examined fraction are pinned.
+// the examined fraction are pinned. It also requires the benchmark's chained
+// hidden-state digest (hiddenDigest), which pins every bit of the forward
+// pass: attention's scores and softmax, the FFN and the norms.
 func TestReSVStatsPinned(t *testing.T) {
 	mcfg := model.DefaultConfig()
 	wcfg := workload.DefaultConfig()
@@ -29,6 +34,7 @@ func TestReSVStatsPinned(t *testing.T) {
 		selected, candidate = 63597, 325120
 		rows, calls         = 20320, 508
 		examinedBits        = 0x401c228f55d54e38
+		digest              = 0x87caa204721b78bb
 	)
 	perLayer := []int64{14313, 17113, 15880, 16291}
 	perHead := []int64{18893, 21403, 21285, 20306}
@@ -36,8 +42,12 @@ func TestReSVStatsPinned(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		m, r := model.New(mcfg), New(mcfg, cfg)
+		h := fnv.New64a()
 		for _, f := range frames {
-			m.Forward(f, r, model.StageFrame, false)
+			binary.Write(h, binary.LittleEndian, hiddenDigest(m.Forward(f, r, model.StageFrame, false).Hidden))
+		}
+		if d := h.Sum64(); d != digest {
+			t.Errorf("workers %d: hidden-state digest %#x, want %#x", workers, d, uint64(digest))
 		}
 		st := r.Stats()
 		fs := st.Frame
@@ -65,4 +75,16 @@ func TestReSVStatsPinned(t *testing.T) {
 		check("PerLayer", st.PerLayer, perLayer, candidate/int64(mcfg.Layers))
 		check("PerHead", st.PerHead, perHead, candidate)
 	}
+}
+
+// hiddenDigest is the benchmark's per-frame digest: FNV-64a over the
+// hidden states' float32 bits, little-endian, with the low bit set.
+func hiddenDigest(m *tensor.Matrix) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, v := range m.Data {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64() | 1
 }

@@ -11,6 +11,9 @@ import (
 type Clusterer struct {
 	Hasher *Hasher
 	Table  *HCTable
+	// sigs holds one frame's signatures, SignatureWords(Hasher.NBits) words
+	// per key, reused from frame to frame (it grows on first use).
+	sigs []uint64
 }
 
 // NewClusterer builds a clusterer for dim-dimensional keys with nbits
@@ -25,11 +28,17 @@ func NewClusterer(dim, nbits, thHD int, rng *mathx.RNG) *Clusterer {
 // AddFrame clusters every row of keys, assigning global token indices
 // baseTokenIdx, baseTokenIdx+1, ... New tokens may join clusters created
 // earlier in the same frame (the paper's "combined Key cluster hash-bit"
-// includes current-frame bits).
+// includes current-frame bits). The frame's signatures are signed into a
+// buffer the clusterer reuses.
 func (c *Clusterer) AddFrame(keys *tensor.Matrix, baseTokenIdx int) {
-	sigs := c.Hasher.HashKeys(keys)
+	w := SignatureWords(c.Hasher.NBits)
+	if cap(c.sigs) < keys.Rows*w {
+		c.sigs = make([]uint64, keys.Rows*w)
+	}
+	sigs := c.sigs[:keys.Rows*w]
+	signRows(sigs, c.Hasher.Project(keys))
 	for i := 0; i < keys.Rows; i++ {
-		c.Table.Insert(baseTokenIdx+i, keys.Row(i), sigs[i])
+		c.Table.Insert(baseTokenIdx+i, keys.Row(i), sigs[i*w:(i+1)*w])
 	}
 }
 

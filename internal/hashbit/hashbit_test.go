@@ -2,6 +2,7 @@ package hashbit
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,7 +156,7 @@ func TestHCTableSingleCluster(t *testing.T) {
 	if id0 != 0 || d0 != 0 {
 		t.Fatalf("first insert: id=%d d=%d", id0, d0)
 	}
-	near := sig.Clone()
+	near := slices.Clone(sig)
 	near.SetBit(5) // distance 1 < ThHD
 	id1, d1 := tab.Insert(1, []float32{3, 4}, near)
 	if id1 != 0 || d1 != 1 {
@@ -282,5 +283,90 @@ func TestHammingAngleEstimate(t *testing.T) {
 	want := angle / math.Pi
 	if math.Abs(got-want) > 0.1 {
 		t.Fatalf("disagreement fraction %v, want ~%v", got, want)
+	}
+}
+
+// TestHCTableTieKeepsFirst: of two representatives at the same distance,
+// the earlier cluster wins.
+func TestHCTableTieKeepsFirst(t *testing.T) {
+	tab := NewHCTable(4)
+	s0, s1 := make(Signature, 1), make(Signature, 1)
+	s0.SetBit(0)
+	s1.SetBit(1) // distance 2 from s0
+	tab.Insert(0, []float32{0}, s0)
+	tab.Insert(1, []float32{0}, s1)
+	probe := make(Signature, 1) // distance 1 from each
+	if id, d := tab.Insert(2, []float32{0}, probe); id != 0 || d != 1 {
+		t.Fatalf("tie should keep the first cluster: id=%d d=%d", id, d)
+	}
+}
+
+// TestHCTableScanMatchesReference streams signatures of one, two and three
+// words through a table and requires every Insert to return the cluster a
+// reference scan picks: Hamming against each representative, clusters in
+// order, strict < from ThHD down, so the first of tied clusters wins. Each
+// signature is a representative with a few bits flipped, so ties, joins
+// and new clusters all occur, and each cluster's RepSig must be its first
+// member's signature.
+func TestHCTableScanMatchesReference(t *testing.T) {
+	rng := mathx.NewRNG(61)
+	for _, words := range []int{1, 2, 3} {
+		for _, thHD := range []int{0, 1, 4, 7} {
+			tab := NewHCTable(thHD)
+			var reps []Signature
+			for tok := 0; tok < 600; tok++ {
+				sig := make(Signature, words)
+				if len(reps) > 0 && rng.Intn(4) != 0 {
+					copy(sig, reps[rng.Intn(len(reps))])
+				} else {
+					for w := range sig {
+						sig[w] = rng.Uint64()
+					}
+				}
+				for k := rng.Intn(6); k > 0; k-- {
+					sig[rng.Intn(words)] ^= 1 << uint(rng.Intn(64))
+				}
+				best, bestDist := -1, thHD
+				for id, rep := range reps {
+					if d := Hamming(sig, rep); d < bestDist {
+						best, bestDist = id, d
+					}
+				}
+				if best < 0 {
+					best, bestDist = len(reps), 0
+					reps = append(reps, slices.Clone(sig))
+				}
+				if id, d := tab.Insert(tok, []float32{1}, sig); id != best || d != bestDist {
+					t.Fatalf("%d words, ThHD %d, token %d: Insert = (%d, %d), want (%d, %d)", words, thHD, tok, id, d, best, bestDist)
+				}
+			}
+			for id, rep := range reps {
+				if Hamming(tab.RepSig(id), rep) != 0 {
+					t.Fatalf("%d words, ThHD %d: RepSig(%d) = %v, want %v", words, thHD, id, tab.RepSig(id), rep)
+				}
+			}
+		}
+	}
+}
+
+// TestHashersAgree: HashKeys, HashVector and Sign of the projection, and a
+// clusterer's frame signatures (its table's representatives), are one
+// signing rule.
+func TestHashersAgree(t *testing.T) {
+	rng := mathx.NewRNG(62)
+	for _, nbits := range []int{1, 32, 64, 65, 130} {
+		h := NewHasher(12, nbits, rng.Split())
+		keys := tensor.NewMatrix(9, 12)
+		keys.Randomize(rng, 1)
+		sigs := h.HashKeys(keys)
+		proj := h.Project(keys)
+		c := &Clusterer{Hasher: h, Table: NewHCTable(0)} // every token its own cluster
+		c.AddFrame(keys, 0)
+		for i := range sigs {
+			want := Sign(proj.Row(i))
+			if Hamming(sigs[i], want) != 0 || Hamming(h.HashVector(keys.Row(i)), want) != 0 || Hamming(c.Table.RepSig(i), want) != 0 {
+				t.Fatalf("nbits %d, key %d: HashKeys %v, HashVector %v, clusterer %v, Sign %v", nbits, i, sigs[i], h.HashVector(keys.Row(i)), c.Table.RepSig(i), want)
+			}
+		}
 	}
 }

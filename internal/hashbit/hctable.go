@@ -1,16 +1,16 @@
 package hashbit
 
+import "math/bits"
+
 // Cluster is one row of the hash cluster (HC) table: a group of tokens whose
 // key signatures are within Th_hd Hamming distance of the cluster
 // representative. RepKey is the running mean of member keys (Key_cluster in
 // the paper) and is what WiCSum scores against; TokenIdxs maps the cluster
-// back to the original token indices for retrieval.
+// back to the original token indices for retrieval. The cluster's
+// representative signature lives in the table (HCTable.RepSig).
 type Cluster struct {
 	ID        int
 	TokenIdxs []int
-	// RepSig is the cluster's representative hash-bit pattern (the signature
-	// of the first member; kept stable so streaming assignment is cheap).
-	RepSig Signature
 	// RepKey is the element-wise mean of all member key vectors.
 	RepKey []float32
 	// pastLen is the number of leading TokenIdxs below the table's past
@@ -47,6 +47,12 @@ type HCTable struct {
 	ThHD int
 	// Clusters in creation order; Cluster.ID is the index.
 	Clusters []*Cluster
+	// repSigs holds every cluster's representative hash-bit pattern (the
+	// signature of its first member, kept stable so streaming assignment is
+	// cheap), sigWords words each, in cluster order: Insert scans one flat
+	// array. sigWords is set by the first Insert.
+	repSigs  []uint64
+	sigWords int
 	// nTokens is the total number of tokens ever inserted.
 	nTokens int
 
@@ -78,10 +84,13 @@ func NewHCTable(thHD int) *HCTable {
 }
 
 // Reset returns the table to its empty state, retaining allocated capacity
-// (the cluster slice and the dirty list) for the next session.
+// (the cluster slice, the signature array and the dirty list) for the next
+// session.
 func (t *HCTable) Reset() {
 	clear(t.Clusters) // drop the old session's cluster payloads, keep capacity
 	t.Clusters = t.Clusters[:0]
+	t.repSigs = t.repSigs[:0]
+	t.sigWords = 0
 	t.nTokens = 0
 	t.pastBoundary = 0
 	t.numPast = 0
@@ -118,18 +127,30 @@ func (t *HCTable) noteMember(c *Cluster, tokenIdx int) {
 	t.nTokens++
 }
 
+// RepSig returns cluster id's representative signature: the signature of
+// its first member. The slice aliases the table's signature array; it must
+// not be mutated and is valid until the next Reset.
+//
+//vrex:testonly the tests' view of the flat signature array Insert scans
+func (t *HCTable) RepSig(id int) Signature {
+	w := t.sigWords
+	return t.repSigs[id*w : (id+1)*w : (id+1)*w]
+}
+
 // Insert assigns one token (global index tokenIdx, key vector key, signature
 // sig) to the nearest cluster within ThHD, creating a new cluster if none
 // qualifies. It returns the cluster ID and the Hamming distance to the chosen
-// representative (0 for a newly created cluster).
+// representative (0 for a newly created cluster). Every signature a table
+// holds has the same length; the first Insert sets it. The table keeps its
+// own copy of sig.
 func (t *HCTable) Insert(tokenIdx int, key []float32, sig Signature) (clusterID, dist int) {
-	best, bestDist := -1, t.ThHD // strict: only d < ThHD joins
-	for _, c := range t.Clusters {
-		d := Hamming(sig, c.RepSig)
-		if d < bestDist {
-			best, bestDist = c.ID, d
-		}
+	if t.sigWords == 0 {
+		t.sigWords = len(sig)
 	}
+	if len(sig) != t.sigWords || len(sig) == 0 {
+		panic("hashbit: signature length mismatch")
+	}
+	best, bestDist := t.nearest(sig)
 	if best >= 0 {
 		c := t.Clusters[best]
 		c.addMember(tokenIdx, key)
@@ -138,6 +159,33 @@ func (t *HCTable) Insert(tokenIdx int, key []float32, sig Signature) (clusterID,
 	}
 	id, _ := t.insertNewCluster(tokenIdx, key, sig)
 	return id, 0
+}
+
+// nearest returns the first cluster whose representative signature is at
+// the smallest Hamming distance from sig below ThHD (strict: only d < ThHD
+// joins), and that distance, or -1 and ThHD if none is. It scans the flat
+// signature array in cluster order; the one-word case, N_hp <= 64, has a
+// loop of its own.
+//
+//vrex:noalloc
+func (t *HCTable) nearest(sig Signature) (best, bestDist int) {
+	best, bestDist = -1, t.ThHD
+	if len(sig) == 1 {
+		x := sig[0]
+		for id, s := range t.repSigs {
+			if d := bits.OnesCount64(s ^ x); d < bestDist {
+				best, bestDist = id, d
+			}
+		}
+		return best, bestDist
+	}
+	w := len(sig)
+	for id := 0; id*w < len(t.repSigs); id++ {
+		if d := Hamming(sig, t.repSigs[id*w:(id+1)*w]); d < bestDist {
+			best, bestDist = id, d
+		}
+	}
+	return best, bestDist
 }
 
 // AdvancePast declares every token with index < boundary "past": eligible as
@@ -212,10 +260,10 @@ func (t *HCTable) insertNewCluster(tokenIdx int, key []float32, sig Signature) (
 	c := &Cluster{
 		ID:        len(t.Clusters),
 		TokenIdxs: []int{tokenIdx},
-		RepSig:    sig.Clone(),
 		RepKey:    append([]float32(nil), key...),
 	}
 	t.Clusters = append(t.Clusters, c)
+	t.repSigs = append(t.repSigs, sig...)
 	t.noteMember(c, tokenIdx)
 	return c.ID, 0
 }

@@ -164,13 +164,21 @@ func TestClustererResetRedrawsIdentically(t *testing.T) {
 	}
 }
 
-// tableState copies each cluster's membership, signature and
-// representative key, in cluster order.
-func tableState(tab *HCTable) []Cluster {
-	out := make([]Cluster, len(tab.Clusters))
+// clusterState is one cluster's membership, signature and representative
+// key.
+type clusterState struct {
+	ID        int
+	TokenIdxs []int
+	RepSig    Signature
+	RepKey    []float32
+}
+
+// tableState copies each cluster's state, in cluster order.
+func tableState(tab *HCTable) []clusterState {
+	out := make([]clusterState, len(tab.Clusters))
 	for i, cl := range tab.Clusters {
-		out[i] = Cluster{ID: cl.ID, TokenIdxs: slices.Clone(cl.TokenIdxs),
-			RepSig: slices.Clone(cl.RepSig), RepKey: slices.Clone(cl.RepKey)}
+		out[i] = clusterState{ID: cl.ID, TokenIdxs: slices.Clone(cl.TokenIdxs),
+			RepSig: slices.Clone(tab.RepSig(i)), RepKey: slices.Clone(cl.RepKey)}
 	}
 	return out
 }

@@ -27,13 +27,6 @@ func SignatureWords(nbits int) int { return (nbits + 63) / 64 }
 // SetBit sets bit i.
 func (s Signature) SetBit(i int) { s[i/64] |= 1 << (uint(i) % 64) }
 
-// Clone returns a copy of s.
-func (s Signature) Clone() Signature {
-	c := make(Signature, len(s))
-	copy(c, s)
-	return c
-}
-
 // Hamming returns the number of differing bits between a and b. This is the
 // XOR-accumulate operation the HCU hardware unit executes. The signatures
 // must have equal word length.
@@ -94,12 +87,33 @@ func (h *Hasher) Project(keys *tensor.Matrix) *tensor.Matrix {
 // bit 1, entries <= 0 map to bit 0 (the paper's exact rule).
 func Sign(row []float32) Signature {
 	s := make(Signature, SignatureWords(len(row)))
+	signInto(s, row)
+	return s
+}
+
+// signInto writes Sign(row) into s, which holds SignatureWords(len(row))
+// words: the signing loop Sign (and so HashKeys and HashVector) and
+// Clusterer.AddFrame share.
+//
+//vrex:noalloc
+func signInto(s Signature, row []float32) {
+	clear(s)
 	for i, v := range row {
 		if v > 0 {
 			s.SetBit(i)
 		}
 	}
-	return s
+}
+
+// signRows writes the signature of each row of proj into dst,
+// SignatureWords(proj.Cols) words per row, row after row.
+//
+//vrex:noalloc
+func signRows(dst []uint64, proj *tensor.Matrix) {
+	w := SignatureWords(proj.Cols)
+	for i := 0; i < proj.Rows; i++ {
+		signInto(dst[i*w:(i+1)*w], proj.Row(i))
+	}
 }
 
 // HashKeys computes the signature of every row of keys.

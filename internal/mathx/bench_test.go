@@ -33,27 +33,33 @@ func BenchmarkScoreKeys(b *testing.B) {
 	reportPerElement(b, benchRow)
 }
 
-// BenchmarkExpNormalize times exp-normalising one scaled score row in place,
-// as SelectTokens does: the row is restored from a copy, untimed, between
+// BenchmarkExpNormalize times exp-normalising one scaled score row in place
+// through ExpNormalizeWeighted, the entry point SelectTokens calls: given
+// the row's maximum, as ScoreKeys returns it, it also reduces the row to
+// WiCSum's weighted total, min and max. The weights are small integers, as
+// past-token counts are. The row is restored from a copy, untimed, between
 // ops so every op sees the same inputs.
 func BenchmarkExpNormalize(b *testing.B) {
 	rng := NewRNG(6)
 	src := make([]float32, benchRow)
+	w := make([]float64, benchRow)
 	for i := range src {
 		src[i] = rng.Norm32() * 2
+		w[i] = float64(1 + rng.Intn(64))
 	}
+	maxv := rowMax(src)
 	row := make([]float32, benchRow)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(row, src)
-		ExpNormalize(row, row)
+		ExpNormalizeWeighted(row, row, maxv, w)
 	}
 	reportPerElement(b, benchRow)
 }
 
 // BenchmarkSoftmax times one (query, head) row of attention's softmax at
 // BenchmarkAttention's operating point, 250 candidates, into a separate
-// destination as model.attention calls it.
+// destination and given the row's maximum, as model.attention calls it.
 func BenchmarkSoftmax(b *testing.B) {
 	const n = 250
 	rng := NewRNG(7)
@@ -62,9 +68,10 @@ func BenchmarkSoftmax(b *testing.B) {
 		src[i] = rng.Norm32() * 2
 	}
 	dst := make([]float32, n)
+	maxv := rowMax(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Softmax(dst, src)
+		Softmax(dst, src, maxv)
 	}
 	reportPerElement(b, n)
 }

@@ -24,14 +24,34 @@ func ExpNormalize(dst, src []float32) {
 	expRow(dst, src, rowMax(src))
 }
 
+// ExpNormalizeWeighted writes ExpNormalize's dst for a row whose maximum is
+// maxv, as ScoreKeys returns it: dst[i] = float32(math.Exp(float64(src[i] -
+// maxv))), bit for bit, through the same kernel. dst may alias src; w must
+// be as long as src. As it writes the row it reduces it the way WiCSum's
+// preprocess step does: total is the sum of float64(float64(dst[i]) * w[i])
+// in index order, and lo and hi are the smallest and largest dst[i] folded
+// from dst[0] with < and >, so a NaN dst[0] makes both NaN and a later NaN
+// is skipped. An empty row returns 0, +Inf and -Inf. With integer weights
+// below 2^29 each product is exact.
+//
+//vrex:noalloc
+func ExpNormalizeWeighted(dst, src []float32, maxv float32, w []float64) (total float64, lo, hi float32) {
+	if len(dst) != len(src) || len(w) != len(src) {
+		panic("mathx: ExpNormalizeWeighted length mismatch")
+	}
+	return expRowWeighted(dst, src, w, maxv)
+}
+
 // softmaxTableMax is the longest row whose table-exp sum Softmax can keep.
 const softmaxTableMax = 2048
 
 // Softmax writes the softmax of src into dst in the numerically stable
 // max-subtraction form: dst[i] = float32(e_i) * float32(1/sum), where e_i =
-// math.Exp(float64(src[i]-max(src))) and sum adds the e_i in index order.
-// Both slices must have the same length; zero-length input is a no-op. dst
-// may be src itself; otherwise the two must not overlap.
+// math.Exp(float64(src[i]-maxv)) and sum adds the e_i in index order. maxv
+// is the row's maximum as ScoreKeys returns it (the value model.attention
+// passes); Softmax subtracts whatever it is given. Both slices must have the
+// same length; zero-length input is a no-op. dst may be src itself;
+// otherwise the two must not overlap.
 //
 // Every output bit is that formula's, but most rows take a cheaper route.
 // The numerators are ExpNormalize's, which equal float32(e_i). Of the sum
@@ -49,14 +69,13 @@ const softmaxTableMax = 2048
 // summation error grows with n, and a dst that is src itself, whose
 // exponentials overwrite src before such a recomputation could read it,
 // run the math.Exp loop throughout.
-func Softmax(dst, src []float32) {
+func Softmax(dst, src []float32, maxv float32) {
 	if len(dst) != len(src) {
 		panic("mathx: Softmax length mismatch")
 	}
 	if len(src) == 0 {
 		return
 	}
-	maxv := rowMax(src)
 	var sum float64
 	if len(src) <= softmaxTableMax && &dst[0] != &src[0] {
 		sum = softmaxSum(expRow(dst, src, maxv), src, maxv)
@@ -87,9 +106,9 @@ func softmaxSum(tableSum float64, src []float32, maxv float32) float64 {
 	return sum
 }
 
-// rowMax returns the largest element of a non-empty row, as ExpNormalize and
-// Softmax subtract it: NaN elements after the first are skipped, and a NaN
-// first element is the result.
+// rowMax returns the largest element of a non-empty row, as ExpNormalize
+// subtracts it and ScoreKeys returns it: NaN elements after the first are
+// skipped, and a NaN first element is the result.
 func rowMax(src []float32) float32 {
 	maxv := src[0]
 	for _, v := range src[1:] {
@@ -121,6 +140,36 @@ func expRow(dst, src []float32, maxv float32) float64 {
 		sum += e
 	}
 	return sum
+}
+
+// expRowWeighted is ExpNormalizeWeighted after its length check: expRow's
+// loop over expRowWeightedKernel, whose running total, lo and hi the
+// math.Exp elements fold into in index order. Both folds start from +Inf
+// and -Inf, which skips a NaN dst[0] too; it is then the result.
+//
+//vrex:noalloc
+func expRowWeighted(dst, src []float32, w []float64, maxv float32) (total float64, lo, hi float32) {
+	lo, hi = float32(math.Inf(1)), float32(math.Inf(-1))
+	for i := 0; i < len(src); i++ {
+		var n int
+		n, total, lo, hi = expRowWeightedKernel(dst[i:], src[i:], w[i:], maxv, total, lo, hi)
+		if i += n; i == len(src) {
+			break
+		}
+		v := float32(math.Exp(float64(src[i] - maxv)))
+		dst[i] = v
+		total += float64(float64(v) * w[i])
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	if len(dst) > 0 && math.IsNaN(float64(dst[0])) {
+		lo, hi = dst[0], dst[0]
+	}
+	return total, lo, hi
 }
 
 const (

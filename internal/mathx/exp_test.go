@@ -22,10 +22,72 @@ func refExpNormalize(src []float32) []float32 {
 	return dst
 }
 
+// refWeighted is WiCSum's preprocess loop over an exp-normalised row, the
+// contract of ExpNormalizeWeighted's results: the sum of float64(float64(v)
+// * w[j]) in index order, and the smallest and largest v folded from
+// mass[0] with < and >.
+func refWeighted(mass []float32, w []float64) (total float64, lo, hi float32) {
+	if len(mass) == 0 {
+		return 0, float32(math.Inf(1)), float32(math.Inf(-1))
+	}
+	lo, hi = mass[0], mass[0]
+	for j, v := range mass {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		total += float64(float64(v) * w[j])
+	}
+	return total, lo, hi
+}
+
+// weights returns n past-token counts as ExpNormalizeWeighted's weights:
+// small integers, with now and then a large one.
+func weights(rng *RNG, n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(1 + rng.Intn(64))
+		if rng.Float64() < 0.05 {
+			w[i] = float64(rng.Intn(1 << 28))
+		}
+	}
+	return w
+}
+
+// checkWeighted runs ExpNormalizeWeighted on src, given src's max as
+// ScoreKeys returns it, into dst and then in place, and requires the row to
+// equal want, ExpNormalize's row, and the total, lo and hi to equal
+// refWeighted's on want, bit for bit (any two NaNs equal). dst must be as
+// long as src and must not overlap it.
+func checkWeighted(t *testing.T, src, dst, want []float32, w []float64) {
+	t.Helper()
+	wantTotal, wantLo, wantHi := refWeighted(want, w)
+	var maxv float32
+	if len(src) > 0 {
+		maxv = rowMax(src)
+	}
+	in := append([]float32(nil), src...)
+	for _, out := range [][]float32{dst, in} {
+		total, lo, hi := ExpNormalizeWeighted(out, in, maxv, w)
+		for i := range out {
+			if !sameBits32(out[i], want[i]) {
+				t.Fatalf("ExpNormalizeWeighted of %d (src[%d] = %v) wrote %v, want %v", len(src), i, src[i], out[i], want[i])
+			}
+		}
+		if !sameBits64(total, wantTotal) || !sameBits32(lo, wantLo) || !sameBits32(hi, wantHi) {
+			t.Fatalf("ExpNormalizeWeighted of %d (src[:4] %v) = %v, %v, %v; want %v, %v, %v", len(src), src[:min(4, len(src))], total, lo, hi, wantTotal, wantLo, wantHi)
+		}
+	}
+}
+
 // TestExpNormalizeMatchesMathExp compares ExpNormalize with
 // float32(math.Exp(float64(x))) bit for bit on every 64th float32 in
 // [-104, -0] (17.5M values; a one-off sweep of all 1,120,927,745 found no
 // mismatch either). Each batch leads with 0, so its max is 0 and x - max is x.
+// ExpNormalizeWeighted must write the same rows and return WiCSum's total,
+// min and max of them (checkWeighted).
 // It also requires expFast's largest relative error on the sweep to stay 8x
 // inside the fallback window, and some inputs to fall back near a midpoint.
 func TestExpNormalizeMatchesMathExp(t *testing.T) {
@@ -33,10 +95,13 @@ func TestExpNormalizeMatchesMathExp(t *testing.T) {
 	const batch = 4096
 	src := make([]float32, 1, batch+1)
 	dst := make([]float32, batch+1)
+	wdst := make([]float32, batch+1)
+	w := weights(NewRNG(44), batch+1)
 	var maxRel float64
 	var values, windowed int
 	check := func() {
 		ExpNormalize(dst[:len(src)], src)
+		checkWeighted(t, src, wdst[:len(src)], dst[:len(src)], w[:len(src)])
 		for k, x := range src[1:] {
 			xd := float64(x)
 			want := math.Exp(xd)
@@ -76,8 +141,10 @@ func TestExpNormalizeMatchesMathExp(t *testing.T) {
 
 // TestExpNormalizeSpecials covers -0 and x = 0 (math.Exp), both edges of the
 // fast range and the float32s just outside them, and NaN and ±Inf in the
-// source row, including as its first element and as its max.
+// source row, including as its first element and as its max. Each row also
+// runs through ExpNormalizeWeighted (checkWeighted), at several weights.
 func TestExpNormalizeSpecials(t *testing.T) {
+	rng := NewRNG(45)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
 	rows := [][]float32{
@@ -100,7 +167,7 @@ func TestExpNormalizeSpecials(t *testing.T) {
 				t.Errorf("ExpNormalize(%v)[%d] = %v, want %v", src, i, got[i], want[i])
 			}
 		}
-		// In place, as SelectTokens calls it.
+		// In place, as the retrieval policies call it.
 		in := append([]float32(nil), src...)
 		ExpNormalize(in, in)
 		for i := range src {
@@ -108,7 +175,11 @@ func TestExpNormalizeSpecials(t *testing.T) {
 				t.Errorf("in-place ExpNormalize(%v)[%d] = %v, want %v", src, i, in[i], want[i])
 			}
 		}
+		for rep := 0; rep < 4; rep++ {
+			checkWeighted(t, src, make([]float32, len(src)), want, weights(rng, len(src)))
+		}
 	}
+	checkWeighted(t, nil, nil, nil, nil)
 }
 
 // TestExpRowKernelMatchesExpFast pins expRowKernel's float64 exponentials to
@@ -201,9 +272,9 @@ func checkSoftmax(t *testing.T, what string, src []float32) {
 	t.Helper()
 	want := refSoftmax(src)
 	got := make([]float32, len(src))
-	Softmax(got, src)
+	Softmax(got, src, rowMax(src))
 	in := append([]float32(nil), src...)
-	Softmax(in, in)
+	Softmax(in, in, rowMax(in))
 	for i := range src {
 		if !sameBits32(got[i], want[i]) {
 			t.Fatalf("%s: Softmax[%d] of %d = %v, want %v", what, i, len(src), got[i], want[i])
@@ -293,7 +364,8 @@ func TestSoftmaxMatchesMathExp(t *testing.T) {
 	}
 }
 
-// TestExpKernelFallbackLanes runs ExpNormalize and Softmax on every pattern
+// TestExpKernelFallbackLanes runs ExpNormalize, ExpNormalizeWeighted and
+// Softmax on every pattern
 // of fast and fallback elements in rows of 1 to 9 elements, so fallbacks
 // sit in lane 0 or lane 1 of a pass, back to back, and last in odd and even
 // rows. A fallback element is the row max (x = 0), a near tie with it, or
@@ -328,8 +400,13 @@ func TestExpKernelFallbackLanes(t *testing.T) {
 				if *guard != canary32 {
 					t.Fatalf("ExpNormalize(%v) wrote past dst", src)
 				}
+				wdst, wguard := offsetSlice(n, (off+2)%4, canary32)
+				checkWeighted(t, src, wdst, wantExp, weights(rng, n))
+				if *wguard != canary32 {
+					t.Fatalf("ExpNormalizeWeighted(%v) wrote past dst", src)
+				}
 				want := refSoftmax(src)
-				Softmax(dst, src)
+				Softmax(dst, src, rowMax(src))
 				for i := range src {
 					if !sameBits32(dst[i], want[i]) {
 						t.Fatalf("Softmax(%v)[%d] = %v, want %v", src, i, dst[i], want[i])

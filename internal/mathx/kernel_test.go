@@ -33,6 +33,11 @@ func sameBits32(x, y float32) bool {
 	return math.Float32bits(x) == math.Float32bits(y) || math.IsNaN(float64(x)) && math.IsNaN(float64(y))
 }
 
+// sameBits64 is sameBits32 for float64.
+func sameBits64(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+}
+
 // canary32 and canary64 sit just past each output slice in the kernel
 // tests: a kernel that writes beyond its output changes them. They are
 // finite, because arithmetic on a NaN canary could leave its bits as they
@@ -52,7 +57,8 @@ func offsetSlice[T float32 | float64](n, off int, canary T) ([]T, *T) {
 }
 
 // TestScoreKeysMatchesDot requires every ScoreKeys output to equal
-// float32(Dot(q, key))*scale on the float32 originals, bit for bit, on every
+// float32(Dot(q, key))*scale on the float32 originals, and its result to
+// equal rowMax of them (-Inf for no keys), bit for bit, on every
 // length from 0 to 70 (all tail lengths, and the head dims 16 and 64), with
 // odd and even key counts, with and without -0, ±Inf and NaN entries, and
 // with q, the keys and dst starting at every offset 0-3 from an allocation,
@@ -103,7 +109,8 @@ func TestScoreKeysMatchesDot(t *testing.T) {
 					Widen(keys64, keys)
 					scale := float32(0.25 + rng.Float64())
 					dst, guard := offsetSlice(nKeys, (off+2)%4, canary32)
-					ScoreKeys(dst, q64, keys64, scale)
+					maxv := ScoreKeys(dst, q64, keys64, scale)
+					checkScoreMax(t, dst, maxv)
 					for j := range dst {
 						want := float32(refDot(q, keys[j*n:(j+1)*n])) * scale
 						if !sameBits32(dst[j], want) {
@@ -116,6 +123,53 @@ func TestScoreKeysMatchesDot(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkScoreMax requires ScoreKeys' result maxv for the scores dst to be
+// rowMax(dst), or -Inf for an empty row, bit for bit.
+func checkScoreMax(t *testing.T, dst []float32, maxv float32) {
+	t.Helper()
+	want := float32(math.Inf(-1))
+	if len(dst) > 0 {
+		want = rowMax(dst)
+	}
+	if !sameBits32(maxv, want) {
+		t.Fatalf("ScoreKeys of %v returned max %v (%#08x), want %v (%#08x)", dst, maxv, math.Float32bits(maxv), want, math.Float32bits(want))
+	}
+}
+
+// TestScoreKeysMaxSpecials scores rows that hold chosen values and requires
+// the result to be rowMax's: NaN first, in between and last, all NaN, ±Inf,
+// and tied zeros of both signs in both orders, at odd and even lengths, in
+// both lanes of a pass. A query of one 1 against key v*2^100, at scale
+// 2^-100, scores v exactly; a zero's key is its sign times 2^-100, whose
+// score underflows to a zero of that sign.
+func TestScoreKeysMaxSpecials(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	rows := [][]float32{
+		{nan, 1, 2}, {1, nan, 2}, {1, 2, nan}, {3, nan, 1}, {3, 1, nan, 2}, {nan}, {nan, nan}, {nan, -inf},
+		{-inf}, {-inf, -inf}, {-inf, 1, -inf}, {inf, nan, 1}, {1, inf}, {-1, -inf, -2},
+		{0, negZero}, {negZero, 0}, {negZero, 0, -1}, {-1, negZero, 0}, {-1, 0, negZero}, {0, negZero, 0},
+		{negZero, negZero, 0, 0, -3}, {-2, 0, negZero}, {negZero}, {0},
+	}
+	for _, vals := range rows {
+		q, keys := []float64{1}, make([]float64, len(vals))
+		for j, v := range vals {
+			keys[j] = float64(v) * 0x1p100
+			if v == 0 {
+				keys[j] = math.Copysign(0x1p-100, float64(v))
+			}
+		}
+		dst := make([]float32, len(vals))
+		maxv := ScoreKeys(dst, q, keys, 0x1p-100)
+		for j := range dst {
+			if !sameBits32(dst[j], vals[j]) {
+				t.Fatalf("row %v scored %v", vals, dst)
+			}
+		}
+		checkScoreMax(t, dst, maxv)
 	}
 }
 

@@ -10,10 +10,13 @@ import "math"
 // pairs (s0,s1) and (s2,s3) of each key share one register each (MULPD,
 // ADDPD), one pass scores two keys, and the reduction, the tail and the
 // float32 rounding and scale run in scalar code in Go's order. There is no
-// FMA, so every rounding is Go's.
+// FMA, so every rounding is Go's. It returns the largest score: each stored
+// score is folded by MAXSS into a running maximum that starts at -Inf,
+// with the score as the destination operand, so a NaN score or a tie keeps
+// the running maximum.
 //
 //go:noescape
-func scoreKeysKernel(dst []float32, q, keys []float64, scale float32)
+func scoreKeysKernel(dst []float32, q, keys []float64, scale float32) float32
 
 // widenKernel is Widen with len(dst) == len(src) (CVTPS2PD).
 //
@@ -32,6 +35,17 @@ func widenKernel(dst []float64, src []float32)
 //
 //go:noescape
 func expRowKernel(dst, src []float32, maxv float32, sum float64) (n int, s float64)
+
+// expRowWeightedKernel is expRowWeighted's fast loop, with len(dst) and
+// len(w) >= len(src): it writes and stops where expRowKernel does, but adds
+// float64(float64(dst[i]) * w[i]) to total in place of e, and folds each
+// dst[i] into lo and hi. The pass is expRowKernel's, from the same macro;
+// the fast path yields no NaN, so MINPS and MAXPS lanes give < and >'s
+// results. It returns the number of elements written and the running
+// values.
+//
+//go:noescape
+func expRowWeightedKernel(dst, src []float32, w []float64, maxv float32, total float64, lo, hi float32) (n int, total1 float64, lo1, hi1 float32)
 
 // expKernelConsts holds expRowKernel's packed operands, each in both lanes,
 // at the byte offsets kernels_amd64.s loads them from: expFast's constants,

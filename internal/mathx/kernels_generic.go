@@ -2,17 +2,23 @@
 
 package mathx
 
+import "math"
+
 // The portable kernels: the only path on architectures without an
 // assembly version. Each product is converted explicitly to its own type,
 // which rounds it and so keeps the compiler from fusing it with the add
 // that follows into one FMA instruction: every output has the roundings
 // the SSE2 kernels give it.
 
-// scoreKeysKernel is ScoreKeys after its length check.
+// scoreKeysKernel is ScoreKeys after its length check. It returns the
+// largest score, folding each into a running maximum from -Inf as it is
+// stored: a score replaces the maximum only if it is greater, so NaNs are
+// skipped and a tie keeps the earlier score.
 //
 //vrex:noalloc
-func scoreKeysKernel(dst []float32, q, keys []float64, scale float32) {
+func scoreKeysKernel(dst []float32, q, keys []float64, scale float32) float32 {
 	n := len(q)
+	maxv := float32(math.Inf(-1))
 	// Two keys per pass share the loads of q; an odd last key is scored as
 	// both of its pass's keys. Re-slicing each key to n lets the compiler
 	// drop the bounds checks on the keys.
@@ -40,11 +46,20 @@ func scoreKeysKernel(dst []float32, q, keys []float64, scale float32) {
 			s += float64(q[i] * k0[i])
 			t += float64(q[i] * k1[i])
 		}
-		dst[j] = float32(s) * scale
+		v := float32(s) * scale
+		dst[j] = v
+		if v > maxv {
+			maxv = v
+		}
 		if j+1 < len(dst) {
-			dst[j+1] = float32(t) * scale
+			v = float32(t) * scale
+			dst[j+1] = v
+			if v > maxv {
+				maxv = v
+			}
 		}
 	}
+	return maxv
 }
 
 // widenKernel is Widen with len(dst) == len(src).
@@ -68,16 +83,51 @@ func widenKernel(dst []float64, src []float32) {
 func expRowKernel(dst, src []float32, maxv float32, sum float64) (n int, s float64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
-		x := float64(v - maxv)
-		if !(x >= expFastMin && (x <= expFastMax || x == 0)) {
-			return i, sum
-		}
-		e := expFast(x)
-		if nearMidpoint(e) {
+		e, ok := expFastAt(v, maxv)
+		if !ok {
 			return i, sum
 		}
 		dst[i] = float32(e)
 		sum += e
 	}
 	return len(src), sum
+}
+
+// expRowWeightedKernel is expRowWeighted's fast loop, with len(dst) and
+// len(w) >= len(src): it writes and stops where expRowKernel does, but adds
+// float64(float64(dst[i]) * w[i]) to total in place of e, and folds each
+// dst[i] into lo and hi with < and >. It returns the number of elements
+// written and the running values.
+//
+//vrex:noalloc
+func expRowWeightedKernel(dst, src []float32, w []float64, maxv float32, total float64, lo, hi float32) (n int, total1 float64, lo1, hi1 float32) {
+	dst, w = dst[:len(src)], w[:len(src)]
+	for i, v := range src {
+		e, ok := expFastAt(v, maxv)
+		if !ok {
+			return i, total, lo, hi
+		}
+		f := float32(e)
+		dst[i] = f
+		total += float64(float64(f) * w[i])
+		if f < lo {
+			lo = f
+		}
+		if f > hi {
+			hi = f
+		}
+	}
+	return len(src), total, lo, hi
+}
+
+// expFastAt returns expFast(x) for x = float64(v-maxv), and whether the
+// kernels take it: x is ±0 or in [expFastMin, expFastMax], and the result
+// is not nearMidpoint.
+func expFastAt(v, maxv float32) (float64, bool) {
+	x := float64(v - maxv)
+	if !(x >= expFastMin && (x <= expFastMax || x == 0)) {
+		return 0, false
+	}
+	e := expFast(x)
+	return e, !nearMidpoint(e)
 }

@@ -37,15 +37,26 @@ func Dot(a, b []float32) float64 {
 // key_j)) * scale on the float32 originals. len(keys) must equal
 // len(dst)*len(q).
 //
+// It returns the row's maximum as Softmax and ExpNormalizeWeighted subtract
+// it: dst[0], then each later score above the running maximum. A NaN after
+// the first score is skipped, a NaN first score is the result, and of tied
+// zeros the earlier one is kept. An empty row returns -Inf.
+//
 // On amd64 the loop is SSE2 assembly (kernels_amd64.s); elsewhere it is Go
-// (kernels_generic.go). Both perform the same roundings in the same order.
+// (kernels_generic.go). Both perform the same roundings in the same order,
+// and both fold each score into the maximum as they store it.
 //
 //vrex:noalloc
-func ScoreKeys(dst []float32, q, keys []float64, scale float32) {
+func ScoreKeys(dst []float32, q, keys []float64, scale float32) float32 {
 	if len(keys) != len(dst)*len(q) {
 		panic("mathx: ScoreKeys length mismatch")
 	}
-	scoreKeysKernel(dst, q, keys, scale)
+	maxv := scoreKeysKernel(dst, q, keys, scale)
+	// The kernels fold from -Inf, which skips a NaN first score too.
+	if len(dst) > 0 && math.IsNaN(float64(dst[0])) {
+		return dst[0]
+	}
+	return maxv
 }
 
 // Widen writes src's values, converted to float64, into dst[:len(src)].

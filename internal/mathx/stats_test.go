@@ -13,7 +13,7 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func TestSoftmaxSumsToOne(t *testing.T) {
 	src := []float32{1, 2, 3, 4}
 	dst := make([]float32, 4)
-	Softmax(dst, src)
+	Softmax(dst, src, rowMax(src))
 	var sum float64
 	for _, v := range dst {
 		sum += float64(v)
@@ -31,7 +31,7 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 func TestSoftmaxStableForLargeInputs(t *testing.T) {
 	src := []float32{1000, 1001, 1002}
 	dst := make([]float32, 3)
-	Softmax(dst, src)
+	Softmax(dst, src, rowMax(src))
 	for _, v := range dst {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatalf("softmax unstable: %v", dst)
@@ -42,8 +42,8 @@ func TestSoftmaxStableForLargeInputs(t *testing.T) {
 func TestSoftmaxInPlace(t *testing.T) {
 	s := []float32{0.5, -0.5, 2}
 	want := make([]float32, 3)
-	Softmax(want, s)
-	Softmax(s, s)
+	Softmax(want, s, rowMax(s))
+	Softmax(s, s, rowMax(s))
 	for i := range s {
 		if s[i] != want[i] {
 			t.Fatalf("in-place softmax mismatch at %d", i)
@@ -52,7 +52,7 @@ func TestSoftmaxInPlace(t *testing.T) {
 }
 
 func TestSoftmaxEmpty(t *testing.T) {
-	Softmax(nil, nil) // must not panic
+	Softmax(nil, nil, 0) // must not panic
 }
 
 func TestSoftmaxPanicsOnMismatch(t *testing.T) {
@@ -61,7 +61,7 @@ func TestSoftmaxPanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Softmax(make([]float32, 2), make([]float32, 3))
+	Softmax(make([]float32, 2), make([]float32, 3), 0)
 }
 
 func TestExpNormalizeMaxIsOne(t *testing.T) {

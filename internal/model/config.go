@@ -13,7 +13,10 @@
 // semantic matching survives long distances.
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Stage distinguishes the two inference regimes of a streaming video LLM;
 // retrieval policies behave differently in each (e.g. InfiniGen retrieves
@@ -41,7 +44,8 @@ type Config struct {
 	KVHeads int // grouped-query attention; must divide Heads
 	Dim     int // model width; Dim % Heads == 0
 	FFNDim  int
-	// RoPETheta is the rotary base (Llama uses 10000 / 500000).
+	// RoPETheta is the rotary base (Llama uses 10000 / 500000); it must be
+	// positive when any dimension rotates.
 	RoPETheta float64
 	// RotaryFraction is the fraction of each head's dims that are rotated
 	// (partial rotary); 0.5 keeps long-range semantic matching intact.
@@ -50,7 +54,8 @@ type Config struct {
 	// peaked attention (a few tokens carry most of the mass — the property
 	// both the WTU's early exit and ReSV's thresholding rely on); random
 	// weights alone give near-uniform attention, so the substitution
-	// sharpens logits to restore realistic concentration.
+	// sharpens logits to restore realistic concentration. It must be
+	// non-negative and finite; 0 means 1.
 	Sharpness float64
 	// Seed drives weight initialisation.
 	Seed uint64
@@ -83,20 +88,30 @@ func (c Config) Validate() error {
 		return fmt.Errorf("model: Dim %d not divisible by Heads %d", c.Dim, c.Heads)
 	case c.KVHeads <= 0 || c.Heads%c.KVHeads != 0:
 		return fmt.Errorf("model: Heads %d not divisible by KVHeads %d", c.Heads, c.KVHeads)
-	case c.RotaryFraction < 0 || c.RotaryFraction > 1:
+	case !(c.RotaryFraction >= 0 && c.RotaryFraction <= 1): // NaN fails too
 		return fmt.Errorf("model: RotaryFraction %v out of [0,1]", c.RotaryFraction)
-	case c.Sharpness < 0:
-		return fmt.Errorf("model: Sharpness must be non-negative")
+	case !(c.Sharpness >= 0 && c.Sharpness <= math.MaxFloat64):
+		return fmt.Errorf("model: Sharpness %v must be non-negative and finite", c.Sharpness)
 	}
 	headDim := c.Dim / c.Heads
 	if headDim%2 != 0 {
 		return fmt.Errorf("model: head dim %d must be even for RoPE", headDim)
+	}
+	if c.rotaryDims() > 0 && !(c.RoPETheta > 0) {
+		return fmt.Errorf("model: RoPETheta %v must be positive when dimensions rotate", c.RoPETheta)
 	}
 	return nil
 }
 
 // HeadDim returns Dim/Heads.
 func (c Config) HeadDim() int { return c.Dim / c.Heads }
+
+// rotaryDims returns how many leading dimensions of each head rotate: the
+// RotaryFraction share of the head dim, rounded down to an even count.
+func (c Config) rotaryDims() int {
+	rot := int(float64(c.HeadDim()) * c.RotaryFraction)
+	return rot - rot%2
+}
 
 // KVDim returns the width of cached K/V rows (KVHeads x HeadDim).
 func (c Config) KVDim() int { return c.KVHeads * c.HeadDim() }

@@ -158,8 +158,7 @@ func (m *Model) Forward(x *tensor.Matrix, r Retriever, stage Stage, record bool)
 // each is computed once and applied to every head that shares it.
 func (m *Model) applyRotary(mat *tensor.Matrix, nHeads, base int) {
 	headDim := m.Cfg.HeadDim()
-	rot := int(float64(headDim) * m.Cfg.RotaryFraction)
-	rot -= rot % 2
+	rot := m.Cfg.rotaryDims()
 	if rot == 0 {
 		return
 	}
@@ -224,8 +223,8 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 		orow := out.Row(i)
 		for h := 0; h < cfg.Heads; h++ {
 			kvh := h / group
-			mathx.ScoreKeys(scores, m.q64[h*headDim:(h+1)*headDim], m.keys64[kvh*block:][:nc*headDim], invSqrt)
-			mathx.Softmax(probs, scores)
+			maxv := mathx.ScoreKeys(scores, m.q64[h*headDim:(h+1)*headDim], m.keys64[kvh*block:][:nc*headDim], invSqrt)
+			mathx.Softmax(probs, scores, maxv)
 			addWeighted(orow[h*headDim:(h+1)*headDim], probs, m.vals[kvh*block:][:nc*headDim])
 			if attnMass == nil {
 				continue

@@ -27,10 +27,29 @@ func TestConfigValidate(t *testing.T) {
 		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 0, FFNDim: 128},    // zero dim
 		{Layers: 1, Heads: 32, KVHeads: 32, Dim: 96, FFNDim: 128}, // odd head dim
 		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 64, FFNDim: 128, RotaryFraction: 2},
+		// NaN would give NaN logits and hidden states.
+		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 64, FFNDim: 128, Sharpness: math.NaN()},
+		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 64, FFNDim: 128, Sharpness: math.Inf(1)},
+		// int(NaN) would silently turn rotation off.
+		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 64, FFNDim: 128, RotaryFraction: math.NaN()},
+		// With dimensions rotating, math.Pow would give NaN or Inf angles.
+		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 64, FFNDim: 128, RotaryFraction: 0.5, RoPETheta: math.NaN()},
+		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 64, FFNDim: 128, RotaryFraction: 0.5, RoPETheta: 0},
+		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 64, FFNDim: 128, RotaryFraction: 0.5, RoPETheta: -10000},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+	// RoPETheta is read only when dimensions rotate: a fraction too small
+	// to rotate two of the 16 head dims needs none.
+	for _, c := range []Config{
+		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 64, FFNDim: 128},
+		{Layers: 1, Heads: 4, KVHeads: 4, Dim: 64, FFNDim: 128, RotaryFraction: 0.1, RoPETheta: math.NaN()},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config %+v rejected: %v", c, err)
 		}
 	}
 }

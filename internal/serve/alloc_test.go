@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"math/bits"
 	"runtime/debug"
 	"testing"
 
@@ -11,16 +12,20 @@ import (
 
 // runAllocs is each committed single-node scenario's heap allocations per
 // serve.Run, compiled as written and run at one worker, with or without
-// -race. A change that moves one updates it here and names the cause, as
-// with an output golden.
-var runAllocs = map[string]float64{
-	"burst.vrex":        68,
-	"diurnal.vrex":      66,
-	"flash-crowd.vrex":  70,
-	"heavy-tail.vrex":   70,
-	"pressure.vrex":     100,
-	"trace-replay.vrex": 57,
+// -race. The counts depend on the word size: the first is a 64-bit build's,
+// the second a 32-bit build's, measured as GOARCH=386. A change that moves
+// one updates it here and names the cause, as with an output golden.
+var runAllocs = map[string][2]float64{
+	"burst.vrex":        {68, 68},
+	"diurnal.vrex":      {66, 66},
+	"flash-crowd.vrex":  {70, 70},
+	"heavy-tail.vrex":   {70, 69},
+	"pressure.vrex":     {100, 98},
+	"trace-replay.vrex": {57, 57},
 }
+
+// wordColumn is the allocation tables' column for this build's word size.
+const wordColumn = (64 - bits.UintSize) / 32
 
 // TestRunAllocsGolden: every committed single-node scenario allocates
 // exactly its committed count per run, and every count names a committed
@@ -44,7 +49,8 @@ func TestRunAllocsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Workers = 1
-		want, ok := runAllocs[name]
+		counts, ok := runAllocs[name]
+		want := counts[wordColumn]
 		if !ok {
 			t.Errorf("%s: no committed allocation count", name)
 			continue

@@ -24,14 +24,21 @@ func randomRows(rng *mathx.RNG, rows, cols, maxCount int) ([][]float32, []int) {
 	return masses, counts
 }
 
-// selectAll thresholds every row through ws after one Reset and returns the
-// rows' selections in sels.
+// selectAll thresholds every row through ws after one Reset, each given
+// its preprocess results, and returns the rows' selections in sels.
 func selectAll(ws *Scratch, sels []RowSelection, masses [][]float32, counts []int, ratio float64) []RowSelection {
 	ws.Reset()
 	for i, row := range masses {
-		sels[i] = ws.Select(row, counts, ratio)
+		sels[i] = selectOne(ws, row, counts, ratio)
 	}
 	return sels
+}
+
+// selectOne thresholds one row through ws.Select, given the row's
+// preprocess results as the pass that writes a row returns them.
+func selectOne(ws *Scratch, mass []float32, counts []int, ratio float64) RowSelection {
+	total, minv, maxv := preprocess(mass, counts)
+	return ws.Select(mass, counts, ratio, total, minv, maxv)
 }
 
 // TestSelectMatrixSteadyStateAllocFree pins the scratch-reuse guarantee:

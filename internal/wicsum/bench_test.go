@@ -1,6 +1,7 @@
 package wicsum
 
 import (
+	"math"
 	"testing"
 
 	"vrex/internal/mathx"
@@ -10,7 +11,9 @@ import (
 // operating point: 40 rows (a 10-token chunk's queries times 4 heads) over
 // 268 candidate clusters, the workload's mean per SelectTokens call, each row
 // exp-normalised as ReSV normalises it, with the early-exit sorter at 20
-// buckets, ratio 0.3 and one worker. It reports ns per (row, candidate)
+// buckets, ratio 0.3 and one worker. Each row's weighted total, min and max
+// come with it, as mathx.ExpNormalizeWeighted returns them to SelectTokens,
+// so the preprocess pass is not timed. It reports ns per (row, candidate)
 // entry and allocs/op. One op thresholds every row through one Scratch
 // after one Reset.
 //
@@ -31,22 +34,39 @@ func BenchmarkSelectMatrix(b *testing.B) {
 			for j := range counts {
 				counts[j] = 1 + rng.Intn(32)
 			}
-			masses := make([][]float32, rows)
-			for i := range masses {
-				row := make([]float32, cols)
-				for j := range row {
-					row[j] = rng.Norm32() * c.scale
+			w := make([]float64, cols)
+			for j, n := range counts {
+				w[j] = float64(n)
+			}
+			type row struct {
+				mass       []float32
+				total      float64
+				minv, maxv float32
+			}
+			rs := make([]row, rows)
+			for i := range rs {
+				r := &rs[i]
+				r.mass = make([]float32, cols)
+				maxv := float32(math.Inf(-1))
+				for j := range r.mass {
+					r.mass[j] = rng.Norm32() * c.scale
+					maxv = max(maxv, r.mass[j])
 				}
-				mathx.ExpNormalize(row, row)
-				masses[i] = row
+				r.total, r.minv, r.maxv = mathx.ExpNormalizeWeighted(r.mass, r.mass, maxv, w)
 			}
 			var ws Scratch
 			sels := make([]RowSelection, rows)
-			selectAll(&ws, sels, masses, counts, 0.3) // size the scratch
+			run := func() {
+				ws.Reset()
+				for i, r := range rs {
+					sels[i] = ws.Select(r.mass, counts, 0.3, r.total, r.minv, r.maxv)
+				}
+			}
+			run() // size the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				selectAll(&ws, sels, masses, counts, 0.3)
+				run()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*cols), "ns/entry")
 		})

@@ -17,14 +17,44 @@ import "math"
 // mass guarantee (covered > ratio*total) always holds, which is what
 // accuracy depends on.
 //
+// Here the preprocess step is its own pass over the row (preprocess); Select
+// takes its results from the pass that wrote the row instead, and both run
+// the same token-selection code.
+//
 //vrex:testonly the early-exit sorter at any bucket count, for the differential tests; the root WiCSum benchmarks call it too
 func SelectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int) RowSelection {
+	if len(mass) != len(counts) {
+		panic("wicsum: mass/counts length mismatch")
+	}
 	var ws Scratch
-	return ws.selectRowEarlyExit(mass, counts, ratio, nBuckets)
+	total, minv, maxv := preprocess(mass, counts)
+	return ws.selectRowEarlyExit(mass, counts, ratio, nBuckets, total, minv, maxv)
+}
+
+// preprocess is the WTU's preprocess step as its own pass over a row (the
+// adder tree and the min/max unit): the weighted sum, in index order, and
+// the smallest and largest mass folded from mass[0]. An empty row returns
+// zeros.
+func preprocess(mass []float32, counts []int) (total float64, minv, maxv float32) {
+	if len(mass) == 0 {
+		return 0, 0, 0
+	}
+	minv, maxv = mass[0], mass[0]
+	for j, v := range mass {
+		if v < minv {
+			minv = v
+		}
+		if v > maxv {
+			maxv = v
+		}
+		total += float64(float64(v) * float64(counts[j]))
+	}
+	return total, minv, maxv
 }
 
 // selectRowEarlyExit is the scratch-backed kernel behind SelectRowEarlyExit
-// and Select. After the preprocess pass it splits the lowest bucket off with
+// and Select, given the row's preprocess results: total, the threshold's
+// base, and the score range [minv, maxv]. It splits the lowest bucket off with
 // one subtract-and-compare per entry, and buckets only the entries above it:
 // exp-normalised rows crowd near zero, so that is about 14 of a 292-entry
 // row on resv-stream. Those entries are counting-sorted, highest
@@ -46,7 +76,7 @@ func SelectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets in
 // range that underflows when divided, a NaN first entry or an infinite
 // entry. A total that is not finite never trips the threshold, so such a
 // row selects every entry, as SelectRow does.
-func (ws *Scratch) selectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int) RowSelection {
+func (ws *Scratch) selectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int, total float64, minv, maxv float32) RowSelection {
 	if len(mass) != len(counts) {
 		panic("wicsum: mass/counts length mismatch")
 	}
@@ -60,26 +90,10 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, counts []int, ratio float6
 		ratio = 1
 	}
 	n := len(mass)
-	sel := RowSelection{}
 	if n == 0 {
-		return sel
+		return RowSelection{}
 	}
-
-	// Preprocess step: weighted sum, min/max, threshold (all single-pass
-	// vector ops on the WTU's adder tree and min/max unit).
-	minv, maxv := mass[0], mass[0]
-	var total float64
-	for j := 0; j < n; j++ {
-		v := mass[j]
-		if v < minv {
-			minv = v
-		}
-		if v > maxv {
-			maxv = v
-		}
-		total += float64(float64(v) * float64(counts[j]))
-	}
-	sel.TotalMass = total
+	sel := RowSelection{TotalMass: total}
 	if total == 0 {
 		return sel
 	}

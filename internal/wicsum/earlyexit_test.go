@@ -147,7 +147,10 @@ func edgeRow(rng *mathx.RNG, mass []float32, nBuckets int) int {
 // values, values on bucket edges, all-equal values, and exp-normalised
 // scores with a third of the counts zero. Each runs at 1, 2, 3, 20 and 40
 // buckets and at ratios 0, 1 and a random one, through one Scratch that is
-// reused throughout, as a SelectTokens worker's is.
+// reused throughout, as a SelectTokens worker's is. The exp-normalised rows
+// are written by mathx.ExpNormalizeWeighted, whose total, min and max must
+// be preprocess's; at 20 buckets Select, given them, must match
+// SelectRowEarlyExit and the reference too.
 func TestEarlyExitMatchesCountingSort(t *testing.T) {
 	rng := mathx.NewRNG(51)
 	rows := 6000
@@ -159,11 +162,33 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 	compared, edges, lowestWalks := 0, 0, 0
 	mass := make([]float32, 600)
 	counts := make([]int, 600)
+	weights := make([]float64, 600)
 	for r := 0; r < rows; r++ {
 		n := rng.Intn(601)
-		m, c := mass[:n], counts[:n]
+		m, c, w := mass[:n], counts[:n], weights[:n]
 		for j := range c {
 			c[j] = 1 + rng.Intn(32)
+		}
+		// expNormalize writes m as SelectTokens does and checks the
+		// preprocess results it returns with them.
+		expNormalize := func() {
+			for j, cnt := range c {
+				w[j] = float64(cnt)
+			}
+			maxv := float32(math.Inf(-1))
+			if n > 0 {
+				maxv = m[0]
+			}
+			for _, v := range m {
+				if v > maxv {
+					maxv = v
+				}
+			}
+			total, minv, maxm := mathx.ExpNormalizeWeighted(m, m, maxv, w)
+			wt, wmin, wmax := preprocess(m, c)
+			if n > 0 && (math.Float64bits(total) != math.Float64bits(wt) || minv != wmin || maxm != wmax) {
+				t.Fatalf("row %d: ExpNormalizeWeighted returned %v, %v, %v; preprocess %v, %v, %v", r, total, minv, maxm, wt, wmin, wmax)
+			}
 		}
 		shape := r % 5
 		switch shape {
@@ -172,9 +197,7 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 			for j := range m {
 				m[j] = rng.Norm32() * scale
 			}
-			if n > 0 {
-				mathx.ExpNormalize(m, m)
-			}
+			expNormalize()
 		case 1: // uniform
 			for j := range m {
 				m[j] = rng.Float32()
@@ -191,20 +214,28 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 					c[j] = 0
 				}
 			}
-			if n > 0 {
-				mathx.ExpNormalize(m, m)
-			}
+			expNormalize()
 		}
 		for _, nb := range bucketCounts {
 			if shape == 2 { // bucket edges, laid out for this bucket count
 				edges += edgeRow(rng, m, nb)
 			}
+			total, minv, maxv := preprocess(m, c)
 			for _, ratio := range []float64{0, 1, 0.05 + 0.9*rng.Float64()} {
 				want := refEarlyExit(m, c, ratio, nb)
 				ws.Reset()
-				got := ws.selectRowEarlyExit(m, c, ratio, nb)
+				got := ws.selectRowEarlyExit(m, c, ratio, nb, total, minv, maxv)
 				if !sameSelection(got, want) {
 					t.Fatalf("row %d (shape %d, %d entries), %d buckets, ratio %v:\ngot  %+v\nwant %+v", r, shape, n, nb, ratio, got, want)
+				}
+				if nb == buckets {
+					ws.Reset()
+					if got := ws.Select(m, c, ratio, total, minv, maxv); !sameSelection(got, want) {
+						t.Fatalf("row %d (shape %d, %d entries), ratio %v: Select\ngot  %+v\nwant %+v", r, shape, n, ratio, got, want)
+					}
+					if got := SelectRowEarlyExit(m, c, ratio, nb); !sameSelection(got, want) {
+						t.Fatalf("row %d (shape %d, %d entries), ratio %v: SelectRowEarlyExit\ngot  %+v\nwant %+v", r, shape, n, ratio, got, want)
+					}
 				}
 				if want.TotalMass > 0 && nb > 1 && len(want.Selected) > 0 && walkedLowest(m, want, nb) {
 					lowestWalks++

@@ -20,7 +20,11 @@
 // A Scratch thresholds one row at a time with the WTU's early exit at its
 // fixed 20 buckets, through buffers it reuses across rows and calls (the
 // software analogue of the WTU's fixed on-chip buffers), so steady-state
-// thresholding performs no heap allocation. Rows are independent:
+// thresholding performs no heap allocation. It takes the row's preprocess
+// results (Sum_i, min and max) from the pass that wrote the row, as the WTU
+// consumes scores while the KVPU streams them out: core.SelectTokens gets
+// them from mathx.ExpNormalizeWeighted. SelectRowEarlyExit, the reference,
+// runs the preprocess step as a pass of its own. Rows are independent:
 // core.SelectTokens gives each of its workers a Scratch and aggregates the
 // rows' selections itself.
 package wicsum
@@ -66,12 +70,16 @@ type Scratch struct {
 func (ws *Scratch) Reset() { ws.selected = ws.selected[:0] }
 
 // Select thresholds one row with the WTU's early exit at its 20 buckets
-// (see SelectRowEarlyExit). mass and counts must have equal length; mass
-// entries must be non-negative (use mathx.ExpNormalize upstream). ratio is
-// Th_r-wics in (0, 1]; values outside are clamped. The row's Selected is
-// carved from the arena and stays valid until the next Reset.
-func (ws *Scratch) Select(mass []float32, counts []int, ratio float64) RowSelection {
-	return ws.selectRowEarlyExit(mass, counts, ratio, buckets)
+// (see SelectRowEarlyExit), given the row's preprocess results from the
+// pass that produced it: total = Sum_i, the sum of float64(float64(mass[j])
+// * float64(counts[j])) in index order, and minv and maxv, the smallest and
+// largest mass folded from mass[0] with < and >. mathx.ExpNormalizeWeighted
+// returns exactly these as it writes the row. mass and counts must have
+// equal length; mass entries must be non-negative. ratio is Th_r-wics in
+// (0, 1]; values outside are clamped. The row's Selected is carved from the
+// arena and stays valid until the next Reset.
+func (ws *Scratch) Select(mass []float32, counts []int, ratio, total float64, minv, maxv float32) RowSelection {
+	return ws.selectRowEarlyExit(mass, counts, ratio, buckets, total, minv, maxv)
 }
 
 // grabInts returns a length-n scratch slice, growing buf only when needed.

@@ -278,7 +278,7 @@ func TestSelectMatrixPerRowAdaptivity(t *testing.T) {
 	}
 	skew[0] = 100
 	var ws Scratch
-	skewed, uniform := ws.Select(skew, counts, 0.8), ws.Select(uni, counts, 0.8)
+	skewed, uniform := selectOne(&ws, skew, counts, 0.8), selectOne(&ws, uni, counts, 0.8)
 	if len(skewed.Selected) >= len(uniform.Selected) {
 		t.Fatalf("adaptive selection failed: skewed=%d uniform=%d",
 			len(skewed.Selected), len(uniform.Selected))
@@ -287,7 +287,7 @@ func TestSelectMatrixPerRowAdaptivity(t *testing.T) {
 
 func TestSelectMatrixEmpty(t *testing.T) {
 	var ws Scratch
-	sel := ws.Select(nil, nil, 0.5)
+	sel := ws.Select(nil, nil, 0.5, 0, 0, 0)
 	if len(sel.Selected) != 0 || sel.Examined != 0 || sel.TotalMass != 0 {
 		t.Fatal("empty row should yield empty selection")
 	}
