@@ -122,10 +122,9 @@ type layerScratch struct {
 	// q64 holds the chunk's queries widened to float64, row-major like the
 	// query matrix, so (query token, head) row i starts at i*headDim.
 	q64 []float64
-	// counts holds the per-candidate past-token counts WiCSum weights by,
-	// and weights the same counts converted to float64 once per call, as
-	// the exp pass multiplies by them.
-	counts  []int
+	// weights holds the per-candidate past-token counts WiCSum weights by,
+	// converted to float64 once per call, as the exp pass and Select
+	// multiply by them.
 	weights []float64
 	// massData holds one exp-normalised score row per (query token, head)
 	// pair, row i at i*nCands over the call's nCands candidate clusters.
@@ -258,14 +257,9 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	if nCands == 0 {
 		return nil
 	}
-	sc.counts = growInts(sc.counts, nCands)
-	if cap(sc.weights) < nCands {
-		sc.weights = make([]float64, nCands)
-	}
-	sc.weights = sc.weights[:nCands]
-	for ci := 0; ci < nCands; ci++ {
-		sc.counts[ci] = table.PastCount(ci)
-		sc.weights[ci] = float64(sc.counts[ci])
+	sc.weights = growFloats(sc.weights, nCands)
+	for ci := range sc.weights {
+		sc.weights[ci] = float64(table.PastCount(ci))
 	}
 
 	// Score and threshold: one row per (query token, head) pair over the
@@ -376,7 +370,7 @@ func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, i
 		maxv := mathx.ScoreKeys(mass, sc.q64[row*headDim:(row+1)*headDim], sc.rep64[h/group][:nCands*headDim], invSqrt)
 		total, minv, maxm := mathx.ExpNormalizeWeighted(mass, mass, maxv, sc.weights)
 		rw.ws.Reset()
-		sel := rw.ws.Select(mass, sc.counts, r.cfg.ThWics, total, minv, maxm)
+		sel := rw.ws.Select(mass, sc.weights, r.cfg.ThWics, total, minv, maxm)
 		hb := rw.headBits[h*cwords : (h+1)*cwords]
 		for _, ci := range sel.Selected {
 			hb[ci>>6] |= 1 << (uint(ci) & 63)
@@ -394,13 +388,13 @@ func growMirror(m []float64, n int) []float64 {
 	return m[:n]
 }
 
-// growInts returns a length-n int buffer, reusing buf's storage when it is
-// large enough.
+// growFloats returns a length-n float64 buffer, reusing buf's storage when
+// it is large enough.
 //
 //vrex:noalloc
-func growInts(buf []int, n int) []int {
+func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]float64, n)
 	}
 	return buf[:n]
 }

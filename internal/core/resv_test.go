@@ -242,9 +242,13 @@ func TestSelectTokensIsSortedUnion(t *testing.T) {
 				// over the row, and expand every row's clusters by hand.
 				sc := &r.layers[layer].scratch
 				nCands := r.HCTable(layer).PastClusters()
+				counts := make([]int, nCands)
+				for ci := range counts {
+					counts[ci] = r.HCTable(layer).PastCount(ci)
+				}
 				var want []int
 				for row := 0; row < q.Rows*mcfg.Heads; row++ {
-					sel := wicsum.SelectRowEarlyExit(sc.massData[row*nCands:(row+1)*nCands], sc.counts[:nCands], cfg.ThWics, 20)
+					sel := wicsum.SelectRowEarlyExit(sc.massData[row*nCands:(row+1)*nCands], counts, cfg.ThWics, 20)
 					for _, ci := range sel.Selected {
 						want = append(want, r.HCTable(layer).PastTokens(ci)...)
 					}

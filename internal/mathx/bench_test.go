@@ -33,13 +33,31 @@ func BenchmarkScoreKeys(b *testing.B) {
 	reportPerElement(b, benchRow)
 }
 
-// BenchmarkExpNormalize times exp-normalising one scaled score row in place
-// through ExpNormalizeWeighted, the entry point SelectTokens calls: given
-// the row's maximum, as ScoreKeys returns it, it also reduces the row to
-// WiCSum's weighted total, min and max. The weights are small integers, as
-// past-token counts are. The row is restored from a copy, untimed, between
-// ops so every op sees the same inputs.
+// BenchmarkExpNormalize times ExpNormalize on one scaled score row in place,
+// its own rowMax pass included, as the retrieval policies call it. The row
+// is restored from a copy, untimed, between ops so every op sees the same
+// inputs.
 func BenchmarkExpNormalize(b *testing.B) {
+	rng := NewRNG(6)
+	src := make([]float32, benchRow)
+	for i := range src {
+		src[i] = rng.Norm32() * 2
+	}
+	row := make([]float32, benchRow)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(row, src)
+		ExpNormalize(row, row)
+	}
+	reportPerElement(b, benchRow)
+}
+
+// BenchmarkExpNormalizeWeighted times the entry point SelectTokens calls on
+// the same row as BenchmarkExpNormalize, in place: given the row's maximum,
+// as ScoreKeys returns it, it exp-normalises the row and reduces it to
+// WiCSum's weighted total, min and max. The weights are small integers, as
+// past-token counts are.
+func BenchmarkExpNormalizeWeighted(b *testing.B) {
 	rng := NewRNG(6)
 	src := make([]float32, benchRow)
 	w := make([]float64, benchRow)

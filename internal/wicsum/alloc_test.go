@@ -26,19 +26,19 @@ func randomRows(rng *mathx.RNG, rows, cols, maxCount int) ([][]float32, []int) {
 
 // selectAll thresholds every row through ws after one Reset, each given
 // its preprocess results, and returns the rows' selections in sels.
-func selectAll(ws *Scratch, sels []RowSelection, masses [][]float32, counts []int, ratio float64) []RowSelection {
+func selectAll(ws *Scratch, sels []RowSelection, masses [][]float32, weights []float64, ratio float64) []RowSelection {
 	ws.Reset()
 	for i, row := range masses {
-		sels[i] = selectOne(ws, row, counts, ratio)
+		sels[i] = selectOne(ws, row, weights, ratio)
 	}
 	return sels
 }
 
 // selectOne thresholds one row through ws.Select, given the row's
 // preprocess results as the pass that writes a row returns them.
-func selectOne(ws *Scratch, mass []float32, counts []int, ratio float64) RowSelection {
-	total, minv, maxv := preprocess(mass, counts)
-	return ws.Select(mass, counts, ratio, total, minv, maxv)
+func selectOne(ws *Scratch, mass []float32, weights []float64, ratio float64) RowSelection {
+	total, minv, maxv := preprocess(mass, weights)
+	return ws.Select(mass, weights, ratio, total, minv, maxv)
 }
 
 // TestSelectMatrixSteadyStateAllocFree pins the scratch-reuse guarantee:
@@ -46,13 +46,14 @@ func selectOne(ws *Scratch, mass []float32, counts []int, ratio float64) RowSele
 // matrix through it performs zero heap allocations.
 func TestSelectMatrixSteadyStateAllocFree(t *testing.T) {
 	masses, counts := randomRows(mathx.NewRNG(31), 48, 300, 32)
+	w := weightsOf(counts)
 	var ws Scratch
 	sels := make([]RowSelection, len(masses))
 	for i := 0; i < 3; i++ {
-		selectAll(&ws, sels, masses, counts, 0.3)
+		selectAll(&ws, sels, masses, w, 0.3)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		selectAll(&ws, sels, masses, counts, 0.3)
+		selectAll(&ws, sels, masses, w, 0.3)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state thresholding allocates %v times per pass, want 0", allocs)
@@ -66,7 +67,7 @@ func TestSelectMatrixSteadyStateAllocFree(t *testing.T) {
 func TestSelectMatrixScratchReuseKeepsResults(t *testing.T) {
 	masses, counts := randomRows(mathx.NewRNG(32), 8, 64, 8)
 	var ws Scratch
-	first := selectAll(&ws, make([]RowSelection, len(masses)), masses, counts, 0.3)
+	first := selectAll(&ws, make([]RowSelection, len(masses)), masses, weightsOf(counts), 0.3)
 	selected := make([][]int, len(first))
 	for i, r := range first {
 		if want := SelectRowEarlyExit(masses[i], counts, 0.3, buckets); !sameSelection(r, want) {
@@ -74,7 +75,7 @@ func TestSelectMatrixScratchReuseKeepsResults(t *testing.T) {
 		}
 		selected[i] = append([]int(nil), r.Selected...)
 	}
-	second := selectAll(&ws, make([]RowSelection, len(masses)), masses, counts, 0.3)
+	second := selectAll(&ws, make([]RowSelection, len(masses)), masses, weightsOf(counts), 0.3)
 	for i := range selected {
 		if len(second[i].Selected) != len(selected[i]) {
 			t.Fatalf("row %d selection size changed", i)

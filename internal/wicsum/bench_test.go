@@ -30,13 +30,9 @@ func BenchmarkSelectMatrix(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			const rows, cols = 40, 268
 			rng := mathx.NewRNG(8)
-			counts := make([]int, cols)
-			for j := range counts {
-				counts[j] = 1 + rng.Intn(32)
-			}
 			w := make([]float64, cols)
-			for j, n := range counts {
-				w[j] = float64(n)
+			for j := range w {
+				w[j] = float64(1 + rng.Intn(32))
 			}
 			type row struct {
 				mass       []float32
@@ -59,7 +55,7 @@ func BenchmarkSelectMatrix(b *testing.B) {
 			run := func() {
 				ws.Reset()
 				for i, r := range rs {
-					sels[i] = ws.Select(r.mass, counts, 0.3, r.total, r.minv, r.maxv)
+					sels[i] = ws.Select(r.mass, w, 0.3, r.total, r.minv, r.maxv)
 				}
 			}
 			run() // size the scratch

@@ -26,16 +26,17 @@ func SelectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets in
 	if len(mass) != len(counts) {
 		panic("wicsum: mass/counts length mismatch")
 	}
+	w := weightsOf(counts)
 	var ws Scratch
-	total, minv, maxv := preprocess(mass, counts)
-	return ws.selectRowEarlyExit(mass, counts, ratio, nBuckets, total, minv, maxv)
+	total, minv, maxv := preprocess(mass, w)
+	return ws.selectRowEarlyExit(mass, w, ratio, nBuckets, total, minv, maxv)
 }
 
 // preprocess is the WTU's preprocess step as its own pass over a row (the
 // adder tree and the min/max unit): the weighted sum, in index order, and
 // the smallest and largest mass folded from mass[0]. An empty row returns
 // zeros.
-func preprocess(mass []float32, counts []int) (total float64, minv, maxv float32) {
+func preprocess(mass []float32, weights []float64) (total float64, minv, maxv float32) {
 	if len(mass) == 0 {
 		return 0, 0, 0
 	}
@@ -47,7 +48,7 @@ func preprocess(mass []float32, counts []int) (total float64, minv, maxv float32
 		if v > maxv {
 			maxv = v
 		}
-		total += float64(float64(v) * float64(counts[j]))
+		total += float64(float64(v) * weights[j])
 	}
 	return total, minv, maxv
 }
@@ -76,9 +77,9 @@ func preprocess(mass []float32, counts []int) (total float64, minv, maxv float32
 // range that underflows when divided, a NaN first entry or an infinite
 // entry. A total that is not finite never trips the threshold, so such a
 // row selects every entry, as SelectRow does.
-func (ws *Scratch) selectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int, total float64, minv, maxv float32) RowSelection {
-	if len(mass) != len(counts) {
-		panic("wicsum: mass/counts length mismatch")
+func (ws *Scratch) selectRowEarlyExit(mass []float32, weights []float64, ratio float64, nBuckets int, total float64, minv, maxv float32) RowSelection {
+	if len(mass) != len(weights) {
+		panic("wicsum: mass/weights length mismatch")
 	}
 	if nBuckets <= 0 {
 		panic("wicsum: non-positive bucket count")
@@ -103,7 +104,7 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, counts []int, ratio float6
 	width := (maxv - minv) / float32(nBuckets)
 	if nBuckets == 1 || !(width > 0 && width <= math.MaxFloat32) {
 		for j := range mass {
-			if ws.take(&sel, mass, counts, j, th) {
+			if ws.take(&sel, mass, weights, j, th) {
 				break
 			}
 		}
@@ -152,7 +153,7 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, counts []int, ratio float6
 	// early-exiting once the cumulative weighted sum exceeds the threshold.
 	tripped := false
 	for _, j := range items {
-		if tripped = ws.take(&sel, mass, counts, j, th); tripped {
+		if tripped = ws.take(&sel, mass, weights, j, th); tripped {
 			break
 		}
 	}
@@ -161,7 +162,7 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, counts []int, ratio float6
 			if v-minv >= width {
 				continue // walked above
 			}
-			if ws.take(&sel, mass, counts, j, th) {
+			if ws.take(&sel, mass, weights, j, th) {
 				break
 			}
 		}
@@ -172,9 +173,9 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, counts []int, ratio float6
 
 // take examines entry j of the row: it appends j to the selection, adds its
 // weighted mass, and reports whether the covered mass now exceeds th.
-func (ws *Scratch) take(sel *RowSelection, mass []float32, counts []int, j int, th float64) bool {
+func (ws *Scratch) take(sel *RowSelection, mass []float32, weights []float64, j int, th float64) bool {
 	sel.Examined++
 	ws.selected = append(ws.selected, j)
-	sel.MassCovered += float64(float64(mass[j]) * float64(counts[j]))
+	sel.MassCovered += float64(float64(mass[j]) * weights[j])
 	return sel.MassCovered > th
 }

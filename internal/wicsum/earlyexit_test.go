@@ -168,13 +168,11 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 		m, c, w := mass[:n], counts[:n], weights[:n]
 		for j := range c {
 			c[j] = 1 + rng.Intn(32)
+			w[j] = float64(c[j])
 		}
 		// expNormalize writes m as SelectTokens does and checks the
 		// preprocess results it returns with them.
 		expNormalize := func() {
-			for j, cnt := range c {
-				w[j] = float64(cnt)
-			}
 			maxv := float32(math.Inf(-1))
 			if n > 0 {
 				maxv = m[0]
@@ -185,7 +183,7 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 				}
 			}
 			total, minv, maxm := mathx.ExpNormalizeWeighted(m, m, maxv, w)
-			wt, wmin, wmax := preprocess(m, c)
+			wt, wmin, wmax := preprocess(m, w)
 			if n > 0 && (math.Float64bits(total) != math.Float64bits(wt) || minv != wmin || maxm != wmax) {
 				t.Fatalf("row %d: ExpNormalizeWeighted returned %v, %v, %v; preprocess %v, %v, %v", r, total, minv, maxm, wt, wmin, wmax)
 			}
@@ -211,7 +209,7 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 			for j := range m {
 				m[j] = rng.Norm32() * 2
 				if rng.Intn(3) == 0 {
-					c[j] = 0
+					c[j], w[j] = 0, 0
 				}
 			}
 			expNormalize()
@@ -220,17 +218,17 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 			if shape == 2 { // bucket edges, laid out for this bucket count
 				edges += edgeRow(rng, m, nb)
 			}
-			total, minv, maxv := preprocess(m, c)
+			total, minv, maxv := preprocess(m, w)
 			for _, ratio := range []float64{0, 1, 0.05 + 0.9*rng.Float64()} {
 				want := refEarlyExit(m, c, ratio, nb)
 				ws.Reset()
-				got := ws.selectRowEarlyExit(m, c, ratio, nb, total, minv, maxv)
+				got := ws.selectRowEarlyExit(m, w, ratio, nb, total, minv, maxv)
 				if !sameSelection(got, want) {
 					t.Fatalf("row %d (shape %d, %d entries), %d buckets, ratio %v:\ngot  %+v\nwant %+v", r, shape, n, nb, ratio, got, want)
 				}
 				if nb == buckets {
 					ws.Reset()
-					if got := ws.Select(m, c, ratio, total, minv, maxv); !sameSelection(got, want) {
+					if got := ws.Select(m, w, ratio, total, minv, maxv); !sameSelection(got, want) {
 						t.Fatalf("row %d (shape %d, %d entries), ratio %v: Select\ngot  %+v\nwant %+v", r, shape, n, ratio, got, want)
 					}
 					if got := SelectRowEarlyExit(m, c, ratio, nb); !sameSelection(got, want) {

@@ -14,8 +14,9 @@ import (
 // union, same examined count. Three workers leave the last chunk uneven.
 func TestSelectMatrixParallelEquivalence(t *testing.T) {
 	masses, counts := randomRows(mathx.NewRNG(9), 64, 300, 32)
+	weights := weightsOf(counts)
 	var seqWS Scratch
-	seq := selectAll(&seqWS, make([]RowSelection, len(masses)), masses, counts, 0.3)
+	seq := selectAll(&seqWS, make([]RowSelection, len(masses)), masses, weights, 0.3)
 	seqUnion, seqExamined := unionOf(seq, len(counts))
 	for _, w := range []int{2, 3, 4, 16} {
 		scratches := make([]Scratch, w)
@@ -24,7 +25,7 @@ func TestSelectMatrixParallelEquivalence(t *testing.T) {
 		parallel.ForEach(w, w, func(k int) {
 			lo := min(k*chunk, len(masses))
 			hi := min(lo+chunk, len(masses))
-			selectAll(&scratches[k], par[lo:hi], masses[lo:hi], counts, 0.3)
+			selectAll(&scratches[k], par[lo:hi], masses[lo:hi], weights, 0.3)
 		})
 		for i := range seq {
 			if !sameSelection(seq[i], par[i]) {

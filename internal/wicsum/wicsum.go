@@ -70,16 +70,26 @@ type Scratch struct {
 func (ws *Scratch) Reset() { ws.selected = ws.selected[:0] }
 
 // Select thresholds one row with the WTU's early exit at its 20 buckets
-// (see SelectRowEarlyExit), given the row's preprocess results from the
-// pass that produced it: total = Sum_i, the sum of float64(float64(mass[j])
-// * float64(counts[j])) in index order, and minv and maxv, the smallest and
-// largest mass folded from mass[0] with < and >. mathx.ExpNormalizeWeighted
-// returns exactly these as it writes the row. mass and counts must have
-// equal length; mass entries must be non-negative. ratio is Th_r-wics in
-// (0, 1]; values outside are clamped. The row's Selected is carved from the
-// arena and stays valid until the next Reset.
-func (ws *Scratch) Select(mass []float32, counts []int, ratio, total float64, minv, maxv float32) RowSelection {
-	return ws.selectRowEarlyExit(mass, counts, ratio, buckets, total, minv, maxv)
+// (see SelectRowEarlyExit). weights[j] is cluster j's token count as a
+// float64, and the row's preprocess results come from the pass that
+// produced it: total = Sum_i, the sum of float64(float64(mass[j]) *
+// weights[j]) in index order, and minv and maxv, the smallest and largest
+// mass folded from mass[0] with < and >. mathx.ExpNormalizeWeighted returns
+// exactly these as it writes the row, given the same weights. mass and
+// weights must have equal length; mass entries must be non-negative. ratio
+// is Th_r-wics in (0, 1]; values outside are clamped. The row's Selected is
+// carved from the arena and stays valid until the next Reset.
+func (ws *Scratch) Select(mass []float32, weights []float64, ratio, total float64, minv, maxv float32) RowSelection {
+	return ws.selectRowEarlyExit(mass, weights, ratio, buckets, total, minv, maxv)
+}
+
+// weightsOf returns counts as float64 weights, the form Select takes.
+func weightsOf(counts []int) []float64 {
+	w := make([]float64, len(counts))
+	for j, c := range counts {
+		w[j] = float64(c)
+	}
+	return w
 }
 
 // grabInts returns a length-n scratch slice, growing buf only when needed.
@@ -94,7 +104,8 @@ func grabInts(buf *[]int, n int) []int {
 
 // SelectRow performs exact WiCSum thresholding on one row: full descending
 // sort, then cumulative accumulation until the weighted mass exceeds
-// ratio * total. Its arguments are Select's.
+// ratio * total. counts[j] is cluster j's token count; mass and ratio are
+// Select's.
 //
 //vrex:testonly the exact reference for Scratch's rows; the root WiCSum benchmarks call it too
 func SelectRow(mass []float32, counts []int, ratio float64) RowSelection {
@@ -107,10 +118,11 @@ func SelectRow(mass []float32, counts []int, ratio float64) RowSelection {
 	if ratio > 1 {
 		ratio = 1
 	}
+	w := weightsOf(counts)
 	n := len(mass)
 	var total float64
 	for j := 0; j < n; j++ {
-		total += float64(float64(mass[j]) * float64(counts[j]))
+		total += float64(float64(mass[j]) * w[j])
 	}
 	if n == 0 || total == 0 {
 		return RowSelection{TotalMass: total}
@@ -135,7 +147,7 @@ func SelectRow(mass []float32, counts []int, ratio float64) RowSelection {
 	sel := RowSelection{TotalMass: total}
 	var ws Scratch
 	for _, j := range order {
-		if ws.take(&sel, mass, counts, j, th) {
+		if ws.take(&sel, mass, w, j, th) {
 			break
 		}
 	}

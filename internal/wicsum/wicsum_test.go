@@ -259,7 +259,7 @@ func TestSelectMatrixUnion(t *testing.T) {
 	}
 	counts := []int{1, 1, 1}
 	var ws Scratch
-	union, _ := unionOf(selectAll(&ws, make([]RowSelection, len(masses)), masses, counts, 0.8), len(counts))
+	union, _ := unionOf(selectAll(&ws, make([]RowSelection, len(masses)), masses, weightsOf(counts), 0.8), len(counts))
 	if len(union) != 2 || union[0] != 0 || union[1] != 1 {
 		t.Fatalf("union = %v, want [0 1]", union)
 	}
@@ -278,7 +278,8 @@ func TestSelectMatrixPerRowAdaptivity(t *testing.T) {
 	}
 	skew[0] = 100
 	var ws Scratch
-	skewed, uniform := selectOne(&ws, skew, counts, 0.8), selectOne(&ws, uni, counts, 0.8)
+	w := weightsOf(counts)
+	skewed, uniform := selectOne(&ws, skew, w, 0.8), selectOne(&ws, uni, w, 0.8)
 	if len(skewed.Selected) >= len(uniform.Selected) {
 		t.Fatalf("adaptive selection failed: skewed=%d uniform=%d",
 			len(skewed.Selected), len(uniform.Selected))
