@@ -1,11 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
 	"vrex/internal/mathx"
 	"vrex/internal/model"
+	"vrex/internal/tensor"
 )
 
 // TestSelectTokensSteadyStateAllocFree pins the tentpole guarantee: once a
@@ -70,5 +75,52 @@ func TestSelectTokensAllocFreeEarlyExitAndExact(t *testing.T) {
 	}
 	if got := r.SelectTokens(1, m.Cache(1), q, base, model.StageText); !slices.Equal(got, cold) {
 		t.Fatalf("after the warm calls selected %v, cold call %v", got, cold)
+	}
+}
+
+// TestForwardReSVAllocsGolden pins the allocations of the forward pass with
+// ReSV: streamed once, resv-stream's verify session grows every buffer the
+// model, its caches, the HC tables and ReSV's scratch reuse; after Reset of
+// the model and ReSV, a replay of the session must allocate exactly 2
+// objects per frame, the returned Hidden's header and data, and end in the
+// session's pinned hidden-state digest (TestReSVStatsPinned). It runs on
+// one worker, as perfbench does, so no fan-out allocates, and counts on one
+// P, as testing.AllocsPerRun does. The runtime's own goroutines still add
+// an object now and then to the process-wide count (1 to 5 in some runs,
+// more often under -race), so the count is the fewest of three replays.
+func TestForwardReSVAllocsGolden(t *testing.T) {
+	tensor.SetWorkers(1)
+	defer tensor.SetWorkers(0)
+	mcfg := model.DefaultConfig()
+	frames := verifySession(mcfg)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	m, r := model.New(mcfg), New(mcfg, cfg)
+	for _, f := range frames {
+		m.Forward(f, r, model.StageFrame, false)
+	}
+	hidden := make([]*tensor.Matrix, len(frames))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := uint64(math.MaxUint64)
+	for rep := 0; rep < 3; rep++ {
+		m.Reset()
+		r.Reset()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, f := range frames {
+			hidden[i] = m.Forward(f, r, model.StageFrame, false).Hidden
+		}
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+		h := fnv.New64a()
+		for _, hm := range hidden {
+			binary.Write(h, binary.LittleEndian, hiddenDigest(hm))
+		}
+		if d := h.Sum64(); d != 0x87caa204721b78bb {
+			t.Fatalf("replay %d's hidden-state digest %#x, want %#x", rep, d, uint64(0x87caa204721b78bb))
+		}
+	}
+	if want := uint64(2 * len(frames)); fewest != want {
+		t.Errorf("replays of %d frames allocated at fewest %d objects, want %d (2 per frame)", len(frames), fewest, want)
 	}
 }

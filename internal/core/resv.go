@@ -18,15 +18,21 @@
 // grows: the HC table's candidate set is maintained incrementally as frames
 // arrive. Each (query token, head) row is scored (mathx.ScoreKeys over
 // per-layer float64 mirrors of the representative keys: SSE2 assembly on
-// amd64 and a Go loop elsewhere, with the same bits on both), exp-normalised
-// (mathx.ExpNormalizeWeighted) and thresholded (a wicsum.Scratch) in one
-// pass on one worker, and Config.Workers shards the rows. The kernels that
-// write a row also reduce it: scoring returns the row's maximum, which the
-// exp pass subtracts, and the exp pass returns the WTU's preprocess results
-// (the weighted total, minimum and maximum), so thresholding never re-reads
-// a row to reduce it. All per-frame working sets (score rows,
-// selection bitsets, the token buffer) live in reusable scratch arenas —
-// steady-state SelectTokens performs zero heap allocations on the
+// amd64 and a Go loop elsewhere, with the same bits on both) and
+// thresholded (a wicsum.Scratch) in one pass on one worker, and
+// Config.Workers shards the rows. Scoring returns the row's maximum. Most
+// rows then take the bounded path, as the DRE's early exit skips work: one
+// pass (mathx.ExpMassBound) brackets the row's weighted total and flags the
+// few entries that can sit above WiCSum's lowest bucket, only those get
+// exact masses, and WiCSum walks them against the threshold's bracket
+// (wicsum.Scratch.SelectBounded). A row whose walk the bracket cannot
+// decide takes the exact path, which exp-normalises the whole row
+// (mathx.ExpNormalizeWeighted, returning the WTU's preprocess results: the
+// weighted total, minimum and maximum) and thresholds it (Select). Both
+// paths select the same clusters, bit for bit (TestBoundedMatchesExact,
+// TestReSVStatsPinned). All per-frame working sets (score rows, gathered
+// entries, selection bitsets, the token buffer) live in reusable scratch
+// arenas — steady-state SelectTokens performs zero heap allocations on the
 // sequential path (pinned by TestSelectTokensSteadyStateAllocFree).
 //
 // ReSV implements model.Retriever, so it drops into the functional
@@ -141,12 +147,16 @@ type layerScratch struct {
 // rowWorker is one worker's share of a SelectTokens call: the WiCSum scratch
 // its rows are thresholded in, one bitset per head over the candidate
 // clusters its rows selected (head h's cwords words at h*cwords), and how
-// many score entries its rows examined. Invariant: the bitsets are zero
-// between SelectTokens calls.
+// many score entries its rows examined; and the bounded path's buffers, a
+// row's flagged candidates and their gathered scores (then masses) and
+// weights. Invariant: the bitsets are zero between SelectTokens calls.
 type rowWorker struct {
 	ws       wicsum.Scratch
 	headBits []uint64
 	examined int
+	flagged  []int
+	gathered []float32
+	gweights []float64
 }
 
 // layerState is ReSV's per-decoder-layer working set.
@@ -351,12 +361,15 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 
 // selectRows runs rows [lo, hi) on one worker. Each row scores its query
 // segment against its kv head's mirrored representative keys (the KVPU's
-// Q x RepKey^T), scaled by invSqrt, which also yields the row's maximum,
-// and exp-normalises the scores into its massData row, so WiCSum
-// accumulates attention mass; that pass also returns the row's weighted
-// total, min and max (the WTU's preprocess step). rw's scratch then
-// thresholds the row (the WTU), and its clusters are set in rw's bitset for
-// the row's head. No pass re-reads a row to reduce it.
+// Q x RepKey^T), scaled by invSqrt, which also yields the row's maximum.
+// The bounded path (selectBounded) then thresholds most rows from a bound
+// on their total and the exact masses of the few entries WiCSum can walk;
+// a row it cannot decide takes the exact path, which exp-normalises the
+// whole row into its massData row, so WiCSum accumulates attention mass,
+// and gets the row's weighted total, min and max (the WTU's preprocess
+// step) from that pass before rw's scratch thresholds it (the WTU). Both
+// paths select the same clusters with the same Examined, which are set in
+// rw's bitset for the row's head.
 //
 //vrex:noalloc
 func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, invSqrt float32) {
@@ -368,9 +381,12 @@ func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, i
 		h := row % heads
 		mass := sc.massData[row*nCands : (row+1)*nCands]
 		maxv := mathx.ScoreKeys(mass, sc.q64[row*headDim:(row+1)*headDim], sc.rep64[h/group][:nCands*headDim], invSqrt)
-		total, minv, maxm := mathx.ExpNormalizeWeighted(mass, mass, maxv, sc.weights)
 		rw.ws.Reset()
-		sel := rw.ws.Select(mass, sc.weights, r.cfg.ThWics, total, minv, maxm)
+		sel, ok := r.selectBounded(rw, mass, sc.weights, maxv)
+		if !ok {
+			total, minv, maxm := mathx.ExpNormalizeWeighted(mass, mass, maxv, sc.weights)
+			sel = rw.ws.Select(mass, sc.weights, r.cfg.ThWics, total, minv, maxm)
+		}
 		hb := rw.headBits[h*cwords : (h+1)*cwords]
 		for _, ci := range sel.Selected {
 			hb[ci>>6] |= 1 << (uint(ci) & 63)
@@ -378,6 +394,49 @@ func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, i
 		examined += sel.Examined
 	}
 	rw.examined = examined
+}
+
+// selectBounded is the bounded path for one row of scores with maximum
+// maxv: it reads the scores and writes nothing to them, so the exact path
+// can take the row after it. One pass (mathx.ExpMassBound) brackets the
+// row's weighted total and flags the entries with x = score - maxv at
+// least mathx.MassCut; no entry below it has a mass above mathx.CutMass.
+// The flagged scores, and the smallest score, are gathered and
+// exp-normalised by the exact path's kernel with the row's maxv, so each
+// mass has the bits the exact path writes; the smallest score's is the
+// row's smallest mass, since masses never fall as scores rise, and the
+// largest, 1, is the maximum's, which is flagged. WiCSum then walks the
+// gathered entries (wicsum.Scratch.SelectBounded), and the positions it
+// selects map back to candidate clusters through the flags. It returns
+// false if a step gives up: a score out of the pass's range, a bucket
+// width the cut does not fit under, or a walk it cannot decide.
+//
+//vrex:noalloc
+func (r *ReSV) selectBounded(rw *rowWorker, scores []float32, weights []float64, maxv float32) (wicsum.RowSelection, bool) {
+	lo, hi, smin, flagged, ok := mathx.ExpMassBound(scores, maxv, weights, rw.flagged)
+	rw.flagged = flagged
+	if !ok {
+		return wicsum.RowSelection{}, false
+	}
+	n := len(flagged)
+	if cap(rw.gathered) < n+1 {
+		rw.gathered = make([]float32, len(scores)+1)
+		rw.gweights = make([]float64, len(scores)+1)
+	}
+	gm, gw := rw.gathered[:n+1], rw.gweights[:n+1]
+	for i, j := range flagged {
+		gm[i], gw[i] = scores[j], weights[j]
+	}
+	gm[n], gw[n] = smin, 0
+	_, minv, maxm := mathx.ExpNormalizeWeighted(gm, gm, maxv, gw)
+	sel, ok := rw.ws.SelectBounded(gm, gw, r.cfg.ThWics, lo, hi, minv, maxm, mathx.CutMass)
+	if !ok {
+		return sel, false
+	}
+	for i, p := range sel.Selected {
+		sel.Selected[i] = flagged[p]
+	}
+	return sel, true
 }
 
 // growMirror returns m grown to n values, preserving its contents.

@@ -236,19 +236,28 @@ func TestSelectTokensIsSortedUnion(t *testing.T) {
 			q := frameInput(3, mcfg.Dim, rng)
 			for layer := 0; layer < mcfg.Layers; layer++ {
 				got := slices.Clone(r.SelectTokens(layer, m.Cache(layer), q, base, model.StageText))
-				// Threshold again the score rows SelectTokens left in the
-				// layer's scratch, through the reference sorter at the
-				// WTU's 20 buckets, whose preprocess step is its own pass
-				// over the row, and expand every row's clusters by hand.
+				// Score each row again from the queries and representative
+				// keys SelectTokens widened into the layer's scratch,
+				// exp-normalise the whole row, threshold it through the
+				// reference sorter at the WTU's 20 buckets, whose
+				// preprocess step is its own pass over the row, and expand
+				// every row's clusters by hand. SelectTokens' bounded path
+				// leaves scores, not masses, in the rows it decides.
 				sc := &r.layers[layer].scratch
 				nCands := r.HCTable(layer).PastClusters()
 				counts := make([]int, nCands)
 				for ci := range counts {
 					counts[ci] = r.HCTable(layer).PastCount(ci)
 				}
+				headDim, group := mcfg.HeadDim(), mcfg.Heads/mcfg.KVHeads
+				invSqrt := float32(mcfg.Sharpness / math.Sqrt(float64(headDim)))
+				mass := make([]float32, nCands)
 				var want []int
 				for row := 0; row < q.Rows*mcfg.Heads; row++ {
-					sel := wicsum.SelectRowEarlyExit(sc.massData[row*nCands:(row+1)*nCands], counts, cfg.ThWics, 20)
+					h := row % mcfg.Heads
+					mathx.ScoreKeys(mass, sc.q64[row*headDim:(row+1)*headDim], sc.rep64[h/group][:nCands*headDim], invSqrt)
+					mathx.ExpNormalize(mass, mass)
+					sel := wicsum.SelectRowEarlyExit(mass, counts, cfg.ThWics, 20)
 					for _, ci := range sel.Selected {
 						want = append(want, r.HCTable(layer).PastTokens(ci)...)
 					}

@@ -24,12 +24,7 @@ import (
 // pass: attention's scores and softmax, the FFN and the norms.
 func TestReSVStatsPinned(t *testing.T) {
 	mcfg := model.DefaultConfig()
-	wcfg := workload.DefaultConfig()
-	wcfg.Frames = 128
-	wcfg.Queries = 0
-	wcfg.Seed = 1
-	wcfg.Stream.Seed = 7920
-	frames := workload.NewGenerator(wcfg, mcfg.Dim).Session(workload.TaskStep, 0).FrameEmbeds
+	frames := verifySession(mcfg)
 	const (
 		selected, candidate = 63597, 325120
 		rows, calls         = 20320, 508
@@ -75,6 +70,17 @@ func TestReSVStatsPinned(t *testing.T) {
 		check("PerLayer", st.PerLayer, perLayer, candidate/int64(mcfg.Layers))
 		check("PerHead", st.PerHead, perHead, candidate)
 	}
+}
+
+// verifySession returns the frames of resv-stream's verify session:
+// workload seed 1, session 0, 128 frames, stream seed 7920.
+func verifySession(mcfg model.Config) []*tensor.Matrix {
+	wcfg := workload.DefaultConfig()
+	wcfg.Frames = 128
+	wcfg.Queries = 0
+	wcfg.Seed = 1
+	wcfg.Stream.Seed = 7920
+	return workload.NewGenerator(wcfg, mcfg.Dim).Session(workload.TaskStep, 0).FrameEmbeds
 }
 
 // hiddenDigest is the benchmark's per-frame digest: FNV-64a over the

@@ -11,8 +11,10 @@ import (
 type Clusterer struct {
 	Hasher *Hasher
 	Table  *HCTable
-	// sigs holds one frame's signatures, SignatureWords(Hasher.NBits) words
-	// per key, reused from frame to frame (it grows on first use).
+	// proj holds one frame's projected keys and sigs their signatures,
+	// SignatureWords(Hasher.NBits) words per key, both reused from frame to
+	// frame (they grow on first use).
+	proj tensor.Matrix
 	sigs []uint64
 }
 
@@ -28,15 +30,16 @@ func NewClusterer(dim, nbits, thHD int, rng *mathx.RNG) *Clusterer {
 // AddFrame clusters every row of keys, assigning global token indices
 // baseTokenIdx, baseTokenIdx+1, ... New tokens may join clusters created
 // earlier in the same frame (the paper's "combined Key cluster hash-bit"
-// includes current-frame bits). The frame's signatures are signed into a
-// buffer the clusterer reuses.
+// includes current-frame bits). The frame is projected and signed into
+// buffers the clusterer reuses.
 func (c *Clusterer) AddFrame(keys *tensor.Matrix, baseTokenIdx int) {
 	w := SignatureWords(c.Hasher.NBits)
 	if cap(c.sigs) < keys.Rows*w {
 		c.sigs = make([]uint64, keys.Rows*w)
 	}
 	sigs := c.sigs[:keys.Rows*w]
-	signRows(sigs, c.Hasher.Project(keys))
+	c.Hasher.projectInto(&c.proj, keys)
+	signRows(sigs, &c.proj)
 	for i := 0; i < keys.Rows; i++ {
 		c.Table.Insert(baseTokenIdx+i, keys.Row(i), sigs[i*w:(i+1)*w])
 	}

@@ -85,9 +85,10 @@ func NewHCTable(thHD int) *HCTable {
 
 // Reset returns the table to its empty state, retaining allocated capacity
 // (the cluster slice, the signature array and the dirty list) for the next
-// session.
+// session. The old session's Clusters stay behind the slice's length, and
+// insertNewCluster refounds them in order, reusing their TokenIdxs and
+// RepKey storage: a *Cluster held from before Reset may change.
 func (t *HCTable) Reset() {
-	clear(t.Clusters) // drop the old session's cluster payloads, keep capacity
 	t.Clusters = t.Clusters[:0]
 	t.repSigs = t.repSigs[:0]
 	t.sigWords = 0
@@ -256,13 +257,18 @@ func (t *HCTable) PastTokens(id int) []int {
 // retain it.
 func (t *HCTable) PendingClusters() []int { return t.dirty }
 
-// insertNewCluster founds a cluster unconditionally and returns (id, 0).
+// insertNewCluster founds a cluster unconditionally and returns (id, 0). A
+// cluster left behind the slice's length by Reset is refounded in place.
 func (t *HCTable) insertNewCluster(tokenIdx int, key []float32, sig Signature) (int, int) {
-	c := &Cluster{
-		ID:        len(t.Clusters),
-		TokenIdxs: []int{tokenIdx},
-		RepKey:    append([]float32(nil), key...),
+	id := len(t.Clusters)
+	var c *Cluster
+	if id < cap(t.Clusters) {
+		c = t.Clusters[:id+1][id]
 	}
+	if c == nil {
+		c = new(Cluster)
+	}
+	*c = Cluster{ID: id, TokenIdxs: append(c.TokenIdxs[:0], tokenIdx), RepKey: append(c.RepKey[:0], key...)}
 	t.Clusters = append(t.Clusters, c)
 	t.repSigs = append(t.repSigs, sig...)
 	t.noteMember(c, tokenIdx)

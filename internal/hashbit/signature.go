@@ -77,10 +77,17 @@ func (h *Hasher) Reseed(rng *mathx.RNG) {
 // multiplication. Exposed separately because the LXE executes this matmul
 // while the HCU only consumes the binarised result.
 func (h *Hasher) Project(keys *tensor.Matrix) *tensor.Matrix {
+	out := new(tensor.Matrix)
+	h.projectInto(out, keys)
+	return out
+}
+
+// projectInto writes Project(keys) into out (tensor.MatMulInto).
+func (h *Hasher) projectInto(out, keys *tensor.Matrix) {
 	if keys.Cols != h.Dim {
 		panic("hashbit: key dimension mismatch")
 	}
-	return tensor.MatMul(keys, h.planes)
+	tensor.MatMulInto(out, keys, h.planes)
 }
 
 // Sign binarises a projected matrix row into a Signature: entries > 0 map to

@@ -25,6 +25,13 @@ func NewLayerCache(dim int) *LayerCache {
 	return &LayerCache{Dim: dim}
 }
 
+// Reset empties the cache in place, keeping its storage for the next
+// session: views returned by Key, KeySpan and Value before it alias rows
+// that later Appends overwrite.
+func (c *LayerCache) Reset() {
+	c.keys, c.vals, c.n = c.keys[:0], c.vals[:0], 0
+}
+
 // Len returns the number of cached tokens.
 func (c *LayerCache) Len() int { return c.n }
 

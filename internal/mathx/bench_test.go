@@ -93,3 +93,44 @@ func BenchmarkSoftmax(b *testing.B) {
 	}
 	reportPerElement(b, n)
 }
+
+// BenchmarkExpMassBound times WiCSum's bounded pass on one layer's rows at
+// resv-stream's operating point: 40 rows (a 10-token chunk's queries times
+// 4 heads) over 268 candidates, each given its maximum, with past-token
+// counts as weights, drawn as wicsum's BenchmarkSelectMatrix draws them.
+// The skewed rows are resv-stream's (N(0, 4) scores: about 14 entries per
+// row flagged); the flat ones (N(0, 0.01)) flag every entry. It reports ns
+// per entry, to set beside BenchmarkExpNormalizeWeighted's ns/elem.
+func BenchmarkExpMassBound(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		scale float32
+	}{{"skewed", 2}, {"flat", 0.1}} {
+		b.Run(c.name, func(b *testing.B) {
+			const rows = 40
+			rng := NewRNG(8)
+			w := make([]float64, benchRow)
+			for j := range w {
+				w[j] = float64(1 + rng.Intn(32))
+			}
+			src := make([][]float32, rows)
+			maxv := make([]float32, rows)
+			for i := range src {
+				src[i] = make([]float32, benchRow)
+				for j := range src[i] {
+					src[i][j] = rng.Norm32() * c.scale
+				}
+				maxv[i] = rowMax(src[i])
+			}
+			flagged := make([]int, benchRow)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := range src {
+					_, _, _, flagged, _ = ExpMassBound(src[r], maxv[r], w, flagged)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*benchRow), "ns/entry")
+		})
+	}
+}

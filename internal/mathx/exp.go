@@ -12,7 +12,7 @@ import "math"
 // its float32 rounding is kept unless it lies within expWindow float64 ulps
 // of a float32 rounding midpoint. Outside that window math.Exp (error below
 // one ulp) rounds to the same float32. For x = ±0, the row maximum's own
-// element, expFast returns exactly 1, as math.Exp does. NaN, every other x
+// element, expFast returns exactly 1, as math.Exp does. NaN, every x
 // outside the range and every result near a midpoint take math.Exp itself.
 func ExpNormalize(dst, src []float32) {
 	if len(dst) != len(src) {
@@ -40,6 +40,21 @@ func ExpNormalizeWeighted(dst, src []float32, maxv float32, w []float64) (total 
 		panic("mathx: ExpNormalizeWeighted length mismatch")
 	}
 	return expRowWeighted(dst, src, w, maxv)
+}
+
+// Exp32 writes float32(math.Exp(float64(src[i]))) into dst, bit for bit,
+// through ExpNormalize's kernel with nothing subtracted (x - 0 is x, -0
+// included): expFast takes every x in [expFastMin, expFastMax] whose result
+// is not near a float32 rounding midpoint, and math.Exp the rest. dst may
+// alias src; both must have the same length. tensor.SiLU takes its
+// exponentials from it.
+//
+//vrex:noalloc
+func Exp32(dst, src []float32) {
+	if len(dst) != len(src) {
+		panic("mathx: Exp32 length mismatch")
+	}
+	expRow(dst, src, 0)
 }
 
 // softmaxTableMax is the longest row whose table-exp sum Softmax can keep.
@@ -174,10 +189,13 @@ func expRowWeighted(dst, src []float32, w []float64, maxv float32) (total float6
 
 const (
 	// expFastMin and expFastMax bound expFast's inputs. exp(-87) is above
-	// the smallest normal float32, so every result rounds on the normal
-	// float32 grid; inputs nearer zero than 2^-20 are left to math.Exp.
+	// the smallest normal float32 and exp(88) below the largest, so every
+	// result rounds on the normal float32 grid. One-off sweeps found expFast
+	// with its midpoint window exact on every float32 in the range, 0 and
+	// the inputs nearer to it included (EXPERIMENTS.md);
+	// TestExpNormalizeMatchesMathExp sweeps every 64th.
 	expFastMin = -87
-	expFastMax = -0x1p-20
+	expFastMax = 88
 	// expDropBits is the number of low float64 fraction bits that float32
 	// rounding drops (52 - 23). A float32 rounding midpoint has exactly the
 	// top one of them set.

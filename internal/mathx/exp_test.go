@@ -85,11 +85,15 @@ func checkWeighted(t *testing.T, src, dst, want []float32, w []float64) {
 // TestExpNormalizeMatchesMathExp compares ExpNormalize with
 // float32(math.Exp(float64(x))) bit for bit on every 64th float32 in
 // [-104, -0] (17.5M values; a one-off sweep of all 1,120,927,745 found no
-// mismatch either). Each batch leads with 0, so its max is 0 and x - max is x.
-// ExpNormalizeWeighted must write the same rows and return WiCSum's total,
-// min and max of them (checkWeighted).
-// It also requires expFast's largest relative error on the sweep to stay 8x
-// inside the fallback window, and some inputs to fall back near a midpoint.
+// mismatch either). Each batch leads with 0, so its max is 0 and x - max is
+// x. ExpNormalizeWeighted must write the same rows and return WiCSum's
+// total, min and max of them (checkWeighted). Exp32, which subtracts
+// nothing, is compared the same way on every 64th float32 in [+0, 89]
+// (17.5M values), across expFastMax; one-off sweeps found expFast with its
+// window exact on every float32 in [2^-20, 88] and in (-2^-20, 2^-20).
+// It also requires expFast's largest relative error over the whole fast
+// range, [expFastMin, expFastMax], to stay 8x inside the fallback window,
+// and some inputs to fall back near a midpoint.
 func TestExpNormalizeMatchesMathExp(t *testing.T) {
 	const lo, hi, stride = 0x80000000, 0xC2D00000, 64 // -0 and -104
 	const batch = 4096
@@ -99,22 +103,25 @@ func TestExpNormalizeMatchesMathExp(t *testing.T) {
 	w := weights(NewRNG(44), batch+1)
 	var maxRel float64
 	var values, windowed int
+	// expErr folds expFast's error at x into maxRel and windowed.
+	expErr := func(x float32, want float64) {
+		if xd := float64(x); xd >= expFastMin && xd <= expFastMax {
+			e := expFast(xd)
+			maxRel = max(maxRel, math.Abs(e-want)/want)
+			if nearMidpoint(e) {
+				windowed++
+			}
+		}
+	}
 	check := func() {
 		ExpNormalize(dst[:len(src)], src)
 		checkWeighted(t, src, wdst[:len(src)], dst[:len(src)], w[:len(src)])
 		for k, x := range src[1:] {
-			xd := float64(x)
-			want := math.Exp(xd)
+			want := math.Exp(float64(x))
 			if got := dst[k+1]; math.Float32bits(got) != math.Float32bits(float32(want)) {
 				t.Fatalf("ExpNormalize at x=%v (%#08x): %v, want %v", x, math.Float32bits(x), got, float32(want))
 			}
-			if xd >= expFastMin && xd <= expFastMax {
-				e := expFast(xd)
-				maxRel = max(maxRel, math.Abs(e-want)/want)
-				if nearMidpoint(e) {
-					windowed++
-				}
-			}
+			expErr(x, want)
 		}
 		values += len(src) - 1
 		src = src[:1]
@@ -129,6 +136,31 @@ func TestExpNormalizeMatchesMathExp(t *testing.T) {
 	if values != (hi-lo)/stride+1 {
 		t.Fatalf("swept %d values, want %d", values, (hi-lo)/stride+1)
 	}
+	// The positive side, through Exp32.
+	const plo, phi = 0, 0x42B20000 // +0 and 89
+	pos := 0
+	src = src[:0]
+	checkExp := func() {
+		Exp32(dst[:len(src)], src)
+		for k, x := range src {
+			want := math.Exp(float64(x))
+			if got := dst[k]; math.Float32bits(got) != math.Float32bits(float32(want)) {
+				t.Fatalf("Exp32 at x=%v (%#08x): %v, want %v", x, math.Float32bits(x), got, float32(want))
+			}
+			expErr(x, want)
+		}
+		pos += len(src)
+		src = src[:0]
+	}
+	for b := uint64(plo); b <= phi; b += stride {
+		if src = append(src, math.Float32frombits(uint32(b))); len(src) == batch {
+			checkExp()
+		}
+	}
+	checkExp()
+	if pos != (phi-plo)/stride+1 {
+		t.Fatalf("swept %d positive values, want %d", pos, (phi-plo)/stride+1)
+	}
 	// The window is expWindow ulps; an ulp is at least 2^-53 of the value.
 	if window := expWindow * 0x1p-53; maxRel*8 > window {
 		t.Errorf("expFast's largest relative error %.3g (2^%.1f) is not 8x inside the window %.3g", maxRel, math.Log2(maxRel), window)
@@ -136,13 +168,15 @@ func TestExpNormalizeMatchesMathExp(t *testing.T) {
 	if windowed == 0 {
 		t.Error("no swept input fell back near a float32 rounding midpoint")
 	}
-	t.Logf("%d values, expFast max relative error %.3g (2^%.1f), %d near a midpoint", values, maxRel, math.Log2(maxRel), windowed)
+	t.Logf("%d values at or below 0 and %d above, expFast max relative error %.3g (2^%.1f), %d near a midpoint", values, pos, maxRel, math.Log2(maxRel), windowed)
 }
 
-// TestExpNormalizeSpecials covers -0 and x = 0 (math.Exp), both edges of the
-// fast range and the float32s just outside them, and NaN and ±Inf in the
-// source row, including as its first element and as its max. Each row also
-// runs through ExpNormalizeWeighted (checkWeighted), at several weights.
+// TestExpNormalizeSpecials covers -0 and x = 0, x next to 0, the fast
+// range's lower edge and the float32 just outside it, and NaN and ±Inf in
+// the source row, including as its first element and as its max. Each row
+// also runs through ExpNormalizeWeighted (checkWeighted), at several
+// weights. Exp32 takes the same values and the upper edge, expFastMax = 88,
+// with the float32s around it and the largest finite results.
 func TestExpNormalizeSpecials(t *testing.T) {
 	rng := NewRNG(45)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
@@ -180,22 +214,37 @@ func TestExpNormalizeSpecials(t *testing.T) {
 		}
 	}
 	checkWeighted(t, nil, nil, nil, nil)
+
+	src := []float32{0, negZero, 0x1p-20, -0x1p-20, 0x1p-30, -0x1p-30, 1e-45, -1e-45, 88, math.Nextafter32(88, 0), math.Nextafter32(88, 100),
+		88.72, 88.73, 89, 100, -87, math.Nextafter32(-87, -100), -104, nan, inf, -inf}
+	got := make([]float32, len(src))
+	Exp32(got, src)
+	for i, x := range src {
+		if want := float32(math.Exp(float64(x))); !sameBits32(got[i], want) {
+			t.Errorf("Exp32 at x=%v: %v, want %v", x, got[i], want)
+		}
+	}
+	Exp32(nil, nil)
 }
 
 // TestExpRowKernelMatchesExpFast pins expRowKernel's float64 exponentials to
 // expFast bit for bit in both lanes of a pass, which Softmax's error bound
-// relies on, on every 256th float32 in [-104, -0] and on values outside the
-// fast range. A row [x] gives lane 0's e as the sum. A row [y, x] with the
-// sum starting at -expFast(y) gives lane 1's: the sum is 0 after lane 0 and
-// then exactly e. The kernel must stop before x exactly when x falls back,
-// and write nothing there. At x = ±0 it must write 1 and add exactly 1 to
-// the sum, in both lanes.
+// relies on, on every 256th float32 in [-104, -0] and in [+0, 89], and on
+// values outside the fast range [-87, 88] and at its edges. A row [x] gives
+// lane 0's e as the sum. A row [y, x] with the sum starting at -expFast(y)
+// gives lane 1's: the sum is 0 after lane 0 and then exactly e. The kernel
+// must stop before x exactly when x falls back, and write nothing there.
+// At x = ±0 it must write 1 and add exactly 1 to the sum, in both lanes.
 func TestExpRowKernelMatchesExpFast(t *testing.T) {
 	const lo, hi, stride = 0x80000000, 0xC2D00000, 256 // -0 and -104
+	const plo, phi = 0, 0x42B20000                     // +0 and 89
 	const y = -1
 	ey := expFast(y)
 	if nearMidpoint(ey) {
 		t.Fatalf("lane-0 element %v falls back", y)
+	}
+	if expFast(0) != 1 || expFast(math.Copysign(0, -1)) != 1 {
+		t.Fatalf("expFast(±0) = %v, %v; want 1", expFast(0), expFast(math.Copysign(0, -1)))
 	}
 	src, dst := make([]float32, 2), make([]float32, 2)
 	check := func(x float32) {
@@ -204,9 +253,6 @@ func TestExpRowKernelMatchesExpFast(t *testing.T) {
 		var want float64
 		if fast {
 			want = expFast(xd)
-		}
-		if xd == 0 {
-			fast, want = true, 1
 		}
 		// Lane 0.
 		src[0], dst[0] = x, canary32
@@ -234,7 +280,11 @@ func TestExpRowKernelMatchesExpFast(t *testing.T) {
 	for b := uint64(lo); b <= hi; b += stride {
 		check(math.Float32frombits(uint32(b)))
 	}
-	for _, x := range []float32{0, float32(math.Copysign(0, -1)), -0x1p-20, -0x1p-21, -87, math.Nextafter32(-87, -100), -1e30, 1, 1e30,
+	for b := uint64(plo); b <= phi; b += stride {
+		check(math.Float32frombits(uint32(b)))
+	}
+	for _, x := range []float32{0, float32(math.Copysign(0, -1)), -0x1p-20, -0x1p-21, 0x1p-20, 0x1p-21, -87, math.Nextafter32(-87, -100),
+		88, math.Nextafter32(88, 0), math.Nextafter32(88, 100), -1e30, 1, 1e30,
 		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
 		check(x)
 	}

@@ -26,8 +26,8 @@ func widenKernel(dst []float64, src []float32)
 // expRowKernel is expRow's fast loop, with len(dst) >= len(src): from index
 // 0 on it writes dst[i] = float32(e) for e = expFast(float64(src[i]-maxv))
 // and adds e to sum in index order. It stops at the first element whose x
-// is not ±0 and lies outside [expFastMin, expFastMax] (NaN included), or
-// whose e is nearMidpoint, leaving that element unwritten, and returns the
+// lies outside [expFastMin, expFastMax] (NaN included), or whose e is
+// nearMidpoint, leaving that element unwritten, and returns the
 // number of elements written and the sum. One pass takes two elements, one
 // per lane, through expFast's operations in its order; only the table loads
 // and the lane checks' results leave the vector registers. There is no FMA,
@@ -68,4 +68,25 @@ var expKernelConsts = func() [24]uint64 {
 		1<<expDropBits - 1, 1<<expDropBits - 1, // 160
 		bound, bound, // 176
 	}
+}()
+
+// expMassBoundKernel is expMassBoundGo in SSE2 assembly: four scores per
+// pass, one float32 lane each, through massApprox's operations in its
+// order; the flags by CMPPS and MOVMSKPS, each index stored and kept by
+// adding its flag bit (BT, ADC); the minimum by MINPS; the products
+// widened pairwise and added into two float64 lanes. The last len(src)%4
+// scores take one-lane passes.
+//
+//go:noescape
+func expMassBoundKernel(src []float32, maxv float32, w []float64, flagged []int) (total float64, smin float32, n int, ok bool)
+
+// massKernelConsts holds expMassBoundKernel's float32 operands, each in all
+// four lanes, at the byte offsets kernels_amd64.s loads them from.
+var massKernelConsts = func() (c [44]uint32) {
+	for i, v := range []float32{massLog2e, massLn2Hi, massLn2Lo, massP6, massP5, massP4, massP3, massP2, 1, MassCut, massMin} {
+		for j := 0; j < 4; j++ {
+			c[4*i+j] = math.Float32bits(v)
+		}
+	}
+	return c
 }()

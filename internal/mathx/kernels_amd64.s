@@ -165,9 +165,9 @@ widendone:
 // low float32 lanes: it leaves x in X0 and e in X2, with X1 = kd, X4 = s
 // and X2 = r on the way; the table index of each lane is the low byte of
 // ki (PEXTRW). It then leaves the lanes' verdicts in bits 0 and 2 of BX: a
-// lane takes the fast path if expFastMin <= x <= expFastMax or x is ±0,
-// which NaN fails, and !nearMidpoint(e): the masked low dword of e's bits,
-// less the bias, is above 2*expWindow. It clobbers X1, X3-X5 and R8.
+// lane takes the fast path if expFastMin <= x <= expFastMax, which NaN
+// fails, and !nearMidpoint(e): the masked low dword of e's bits, less the
+// bias, is above 2*expWindow. It clobbers X1, X3-X5 and R8.
 #define EXPPASS \
 	SUBPS    X14, X0;         /* v - maxv, in float32 */ \
 	CVTPS2PD X0, X0;          /* x */ \
@@ -202,9 +202,6 @@ widendone:
 	MOVAPD   X0, X3; \
 	MOVUPD   128(R11), X1; \
 	CMPPD    X1, X3, $2;      /* x <= expFastMax */ \
-	XORPD    X1, X1; \
-	CMPPD    X0, X1, $0;      /* x == 0 */ \
-	ORPD     X1, X3; \
 	MOVUPD   112(R11), X4; \
 	CMPPD    X0, X4, $2;      /* expFastMin <= x */ \
 	ANDPD    X4, X3; \
@@ -355,4 +352,146 @@ wdone:
 	MOVSD    X6, total1+104(FP)
 	MOVSS    X9, lo1+112(FP)
 	MOVSS    X15, hi1+116(FP)
+	RET
+
+// func expMassBoundKernel(src []float32, maxv float32, w []float64, flagged []int) (total float64, smin float32, n int, ok bool)
+//
+// AX indexes the pass's first score, R12 counts the flagged indices, R11
+// points at massKernelConsts. X14 = maxv and X15 the running minimum in
+// all four lanes, X13 = (s0, s1); X6-X12 hold p3, p4, p5, p6, ln2Lo, ln2Hi
+// and log2e, and p2, 1, MassCut and massMin are loaded when used. A pass
+// (MASSPASS) leaves x's range verdicts in bits 0-3 of BX, the flags in
+// bits 0-3 of DX and the approximate masses in X1; MINPS X0, X15 keeps
+// X15's lane when it is below the score (MINPS's rule, as minps).
+#define MASSPASS \
+	SUBPS    X14, X0;         /* x = s - maxv */ \
+	MOVUPS   160(R11), X1; \
+	CMPPS    X0, X1, $2;      /* massMin <= x */ \
+	MOVAPS   X0, X3; \
+	XORPS    X2, X2; \
+	CMPPS    X2, X3, $2;      /* x <= 0 */ \
+	ANDPS    X3, X1; \
+	MOVMSKPS X1, BX; \
+	MOVUPS   144(R11), X1; \
+	CMPPS    X0, X1, $2;      /* MassCut <= x */ \
+	MOVMSKPS X1, DX; \
+	MOVAPS   X0, X1; \
+	MULPS    X12, X1;         /* x*log2e */ \
+	CVTPS2PL X1, X2;          /* n, rounded to nearest even */ \
+	CVTPL2PS X2, X3;          /* float32(n) */ \
+	MOVAPS   X3, X4; \
+	MULPS    X11, X4; \
+	SUBPS    X4, X0;          /* x - n*ln2Hi */ \
+	MULPS    X10, X3; \
+	SUBPS    X3, X0;          /* r = ... - n*ln2Lo */ \
+	MOVAPS   X9, X1; \
+	MULPS    X0, X1; \
+	ADDPS    X8, X1;          /* p6*r + p5 */ \
+	MULPS    X0, X1; \
+	ADDPS    X7, X1;          /* ... + p4 */ \
+	MULPS    X0, X1; \
+	ADDPS    X6, X1;          /* ... + p3 */ \
+	MULPS    X0, X1; \
+	MOVUPS   112(R11), X4; \
+	ADDPS    X4, X1;          /* ... + p2 */ \
+	MULPS    X0, X1; \
+	MOVUPS   128(R11), X4; \
+	ADDPS    X4, X1;          /* ... + 1 */ \
+	MULPS    X0, X1; \
+	ADDPS    X4, X1;          /* ... + 1 */ \
+	PSLLL    $23, X2; \
+	PADDL    X2, X1           /* times 2^n */
+
+// MASSFLAG stores index AX+i at flagged[R12] and keeps it if flag bit i of
+// DX is set.
+#define MASSFLAG(i) \
+	LEAQ  i(AX), R8; \
+	MOVQ  R8, (DI)(R12*8); \
+	BTL   $i, DX; \
+	ADCQ  $0, R12
+
+TEXT ·expMassBoundKernel(SB), NOSPLIT, $0-105
+	MOVQ     src_base+0(FP), SI
+	MOVQ     src_len+8(FP), CX
+	MOVSS    maxv+24(FP), X14
+	SHUFPS   $0, X14, X14
+	MOVQ     w_base+32(FP), R9
+	MOVQ     flagged_base+56(FP), DI
+	LEAQ     ·massKernelConsts(SB), R11
+	MOVUPS   0(R11), X12
+	MOVUPS   16(R11), X11
+	MOVUPS   32(R11), X10
+	MOVUPS   48(R11), X9
+	MOVUPS   64(R11), X8
+	MOVUPS   80(R11), X7
+	MOVUPS   96(R11), X6
+	MOVQ     $0x7f800000, BX
+	MOVQ     BX, X15
+	SHUFPS   $0, X15, X15     // +Inf
+	XORPD    X13, X13
+	XORQ     R12, R12
+	XORQ     AX, AX
+	MOVQ     CX, R10
+	ANDQ     $-4, R10         // scores the four-lane passes cover
+
+masspass:
+	CMPQ     AX, R10
+	JGE      masstail
+	MOVUPS   (SI)(AX*4), X0
+	MINPS    X0, X15
+	MASSPASS
+	CMPL     BX, $15
+	JNE      massbad
+	MASSFLAG(0)
+	MASSFLAG(1)
+	MASSFLAG(2)
+	MASSFLAG(3)
+	CVTPS2PD X1, X3           // (a0, a1)
+	MOVUPD   (R9)(AX*8), X4
+	MULPD    X4, X3
+	ADDPD    X3, X13
+	MOVHLPS  X1, X1
+	CVTPS2PD X1, X3           // (a2, a3)
+	MOVUPD   16(R9)(AX*8), X4
+	MULPD    X4, X3
+	ADDPD    X3, X13
+	ADDQ     $4, AX
+	JMP      masspass
+
+masstail:
+	// One score in lane 0; lanes 1-3 compute values nothing reads.
+	CMPQ     AX, CX
+	JGE      massdone
+	MOVSS    (SI)(AX*4), X0
+	MINSS    X0, X15
+	MASSPASS
+	TESTL    $1, BX
+	JEQ      massbad
+	MASSFLAG(0)
+	CVTSS2SD X1, X3
+	MULSD    (R9)(AX*8), X3
+	ADDSD    X3, X13
+	INCQ     AX
+	JMP      masstail
+
+massdone:
+	// total = s0 + s1; smin = min(min(m0, m2), min(m1, m3)).
+	MOVAPD   X13, X3
+	UNPCKHPD X3, X3
+	ADDSD    X3, X13
+	MOVHLPS  X15, X3
+	MINPS    X3, X15
+	PSHUFD   $1, X15, X3
+	MINSS    X3, X15
+	MOVSD    X13, total+80(FP)
+	MOVSS    X15, smin+88(FP)
+	MOVQ     R12, n+96(FP)
+	MOVB     $1, ok+104(FP)
+	RET
+
+massbad:
+	MOVQ     $0, total+80(FP)
+	MOVL     $0, smin+88(FP)
+	MOVQ     R12, n+96(FP)
+	MOVB     $0, ok+104(FP)
 	RET

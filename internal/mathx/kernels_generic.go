@@ -75,8 +75,8 @@ func widenKernel(dst []float64, src []float32) {
 // expRowKernel is expRow's fast loop, with len(dst) >= len(src): from index
 // 0 on it writes dst[i] = float32(e) for e = expFast(float64(src[i]-maxv))
 // and adds e to sum in index order. It stops at the first element whose x
-// is not ±0 and lies outside [expFastMin, expFastMax] (NaN included), or
-// whose e is nearMidpoint, leaving that element unwritten, and returns the
+// lies outside [expFastMin, expFastMax] (NaN included), or whose e is
+// nearMidpoint, leaving that element unwritten, and returns the
 // number of elements written and the sum.
 //
 //vrex:noalloc
@@ -121,13 +121,20 @@ func expRowWeightedKernel(dst, src []float32, w []float64, maxv float32, total f
 }
 
 // expFastAt returns expFast(x) for x = float64(v-maxv), and whether the
-// kernels take it: x is ±0 or in [expFastMin, expFastMax], and the result
-// is not nearMidpoint.
+// kernels take it: x is in [expFastMin, expFastMax], and the result is not
+// nearMidpoint.
 func expFastAt(v, maxv float32) (float64, bool) {
 	x := float64(v - maxv)
-	if !(x >= expFastMin && (x <= expFastMax || x == 0)) {
+	if !(x >= expFastMin && x <= expFastMax) {
 		return 0, false
 	}
 	e := expFast(x)
 	return e, !nearMidpoint(e)
+}
+
+// expMassBoundKernel is ExpMassBound's pass after its checks.
+//
+//vrex:noalloc
+func expMassBoundKernel(src []float32, maxv float32, w []float64, flagged []int) (total float64, smin float32, n int, ok bool) {
+	return expMassBoundGo(src, maxv, w, flagged)
 }

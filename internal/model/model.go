@@ -31,6 +31,12 @@ type Model struct {
 	keys64, q64         []float64
 	vals, scores, probs []float32
 	cand                []int
+	// Forward's per-layer intermediates, reused from layer to layer and
+	// frame to frame: the normalised input, the queries and values,
+	// attention's output and its projection, the FFN's normalised input,
+	// its gate and up projections (gate then holds their product) and its
+	// output.
+	normed, q, v, attnOut, proj, ffnIn, gate, up, ffnOut tensor.Matrix
 }
 
 // New builds a model with deterministic random weights from cfg.Seed. The
@@ -78,13 +84,17 @@ func ones(n int) []float32 {
 func (m *Model) Pos() int { return m.pos }
 
 // Cache returns layer l's KV cache (retrieval policies and the accuracy
-// harness inspect it).
+// harness inspect it). The model keeps the same cache across Reset, which
+// empties it.
 func (m *Model) Cache(l int) *kvcache.LayerCache { return m.caches[l] }
 
 // Reset clears all caches and the position counter, starting a new session.
+// The caches are emptied in place (kvcache.LayerCache.Reset) and keep their
+// storage, so a cache obtained from Cache before Reset is emptied too, and
+// rows read from it before are overwritten as the new session appends.
 func (m *Model) Reset() {
-	for l := range m.caches {
-		m.caches[l] = kvcache.NewLayerCache(m.Cfg.KVDim())
+	for _, c := range m.caches {
+		c.Reset()
 	}
 	m.pos = 0
 }
@@ -103,7 +113,10 @@ type ForwardResult struct {
 // Forward pushes one chunk of embeddings (tokens x Dim) through the model
 // with retrieval policy r at the given stage, appending to the KV caches and
 // advancing the position counter. If record is true, per-token attention
-// mass is accumulated into the result.
+// mass is accumulated into the result. Every intermediate lives in buffers
+// the model reuses, so once they have grown to the chunk's size Forward
+// allocates only its result: the hidden state, a copy of x it updates in
+// place, and AttnMass when recording.
 func (m *Model) Forward(x *tensor.Matrix, r Retriever, stage Stage, record bool) ForwardResult {
 	if x.Cols != m.Cfg.Dim {
 		panic("model: input dim mismatch")
@@ -115,10 +128,11 @@ func (m *Model) Forward(x *tensor.Matrix, r Retriever, stage Stage, record bool)
 		res.AttnMass = make([]float64, base)
 	}
 	h := x.Clone()
+	q, v, gate, up := &m.q, &m.v, &m.gate, &m.up
 	for l, lw := range m.layers {
-		normed := tensor.RMSNorm(h, lw.attnGain, 1e-6)
-		q := tensor.MatMul(normed, lw.wq)
-		v := tensor.MatMul(normed, lw.wv)
+		tensor.RMSNormInto(&m.normed, h, lw.attnGain, 1e-6)
+		tensor.MatMulInto(q, &m.normed, lw.wq)
+		tensor.MatMulInto(v, &m.normed, lw.wv)
 		m.applyRotary(q, m.Cfg.Heads, base)
 
 		// Tied QK: the key projection is wq's leading KVDim columns, so a
@@ -133,19 +147,19 @@ func (m *Model) Forward(x *tensor.Matrix, r Retriever, stage Stage, record bool)
 		r.ObserveAppend(l, cache, base, n)
 		sel := r.SelectTokens(l, cache, q, base, stage)
 
-		attnOut := m.attention(q, cache, sel, base, n, res.AttnMass)
-		proj := tensor.MatMul(attnOut, lw.wo)
-		tensor.AddInPlace(h, proj)
+		m.attention(q, cache, sel, base, n, res.AttnMass)
+		tensor.MatMulInto(&m.proj, &m.attnOut, lw.wo)
+		tensor.AddInPlace(h, &m.proj)
 
-		ffnIn := tensor.RMSNorm(h, lw.ffnGain, 1e-6)
-		gate := tensor.MatMul(ffnIn, lw.w1)
-		up := tensor.MatMul(ffnIn, lw.w3)
+		tensor.RMSNormInto(&m.ffnIn, h, lw.ffnGain, 1e-6)
+		tensor.MatMulInto(gate, &m.ffnIn, lw.w1)
+		tensor.MatMulInto(up, &m.ffnIn, lw.w3)
 		tensor.SiLU(gate)
 		for i := range gate.Data {
 			gate.Data[i] *= up.Data[i]
 		}
-		ffnOut := tensor.MatMul(gate, lw.w2)
-		tensor.AddInPlace(h, ffnOut)
+		tensor.MatMulInto(&m.ffnOut, gate, lw.w2)
+		tensor.AddInPlace(h, &m.ffnOut)
 	}
 	m.pos += n
 	res.Hidden = h
@@ -178,10 +192,10 @@ func (m *Model) applyRotary(mat *tensor.Matrix, nHeads, base int) {
 }
 
 // attention computes causal multi-head attention for the chunk's queries
-// over the selected past tokens plus the chunk's own (causal) tokens.
-// q: n x Dim; sel: past-token indices (< base). attnMass, if non-nil,
-// accumulates mass received by past tokens.
-func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int, base, n int, attnMass []float64) *tensor.Matrix {
+// over the selected past tokens plus the chunk's own (causal) tokens, into
+// m.attnOut (n x Dim). q: n x Dim; sel: past-token indices (< base).
+// attnMass, if non-nil, accumulates mass received by past tokens.
+func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int, base, n int, attnMass []float64) {
 	cfg := m.Cfg
 	headDim := cfg.HeadDim()
 	group := cfg.Heads / cfg.KVHeads
@@ -190,7 +204,9 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 		sharp = 1
 	}
 	invSqrt := float32(sharp / math.Sqrt(float64(headDim)))
-	out := tensor.NewMatrix(n, cfg.Dim)
+	out := &m.attnOut
+	out.Resize(n, cfg.Dim)
+	clear(out.Data)
 
 	// Query row i's candidates are the selected past tokens plus in-chunk
 	// tokens <= i: a prefix of one candidate list, scored into a prefix of
@@ -236,7 +252,6 @@ func (m *Model) attention(q *tensor.Matrix, cache *kvcache.LayerCache, sel []int
 			}
 		}
 	}
-	return out
 }
 
 // addWeighted adds w[c] * vals[c*len(oh):][:len(oh)] to oh for each

@@ -14,7 +14,8 @@ import (
 //     layer cache at indices [base, base+n); policies update their metadata
 //     (e.g. ReSV's HC table) here.
 //  2. SelectTokens returns indices of *past* tokens (< base) the chunk's
-//     queries may attend to. In-chunk tokens are always attended causally
+//     queries may attend to. queries is the model's reusable buffer, valid
+//     only during the call. In-chunk tokens are always attended causally
 //     and must not be returned. The returned slice may alias the policy's
 //     reusable selection buffer: it is only valid until the next
 //     SelectTokens call on the same layer, and callers that retain it must

@@ -39,3 +39,21 @@ func BenchmarkMatMul(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSiLU times the FFN's activation on one frame: a 10 x 128 gate
+// matrix, restored from a copy before each op (the copy is timed too, a few
+// percent of the op), so every op sees the same inputs. It reports ns per
+// element beside ns/op.
+func BenchmarkSiLU(b *testing.B) {
+	rng := mathx.NewRNG(9)
+	src := NewMatrix(10, 128)
+	src.Randomize(rng, 1)
+	m := src.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(m.Data, src.Data)
+		SiLU(m)
+	}
+	reportPerElement(b, len(m.Data))
+}

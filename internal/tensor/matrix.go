@@ -105,15 +105,38 @@ func workersFor(flops int) int {
 	return int(matmulWorkers.Load())
 }
 
-// MatMul returns a*b. Panics on shape mismatch. Output rows are computed in
-// pairs that share their B loads; pairs are independent, so large products
-// are sharded pair-wise across the worker pool, and the result is identical
-// for any worker count.
+// Resize makes m a rows x cols matrix, reusing its storage when it holds
+// rows*cols values and allocating a zeroed one otherwise. Reused values are
+// left as they were.
+func (m *Matrix) Resize(rows, cols int) {
+	if rows < 0 || cols < 0 {
+		panic("tensor: negative dimension")
+	}
+	if cap(m.Data) < rows*cols {
+		m.Data = make([]float32, rows*cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+}
+
+// MatMul returns a*b in a new matrix (MatMulInto).
 func MatMul(a, b *Matrix) *Matrix {
+	out := new(Matrix)
+	MatMulInto(out, a, b)
+	return out
+}
+
+// MatMulInto writes a*b into out, resized to a.Rows x b.Cols (Resize), so
+// a caller that keeps out allocates nothing once its storage is large
+// enough. out must not share storage with a or b. Panics on shape
+// mismatch. Output rows are computed in pairs that share their B loads;
+// pairs are independent, so large products are sharded pair-wise across
+// the worker pool, and the result is identical for any worker count.
+func MatMulInto(out, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a, b))
 	}
-	out := NewMatrix(a.Rows, b.Cols)
+	out.Resize(a.Rows, b.Cols)
+	clear(out.Data)
 	pairs := (a.Rows + 1) / 2
 	// The sequential path runs the plain loop without constructing the
 	// fan-out closure, keeping small products allocation-free.
@@ -126,7 +149,6 @@ func MatMul(a, b *Matrix) *Matrix {
 			matmulPair(a, b, out, p)
 		})
 	}
-	return out
 }
 
 // matmulPair computes output rows 2p and 2p+1 of a*b, or only row 2p when

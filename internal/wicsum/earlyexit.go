@@ -55,21 +55,13 @@ func preprocess(mass []float32, weights []float64) (total float64, minv, maxv fl
 
 // selectRowEarlyExit is the scratch-backed kernel behind SelectRowEarlyExit
 // and Select, given the row's preprocess results: total, the threshold's
-// base, and the score range [minv, maxv]. It splits the lowest bucket off with
-// one subtract-and-compare per entry, and buckets only the entries above it:
-// exp-normalised rows crowd near zero, so that is about 14 of a 292-entry
-// row on resv-stream. Those entries are counting-sorted, highest
-// bucket first, over reusable buffers (the hardware's fixed bucket memory),
-// and walked in that order. Only if the threshold has not tripped is the
+// base, and the score range [minv, maxv]. It walks the entries above the
+// lowest bucket (walkUpper) with the threshold as a zero-width interval,
+// so every step decides. Only if the threshold has not tripped is the
 // lowest bucket walked, in index order straight from mass. Each bucket's
 // entries stay in index order, so the walk visits the entries a counting
 // sort of the whole row would, in the same order, and the steady state
 // allocates nothing.
-//
-// The split is exact: for a = v-minv >= 0 and a positive finite width,
-// int(a/width) >= 1 holds in float32 exactly when a >= width, because
-// a < width puts a/width at or below 1-2^-24. A NaN entry fails the
-// compare and joins the lowest bucket.
 //
 // A row that is one bucket is walked whole in index order. That is a row
 // with nBuckets == 1, where the clamp puts every entry back into bucket 0,
@@ -84,17 +76,11 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, weights []float64, ratio f
 	if nBuckets <= 0 {
 		panic("wicsum: non-positive bucket count")
 	}
-	if ratio < 0 {
-		ratio = 0
-	}
-	if ratio > 1 {
-		ratio = 1
-	}
-	n := len(mass)
-	if n == 0 {
+	ratio = clampRatio(ratio)
+	sel := RowSelection{TotalMass: total}
+	if len(mass) == 0 {
 		return RowSelection{}
 	}
-	sel := RowSelection{TotalMass: total}
 	if total == 0 {
 		return sel
 	}
@@ -104,18 +90,97 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, weights []float64, ratio f
 	width := (maxv - minv) / float32(nBuckets)
 	if nBuckets == 1 || !(width > 0 && width <= math.MaxFloat32) {
 		for j := range mass {
-			if ws.take(&sel, mass, weights, j, th) {
+			if ws.take(&sel, mass, weights, j) > th {
 				break
 			}
 		}
 		sel.Selected = ws.selected[start:]
 		return sel
 	}
+	if !ws.walkUpper(&sel, mass, weights, nBuckets, th, th, minv, width) {
+		for j, v := range mass {
+			if v-minv >= width {
+				continue // walked above
+			}
+			if ws.take(&sel, mass, weights, j) > th {
+				break
+			}
+		}
+	}
+	sel.Selected = ws.selected[start:]
+	return sel
+}
 
+// SelectBounded thresholds one row from part of it, as ReSV's bounded path
+// calls it: mass and weights list some of the row's entries, in index
+// order, with their exact masses; every entry missing from the list has a
+// mass of at most rest. minv and maxv are the whole row's smallest and
+// largest mass, and the row's total lies in [totalLo, totalHi]
+// (mathx.ExpMassBound brackets it). The list may also hold entries of the
+// lowest bucket, the row's or not (such as a second copy of the smallest
+// mass), since the walk never reaches the lowest bucket.
+//
+// It returns Select's selection of the whole row, as positions in the
+// list, with its Examined and MassCovered, and true; or false if it cannot
+// tell what Select would select. Its TotalMass is zero. The selection is
+// Select's because every step takes the same entry with the same mass:
+//
+//   - The guard rest - minv < width (float32) puts every missing entry in
+//     the lowest bucket, as a mass at most rest leaves v - minv at most
+//     rest - minv. So the list holds every entry above it, which split and
+//     bucket as the whole row's do, and walk in the same order
+//     (walkUpper), adding the same masses in the same order.
+//   - Select's threshold is total*ratio, and [totalLo*ratio,
+//     totalHi*ratio] holds it, because rounding is monotone. A step whose
+//     covered mass is above the interval trips Select's walk too, and one
+//     at or below it does not, so the walks stop at the same step. A step
+//     inside the interval, or a walk that runs out of entries above the
+//     lowest bucket, which Select would go on to walk, returns false.
+//
+// A row whose width is not positive and finite, or whose total bracket is
+// not positive and finite, returns false too. The selection is carved from
+// the arena as Select's is; a row that returns false leaves the arena as
+// it was.
+func (ws *Scratch) SelectBounded(mass []float32, weights []float64, ratio, totalLo, totalHi float64, minv, maxv, rest float32) (RowSelection, bool) {
+	if len(mass) != len(weights) {
+		panic("wicsum: mass/weights length mismatch")
+	}
+	ratio = clampRatio(ratio)
+	width := (maxv - minv) / buckets
+	if !(totalLo > 0 && totalHi <= math.MaxFloat64 && width > 0 && width <= math.MaxFloat32 && rest-minv < width) {
+		return RowSelection{}, false
+	}
+	start := len(ws.selected)
+	var sel RowSelection
+	if !ws.walkUpper(&sel, mass, weights, buckets, totalLo*ratio, totalHi*ratio, minv, width) {
+		ws.selected = ws.selected[:start]
+		return RowSelection{}, false
+	}
+	sel.Selected = ws.selected[start:]
+	return sel, true
+}
+
+// walkUpper is the early-exit walk above the lowest bucket, the code
+// Select and SelectBounded share, given a positive finite bucket width and
+// the threshold as an interval [thLo, thHi]. It splits the lowest bucket
+// off with one subtract-and-compare per entry, and buckets only the
+// entries above it: exp-normalised rows crowd near zero, so that is about
+// 14 of a 268-entry row on resv-stream. Those entries are counting-sorted,
+// highest bucket first, over reusable buffers (the hardware's fixed bucket
+// memory), and walked in that order, each bucket's entries in list order.
+// It reports true once the covered mass exceeds thHi (tripped), and false
+// if a step leaves it inside (thLo, thHi] or the entries run out; with
+// thLo == thHi every step decides, so false means the walk ran out.
+//
+// The split is exact: for a = v-minv >= 0 and a positive finite width,
+// int(a/width) >= 1 holds in float32 exactly when a >= width, because
+// a < width puts a/width at or below 1-2^-24. A NaN entry fails the
+// compare and joins the lowest bucket.
+func (ws *Scratch) walkUpper(sel *RowSelection, mass []float32, weights []float64, nBuckets int, thLo, thHi float64, minv, width float32) bool {
 	// Split: upper lists the entries above the lowest bucket, in index
 	// order. Every index is written and kept only by advancing k, so the
 	// pass has no branch that depends on the data.
-	upper := grabInts(&ws.upper, n)
+	upper := grabInts(&ws.upper, len(mass))
 	k := 0
 	for j, v := range mass {
 		upper[k] = j
@@ -151,31 +216,33 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, weights []float64, ratio f
 
 	// Token selection step: walk from the highest-range bucket downward,
 	// early-exiting once the cumulative weighted sum exceeds the threshold.
-	tripped := false
 	for _, j := range items {
-		if tripped = ws.take(&sel, mass, weights, j, th); tripped {
-			break
+		switch covered := ws.take(sel, mass, weights, j); {
+		case covered > thHi:
+			return true
+		case covered > thLo:
+			return false
 		}
 	}
-	if !tripped {
-		for j, v := range mass {
-			if v-minv >= width {
-				continue // walked above
-			}
-			if ws.take(&sel, mass, weights, j, th) {
-				break
-			}
-		}
-	}
-	sel.Selected = ws.selected[start:]
-	return sel
+	return false
 }
 
-// take examines entry j of the row: it appends j to the selection, adds its
-// weighted mass, and reports whether the covered mass now exceeds th.
-func (ws *Scratch) take(sel *RowSelection, mass []float32, weights []float64, j int, th float64) bool {
+// take examines entry j of the row: it appends j to the selection and adds
+// its weighted mass, and returns the covered mass.
+func (ws *Scratch) take(sel *RowSelection, mass []float32, weights []float64, j int) float64 {
 	sel.Examined++
 	ws.selected = append(ws.selected, j)
 	sel.MassCovered += float64(float64(mass[j]) * weights[j])
-	return sel.MassCovered > th
+	return sel.MassCovered
+}
+
+// clampRatio clamps Th_r-wics into [0, 1]; NaN passes through.
+func clampRatio(ratio float64) float64 {
+	if ratio < 0 {
+		return 0
+	}
+	if ratio > 1 {
+		return 1
+	}
+	return ratio
 }

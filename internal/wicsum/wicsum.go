@@ -27,6 +27,16 @@
 // runs the preprocess step as a pass of its own. Rows are independent:
 // core.SelectTokens gives each of its workers a Scratch and aggregates the
 // rows' selections itself.
+//
+// Select and SelectBounded share one walk (walkUpper), which takes the
+// threshold as an interval [lo, hi]: a step trips when the covered mass
+// exceeds hi, and the walk gives up when a step leaves it inside (lo, hi]
+// or its entries run out above the lowest bucket. Select passes a
+// zero-width interval, Th_wics_i itself, and the whole row, so every step
+// decides, and walks the lowest bucket if the threshold has not tripped.
+// SelectBounded passes a bracket of Th_wics_i and only the entries that can
+// sit above the lowest bucket, with their exact masses; where it decides,
+// its selection, Examined and MassCovered are Select's.
 package wicsum
 
 import "slices"
@@ -39,12 +49,13 @@ const buckets = 20
 type RowSelection struct {
 	// Selected holds the chosen cluster indices (unordered set semantics;
 	// stored in selection order, highest mass first for the exact variant).
-	// Slices produced by Scratch.Select alias the scratch's reusable arena
-	// and are valid until its next Reset.
+	// Slices produced by Scratch.Select and SelectBounded alias the
+	// scratch's reusable arena and are valid until its next Reset.
 	Selected []int
 	// MassCovered is the weighted mass accumulated by the selection.
 	MassCovered float64
-	// TotalMass is Sum_i, the row's full weighted mass.
+	// TotalMass is Sum_i, the row's full weighted mass; SelectBounded,
+	// which knows it only within a bracket, leaves it zero.
 	TotalMass float64
 	// Examined counts score entries inspected before the threshold tripped;
 	// the WTU's early exit makes this much smaller than the row length.
@@ -112,12 +123,7 @@ func SelectRow(mass []float32, counts []int, ratio float64) RowSelection {
 	if len(mass) != len(counts) {
 		panic("wicsum: mass/counts length mismatch")
 	}
-	if ratio < 0 {
-		ratio = 0
-	}
-	if ratio > 1 {
-		ratio = 1
-	}
+	ratio = clampRatio(ratio)
 	w := weightsOf(counts)
 	n := len(mass)
 	var total float64
@@ -147,7 +153,7 @@ func SelectRow(mass []float32, counts []int, ratio float64) RowSelection {
 	sel := RowSelection{TotalMass: total}
 	var ws Scratch
 	for _, j := range order {
-		if ws.take(&sel, mass, w, j, th) {
+		if ws.take(&sel, mass, w, j) > th {
 			break
 		}
 	}
