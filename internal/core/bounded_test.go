@@ -12,13 +12,13 @@ import (
 
 // exactRow is the exact path on a copy of one score row: the whole row
 // exp-normalised, then Select, with its selection copied out.
-func exactRow(scores []float32, w []float64, maxv float32, ratio float64) (wicsum.RowSelection, float64) {
+func exactRow(scores []float32, w []float64, maxv float32, ratio float64) wicsum.RowSelection {
 	mass := slices.Clone(scores)
-	total, minv, maxm := mathx.ExpNormalizeWeighted(mass, mass, maxv, w)
+	mathx.ExpNormalize(mass, mass, maxv)
 	var ws wicsum.Scratch
-	sel := ws.Select(mass, w, ratio, total, minv, maxm)
+	sel := ws.Select(mass, w, ratio)
 	sel.Selected = slices.Clone(sel.Selected)
-	return sel, total
+	return sel
 }
 
 // boundedChecker runs rows through ReSV's bounded path and the exact path
@@ -39,7 +39,7 @@ func (c *boundedChecker) check(scores []float32, w []float64, ratio float64) boo
 	for _, v := range scores {
 		maxv = max(maxv, v)
 	}
-	want, _ := exactRow(scores, w, maxv, ratio)
+	want := exactRow(scores, w, maxv, ratio)
 	before := slices.Clone(scores)
 	c.r.cfg.ThWics = ratio
 	c.rw.ws.Reset()
@@ -64,19 +64,19 @@ func (c *boundedChecker) check(scores []float32, w []float64, ratio float64) boo
 // selection at ratio 1, which walks every entry.
 func walkSums(scores []float32, w []float64, maxv float32) (order []int, covered []float64, total float64) {
 	mass := slices.Clone(scores)
-	mathx.ExpNormalizeWeighted(mass, mass, maxv, w)
-	all, total := exactRow(scores, w, maxv, 1)
+	mathx.ExpNormalize(mass, mass, maxv)
+	all := exactRow(scores, w, maxv, 1)
 	var c float64
 	for _, j := range all.Selected {
 		c += float64(float64(mass[j]) * w[j])
 		covered = append(covered, c)
 	}
-	return all.Selected, covered, total
+	return all.Selected, covered, all.TotalMass
 }
 
 // TestBoundedMatchesExact is the bounded path's differential test against
-// the exact path (ScoreKeys' rows thresholded through ExpNormalizeWeighted
-// and Select), which it must match wherever it decides:
+// the exact path (ScoreKeys' rows thresholded through ExpNormalize and
+// Select), which it must match wherever it decides:
 //
 //   - random rows of 1 to 300 candidates at several score scales and
 //     ratios, with past-token counts as weights, of which 90% must decide
@@ -148,7 +148,8 @@ func TestBoundedMatchesExact(t *testing.T) {
 		approx := (lo + hi) / 2
 		spread := (hi - lo) / (hi + lo)
 		mass := slices.Clone(scores)
-		_, minv, maxm := mathx.ExpNormalizeWeighted(mass, mass, 0, w)
+		mathx.ExpNormalize(mass, mass, 0)
+		minv, maxm := slices.Min(mass), slices.Max(mass)
 		width := (maxm - minv) / 20
 		for k, ck := range covered {
 			if mass[order[k]]-minv < width {

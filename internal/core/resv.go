@@ -27,10 +27,11 @@
 // exact masses, and WiCSum walks them against the threshold's bracket
 // (wicsum.Scratch.SelectBounded). A row whose walk the bracket cannot
 // decide takes the exact path, which exp-normalises the whole row
-// (mathx.ExpNormalizeWeighted, returning the WTU's preprocess results: the
-// weighted total, minimum and maximum) and thresholds it (Select). Both
-// paths select the same clusters, bit for bit (TestBoundedMatchesExact,
-// TestReSVStatsPinned). All per-frame working sets (score rows, gathered
+// (mathx.ExpNormalize) and thresholds it (Select, which runs the WTU's
+// preprocess pass: the weighted total, minimum and maximum). Both paths
+// select the same clusters, bit for bit (TestBoundedMatchesExact,
+// TestReSVStatsPinned), and StageStats.FallbackRows counts the rows the
+// exact path takes. All per-frame working sets (score rows, gathered
 // entries, selection bitsets, the token buffer) live in reusable scratch
 // arenas — steady-state SelectTokens performs zero heap allocations on the
 // sequential path (pinned by TestSelectTokensSteadyStateAllocFree).
@@ -129,12 +130,9 @@ type layerScratch struct {
 	// query matrix, so (query token, head) row i starts at i*headDim.
 	q64 []float64
 	// weights holds the per-candidate past-token counts WiCSum weights by,
-	// converted to float64 once per call, as the exp pass and Select
+	// converted to float64 once per call, as the bounded pass and Select
 	// multiply by them.
 	weights []float64
-	// massData holds one exp-normalised score row per (query token, head)
-	// pair, row i at i*nCands over the call's nCands candidate clusters.
-	massData []float32
 	// tokens is the selection buffer returned to the caller (valid until the
 	// next SelectTokens call on this layer).
 	tokens []int
@@ -144,19 +142,23 @@ type layerScratch struct {
 	tokenBits []uint64
 }
 
-// rowWorker is one worker's share of a SelectTokens call: the WiCSum scratch
-// its rows are thresholded in, one bitset per head over the candidate
-// clusters its rows selected (head h's cwords words at h*cwords), and how
-// many score entries its rows examined; and the bounded path's buffers, a
-// row's flagged candidates and their gathered scores (then masses) and
-// weights. Invariant: the bitsets are zero between SelectTokens calls.
+// rowWorker is one worker's share of a SelectTokens call: the score row its
+// rows are scored into, one at a time, over the call's candidate clusters;
+// the WiCSum scratch they are thresholded in; one bitset per head over the
+// candidate clusters its rows selected (head h's cwords words at
+// h*cwords); how many score entries its rows examined and how many rows
+// fell back to the exact path; and the bounded path's buffers, a row's
+// flagged candidates and their gathered scores (then masses) and weights.
+// Invariant: the bitsets are zero between SelectTokens calls.
 type rowWorker struct {
-	ws       wicsum.Scratch
-	headBits []uint64
-	examined int
-	flagged  []int
-	gathered []float32
-	gweights []float64
+	scores    []float32
+	ws        wicsum.Scratch
+	headBits  []uint64
+	examined  int
+	fallbacks int
+	flagged   []int
+	gathered  []float32
+	gweights  []float64
 }
 
 // layerState is ReSV's per-decoder-layer working set.
@@ -281,9 +283,6 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 		sc.q64 = make([]float64, len(queries.Data))
 	}
 	mathx.Widen(sc.q64, queries.Data)
-	if cap(sc.massData) < nRows*nCands {
-		sc.massData = make([]float32, nRows*nCands)
-	}
 	cwords := (nCands + 63) / 64
 	workers := 1
 	if nRows*nCands >= shardEntries {
@@ -296,6 +295,9 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	for w := range active {
 		if cap(active[w].headBits) < heads*cwords {
 			active[w].headBits = make([]uint64, heads*cwords)
+		}
+		if cap(active[w].scores) < nCands {
+			active[w].scores = make([]float32, nCands)
 		}
 	}
 	if workers == 1 {
@@ -351,41 +353,42 @@ func (r *ReSV) SelectTokens(layer int, cache *kvcache.LayerCache, queries *tenso
 	}
 	sc.tokens = tokens
 
-	examined := 0
+	examined, fallbacks := 0, 0
 	for _, rw := range active {
 		examined += rw.examined
+		fallbacks += rw.fallbacks
 	}
-	r.recordStats(layer, stage, base, len(tokens), nRows, examined, nCands)
+	r.recordStats(layer, stage, base, len(tokens), nRows, examined, fallbacks, nCands)
 	return tokens
 }
 
-// selectRows runs rows [lo, hi) on one worker. Each row scores its query
-// segment against its kv head's mirrored representative keys (the KVPU's
-// Q x RepKey^T), scaled by invSqrt, which also yields the row's maximum.
-// The bounded path (selectBounded) then thresholds most rows from a bound
-// on their total and the exact masses of the few entries WiCSum can walk;
-// a row it cannot decide takes the exact path, which exp-normalises the
-// whole row into its massData row, so WiCSum accumulates attention mass,
-// and gets the row's weighted total, min and max (the WTU's preprocess
-// step) from that pass before rw's scratch thresholds it (the WTU). Both
-// paths select the same clusters with the same Examined, which are set in
-// rw's bitset for the row's head.
+// selectRows runs rows [lo, hi) on one worker, each in turn in rw's score
+// row. Each row scores its query segment against its kv head's mirrored
+// representative keys (the KVPU's Q x RepKey^T), scaled by invSqrt, which
+// also yields the row's maximum. The bounded path (selectBounded) then
+// thresholds most rows from a bound on their total and the exact masses of
+// the few entries WiCSum can walk; a row it cannot decide takes the exact
+// path, which exp-normalises the whole row in place, so WiCSum accumulates
+// attention mass, before rw's scratch thresholds it (the WTU, preprocess
+// pass included). Both paths select the same clusters with the same
+// Examined, which are set in rw's bitset for the row's head.
 //
 //vrex:noalloc
 func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, invSqrt float32) {
 	headDim, heads := r.modelCfg.HeadDim(), r.modelCfg.Heads
 	group := heads / r.modelCfg.KVHeads
 	cwords := (nCands + 63) / 64
-	examined := 0
+	scores := rw.scores[:nCands]
+	examined, fallbacks := 0, 0
 	for row := lo; row < hi; row++ {
 		h := row % heads
-		mass := sc.massData[row*nCands : (row+1)*nCands]
-		maxv := mathx.ScoreKeys(mass, sc.q64[row*headDim:(row+1)*headDim], sc.rep64[h/group][:nCands*headDim], invSqrt)
+		maxv := mathx.ScoreKeys(scores, sc.q64[row*headDim:(row+1)*headDim], sc.rep64[h/group][:nCands*headDim], invSqrt)
 		rw.ws.Reset()
-		sel, ok := r.selectBounded(rw, mass, sc.weights, maxv)
+		sel, ok := r.selectBounded(rw, scores, sc.weights, maxv)
 		if !ok {
-			total, minv, maxm := mathx.ExpNormalizeWeighted(mass, mass, maxv, sc.weights)
-			sel = rw.ws.Select(mass, sc.weights, r.cfg.ThWics, total, minv, maxm)
+			mathx.ExpNormalize(scores, scores, maxv)
+			sel = rw.ws.Select(scores, sc.weights, r.cfg.ThWics)
+			fallbacks++
 		}
 		hb := rw.headBits[h*cwords : (h+1)*cwords]
 		for _, ci := range sel.Selected {
@@ -393,7 +396,7 @@ func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, i
 		}
 		examined += sel.Examined
 	}
-	rw.examined = examined
+	rw.examined, rw.fallbacks = examined, fallbacks
 }
 
 // selectBounded is the bounded path for one row of scores with maximum
@@ -405,7 +408,8 @@ func (r *ReSV) selectRows(sc *layerScratch, rw *rowWorker, lo, hi, nCands int, i
 // exp-normalised by the exact path's kernel with the row's maxv, so each
 // mass has the bits the exact path writes; the smallest score's is the
 // row's smallest mass, since masses never fall as scores rise, and the
-// largest, 1, is the maximum's, which is flagged. WiCSum then walks the
+// largest, 1, is the maximum's, which is flagged. So the gathered list's
+// range is the row's, as SelectBounded requires. WiCSum then walks the
 // gathered entries (wicsum.Scratch.SelectBounded), and the positions it
 // selects map back to candidate clusters through the flags. It returns
 // false if a step gives up: a score out of the pass's range, a bucket
@@ -428,8 +432,8 @@ func (r *ReSV) selectBounded(rw *rowWorker, scores []float32, weights []float64,
 		gm[i], gw[i] = scores[j], weights[j]
 	}
 	gm[n], gw[n] = smin, 0
-	_, minv, maxm := mathx.ExpNormalizeWeighted(gm, gm, maxv, gw)
-	sel, ok := rw.ws.SelectBounded(gm, gw, r.cfg.ThWics, lo, hi, minv, maxm, mathx.CutMass)
+	mathx.ExpNormalize(gm, gm, maxv)
+	sel, ok := rw.ws.SelectBounded(gm, gw, r.cfg.ThWics, lo, hi, mathx.CutMass)
 	if !ok {
 		return sel, false
 	}
@@ -462,11 +466,12 @@ func growFloats(buf []float64, n int) []float64 {
 // candidate statistics (SelectTokens adds the per-head selections as it reads
 // them out). The examined fraction is the call's examined entries over its
 // rows x nCands score entries.
-func (r *ReSV) recordStats(layer int, stage model.Stage, base, selectedTokens, rows, examined, nCands int) {
+func (r *ReSV) recordStats(layer int, stage model.Stage, base, selectedTokens, rows, examined, fallbacks, nCands int) {
 	ss := r.stats.stage(stage)
 	ss.SelectedTokens += int64(selectedTokens)
 	ss.CandidateTokens += int64(base)
 	ss.Rows += int64(rows)
+	ss.FallbackRows += int64(fallbacks)
 	if rows > 0 {
 		ss.ExaminedFraction += float64(examined) / float64(rows*nCands)
 	}

@@ -218,66 +218,93 @@ func TestReSVRecentWindowAlwaysIncluded(t *testing.T) {
 
 // TestSelectTokensIsSortedUnion requires SelectTokens to return exactly the
 // sorted union of the selected clusters' past tokens and the recent window.
-// Frames of 7 tokens put every base off a multiple of 64, and the 70-token
-// window spans words of the token bitset.
+// Each row is scored again here from the chunk's queries and the HC
+// table's representative keys, both widened here rather than read from
+// SelectTokens' mirrors, exp-normalised whole and thresholded through the
+// reference sorter at the WTU's 20 buckets, whose preprocess step is its
+// own pass over the row. It runs the default config and grouped-query
+// attention (Heads/KVHeads 4/2, 4/1 and 8/2), N_hp 64, 96 and 128 (the HC
+// table's general scan loop above 64), head dims 8 and 32 and ThWics 0.1
+// and 0.5. Frames of 7 tokens put every base off a multiple of 64, and the
+// 70-token window spans words of the token bitset.
 func TestSelectTokensIsSortedUnion(t *testing.T) {
-	mcfg := model.DefaultConfig()
-	for _, window := range []int{5, 70} {
-		cfg := DefaultConfig()
-		cfg.RecentWindow = window
-		cfg.Workers = 1
-		m := model.New(mcfg)
-		r := New(mcfg, cfg)
-		rng := mathx.NewRNG(24)
-		beyondWindow := 0
-		for _, frame := range driftFrames(20, 7, mcfg.Dim, 0.95, rng) {
-			m.Forward(frame, r, model.StageFrame, false)
-			base := m.Pos()
-			q := frameInput(3, mcfg.Dim, rng)
-			for layer := 0; layer < mcfg.Layers; layer++ {
-				got := slices.Clone(r.SelectTokens(layer, m.Cache(layer), q, base, model.StageText))
-				// Score each row again from the queries and representative
-				// keys SelectTokens widened into the layer's scratch,
-				// exp-normalise the whole row, threshold it through the
-				// reference sorter at the WTU's 20 buckets, whose
-				// preprocess step is its own pass over the row, and expand
-				// every row's clusters by hand. SelectTokens' bounded path
-				// leaves scores, not masses, in the rows it decides.
-				sc := &r.layers[layer].scratch
-				nCands := r.HCTable(layer).PastClusters()
-				counts := make([]int, nCands)
-				for ci := range counts {
-					counts[ci] = r.HCTable(layer).PastCount(ci)
-				}
-				headDim, group := mcfg.HeadDim(), mcfg.Heads/mcfg.KVHeads
-				invSqrt := float32(mcfg.Sharpness / math.Sqrt(float64(headDim)))
-				mass := make([]float32, nCands)
-				var want []int
-				for row := 0; row < q.Rows*mcfg.Heads; row++ {
-					h := row % mcfg.Heads
-					mathx.ScoreKeys(mass, sc.q64[row*headDim:(row+1)*headDim], sc.rep64[h/group][:nCands*headDim], invSqrt)
-					mathx.ExpNormalize(mass, mass)
-					sel := wicsum.SelectRowEarlyExit(mass, counts, cfg.ThWics, 20)
-					for _, ci := range sel.Selected {
-						want = append(want, r.HCTable(layer).PastTokens(ci)...)
+	for _, c := range []struct {
+		name                string
+		heads, kvHeads, dim int
+		nhp                 int
+		thWics              float64
+		window              int
+	}{
+		{"default", 4, 4, 64, 32, 0.3, 5},
+		{"window70", 4, 4, 64, 32, 0.3, 70},
+		{"kv2-nhp64-th0.1", 4, 2, 64, 64, 0.1, 5},
+		{"kv1-hd8-nhp96-th0.5", 4, 1, 32, 96, 0.5, 5},
+		{"heads8-kv2-hd8-nhp128-window70", 8, 2, 64, 128, 0.3, 70},
+		{"hd32-nhp64-th0.5", 4, 4, 128, 64, 0.5, 5},
+		{"heads8-kv2-hd32-th0.1", 8, 2, 256, 32, 0.1, 5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mcfg := model.DefaultConfig()
+			mcfg.Heads, mcfg.KVHeads, mcfg.Dim = c.heads, c.kvHeads, c.dim
+			cfg := DefaultConfig()
+			cfg.NHp, cfg.ThWics, cfg.RecentWindow = c.nhp, c.thWics, c.window
+			cfg.Workers = 1
+			m := model.New(mcfg)
+			r := New(mcfg, cfg)
+			rng := mathx.NewRNG(24)
+			headDim, group := mcfg.HeadDim(), mcfg.Heads/mcfg.KVHeads
+			invSqrt := float32(mcfg.Sharpness / math.Sqrt(float64(headDim)))
+			beyondWindow := 0
+			for _, frame := range driftFrames(20, 7, mcfg.Dim, 0.95, rng) {
+				m.Forward(frame, r, model.StageFrame, false)
+				base := m.Pos()
+				q := frameInput(3, mcfg.Dim, rng)
+				q64 := make([]float64, len(q.Data))
+				mathx.Widen(q64, q.Data)
+				for layer := 0; layer < mcfg.Layers; layer++ {
+					got := slices.Clone(r.SelectTokens(layer, m.Cache(layer), q, base, model.StageText))
+					table := r.HCTable(layer)
+					nCands := table.PastClusters()
+					counts := make([]int, nCands)
+					keys := make([][]float64, mcfg.KVHeads)
+					for kvh := range keys {
+						keys[kvh] = make([]float64, nCands*headDim)
+					}
+					for ci := range counts {
+						counts[ci] = table.PastCount(ci)
+						rep := table.Clusters[ci].RepKey
+						for kvh, k := range keys {
+							mathx.Widen(k[ci*headDim:(ci+1)*headDim], rep[kvh*headDim:(kvh+1)*headDim])
+						}
+					}
+					mass := make([]float32, nCands)
+					var want []int
+					for row := 0; row < q.Rows*mcfg.Heads; row++ {
+						h := row % mcfg.Heads
+						maxv := mathx.ScoreKeys(mass, q64[row*headDim:(row+1)*headDim], keys[h/group], invSqrt)
+						mathx.ExpNormalize(mass, mass, maxv)
+						sel := wicsum.SelectRowEarlyExit(mass, counts, cfg.ThWics, 20)
+						for _, ci := range sel.Selected {
+							want = append(want, table.PastTokens(ci)...)
+						}
+					}
+					for tok := max(base-c.window, 0); tok < base; tok++ {
+						want = append(want, tok)
+					}
+					slices.Sort(want)
+					want = slices.Compact(want)
+					if !slices.Equal(got, want) {
+						t.Fatalf("base %d, layer %d: SelectTokens = %v, want %v", base, layer, got, want)
+					}
+					if len(want) > min(c.window, base) {
+						beyondWindow++
 					}
 				}
-				for tok := max(base-window, 0); tok < base; tok++ {
-					want = append(want, tok)
-				}
-				slices.Sort(want)
-				want = slices.Compact(want)
-				if !slices.Equal(got, want) {
-					t.Fatalf("window %d, base %d, layer %d: SelectTokens = %v, want %v", window, base, layer, got, want)
-				}
-				if len(want) > min(window, base) {
-					beyondWindow++
-				}
 			}
-		}
-		if beyondWindow == 0 {
-			t.Fatalf("window %d: no selection reached past the recent window", window)
-		}
+			if beyondWindow == 0 {
+				t.Fatal("no selection reached past the recent window")
+			}
+		})
 	}
 }
 

@@ -23,6 +23,9 @@ type StageStats struct {
 	CandidateTokens int64
 	// Rows counts thresholded score rows (query x head pairs).
 	Rows int64
+	// FallbackRows counts the rows the bounded path could not decide and
+	// handed to the exact path, which exp-normalises the whole row.
+	FallbackRows int64
 	// ExaminedFraction sums per-call mean examined fractions; divide by the
 	// number of SelectTokens calls for the average (see Stats.Calls).
 	ExaminedFraction float64

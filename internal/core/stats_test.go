@@ -17,6 +17,8 @@ import (
 // ReSV at one and four workers, and requires exactly the statistics the
 // row-sharded selection must keep: every token, row and call count, the
 // per-layer and per-head selections, and ExaminedFraction's float64 bits.
+// It also pins how many rows the bounded path hands to the exact path, the
+// premise of keeping the exact path's code small: 5 of 20,320.
 // The goldens print three digits and the benchmark's check reads only the
 // selected-token count and the hidden states, so this is where PerHead and
 // the examined fraction are pinned. It also requires the benchmark's chained
@@ -28,6 +30,7 @@ func TestReSVStatsPinned(t *testing.T) {
 	const (
 		selected, candidate = 63597, 325120
 		rows, calls         = 20320, 508
+		fallbackRows        = 5
 		examinedBits        = 0x401c228f55d54e38
 		digest              = 0x87caa204721b78bb
 	)
@@ -46,8 +49,8 @@ func TestReSVStatsPinned(t *testing.T) {
 		}
 		st := r.Stats()
 		fs := st.Frame
-		if fs.SelectedTokens != selected || fs.CandidateTokens != candidate || fs.Rows != rows || fs.Calls != calls {
-			t.Errorf("workers %d: frame stats %+v, want %d selected of %d, %d rows, %d calls", workers, fs, selected, candidate, rows, calls)
+		if fs.SelectedTokens != selected || fs.CandidateTokens != candidate || fs.Rows != rows || fs.Calls != calls || fs.FallbackRows != fallbackRows {
+			t.Errorf("workers %d: frame stats %+v, want %d selected of %d, %d rows, %d calls, %d fallback rows", workers, fs, selected, candidate, rows, calls, fallbackRows)
 		}
 		if b := math.Float64bits(fs.ExaminedFraction); b != examinedBits {
 			t.Errorf("workers %d: ExaminedFraction %v (bits %#x), want bits %#x", workers, fs.ExaminedFraction, b, uint64(examinedBits))

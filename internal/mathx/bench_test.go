@@ -33,9 +33,12 @@ func BenchmarkScoreKeys(b *testing.B) {
 	reportPerElement(b, benchRow)
 }
 
-// BenchmarkExpNormalize times ExpNormalize on one scaled score row in place,
-// its own rowMax pass included, as the retrieval policies call it. The row
-// is restored from a copy, untimed, between ops so every op sees the same
+// BenchmarkExpNormalize times ExpNormalize in place, given the row's
+// maximum as ScoreKeys returns it, on one scaled score row and on a gather
+// from it as ReSV's bounded path makes one: the first 14 entries
+// ExpMassBound flags and the smallest score, 15 entries, about what
+// resv-stream's rows gather (13.7 to 15.3 flagged on average). Each row is
+// restored from a copy, untimed, between ops so every op sees the same
 // inputs.
 func BenchmarkExpNormalize(b *testing.B) {
 	rng := NewRNG(6)
@@ -43,36 +46,26 @@ func BenchmarkExpNormalize(b *testing.B) {
 	for i := range src {
 		src[i] = rng.Norm32() * 2
 	}
-	row := make([]float32, benchRow)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(row, src)
-		ExpNormalize(row, row)
-	}
-	reportPerElement(b, benchRow)
-}
-
-// BenchmarkExpNormalizeWeighted times the entry point SelectTokens calls on
-// the same row as BenchmarkExpNormalize, in place: given the row's maximum,
-// as ScoreKeys returns it, it exp-normalises the row and reduces it to
-// WiCSum's weighted total, min and max. The weights are small integers, as
-// past-token counts are.
-func BenchmarkExpNormalizeWeighted(b *testing.B) {
-	rng := NewRNG(6)
-	src := make([]float32, benchRow)
-	w := make([]float64, benchRow)
-	for i := range src {
-		src[i] = rng.Norm32() * 2
-		w[i] = float64(1 + rng.Intn(64))
-	}
 	maxv := rowMax(src)
-	row := make([]float32, benchRow)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(row, src)
-		ExpNormalizeWeighted(row, row, maxv, w)
+	_, _, smin, flagged, _ := ExpMassBound(src, maxv, make([]float64, benchRow), nil)
+	var gathered []float32
+	for _, j := range flagged[:14] {
+		gathered = append(gathered, src[j])
 	}
-	reportPerElement(b, benchRow)
+	gathered = append(gathered, smin)
+	for _, c := range []struct {
+		name string
+		src  []float32
+	}{{"row", src}, {"gathered", gathered}} {
+		b.Run(c.name, func(b *testing.B) {
+			row := make([]float32, len(c.src))
+			for i := 0; i < b.N; i++ {
+				copy(row, c.src)
+				ExpNormalize(row, row, maxv)
+			}
+			reportPerElement(b, len(row))
+		})
+	}
 }
 
 // BenchmarkSoftmax times one (query, head) row of attention's softmax at
@@ -98,9 +91,10 @@ func BenchmarkSoftmax(b *testing.B) {
 // resv-stream's operating point: 40 rows (a 10-token chunk's queries times
 // 4 heads) over 268 candidates, each given its maximum, with past-token
 // counts as weights, drawn as wicsum's BenchmarkSelectMatrix draws them.
-// The skewed rows are resv-stream's (N(0, 4) scores: about 14 entries per
-// row flagged); the flat ones (N(0, 0.01)) flag every entry. It reports ns
-// per entry, to set beside BenchmarkExpNormalizeWeighted's ns/elem.
+// The skewed rows draw N(0, 4) scores and flag about 32 entries per row
+// (resv-stream's rows flag 13.7 to 15.3); the flat ones (N(0, 0.01)) flag
+// every entry. It reports ns per entry, to set beside
+// BenchmarkExpNormalize's ns/elem.
 func BenchmarkExpMassBound(b *testing.B) {
 	for _, c := range []struct {
 		name  string

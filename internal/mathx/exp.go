@@ -2,59 +2,28 @@ package mathx
 
 import "math"
 
-// ExpNormalize writes exp(src[i]-max(src)) into dst without the final
-// normalisation. The result is the softmax numerator: a positive "mass" that
-// WiCSum thresholding accumulates. dst may alias src.
+// ExpNormalize writes exp(src[i]-maxv) into dst without the final
+// normalisation. Given the row's maximum, as ScoreKeys returns it, the
+// result is the softmax numerator: a positive "mass" that WiCSum
+// thresholding accumulates. Given 0, it is the plain exponential
+// (tensor.SiLU). dst may alias src; both must have the same length.
 //
-// Each element is float32(math.Exp(float64(x))) for x = src[i]-max(src), bit
-// for bit, but most take a cheaper route: for x in [expFastMin, expFastMax]
-// expFast returns exp(x) in float64 with a relative error below 2^-42, and
-// its float32 rounding is kept unless it lies within expWindow float64 ulps
-// of a float32 rounding midpoint. Outside that window math.Exp (error below
-// one ulp) rounds to the same float32. For x = ±0, the row maximum's own
-// element, expFast returns exactly 1, as math.Exp does. NaN, every x
-// outside the range and every result near a midpoint take math.Exp itself.
-func ExpNormalize(dst, src []float32) {
+// Each element is float32(math.Exp(float64(x))) for the float32 x =
+// src[i]-maxv, bit for bit, but most take a cheaper route: for x in
+// [expFastMin, expFastMax] expFast returns exp(x) in float64 with a
+// relative error below 2^-42, and its float32 rounding is kept unless it
+// lies within expWindow float64 ulps of a float32 rounding midpoint.
+// Outside that window math.Exp (error below one ulp) rounds to the same
+// float32. For x = ±0, the row maximum's own element, expFast returns
+// exactly 1, as math.Exp does. NaN, every x outside the range and every
+// result near a midpoint take math.Exp itself.
+//
+//vrex:noalloc
+func ExpNormalize(dst, src []float32, maxv float32) {
 	if len(dst) != len(src) {
 		panic("mathx: ExpNormalize length mismatch")
 	}
-	if len(src) == 0 {
-		return
-	}
-	expRow(dst, src, rowMax(src))
-}
-
-// ExpNormalizeWeighted writes ExpNormalize's dst for a row whose maximum is
-// maxv, as ScoreKeys returns it: dst[i] = float32(math.Exp(float64(src[i] -
-// maxv))), bit for bit, through the same kernel. dst may alias src; w must
-// be as long as src. As it writes the row it reduces it the way WiCSum's
-// preprocess step does: total is the sum of float64(float64(dst[i]) * w[i])
-// in index order, and lo and hi are the smallest and largest dst[i] folded
-// from dst[0] with < and >, so a NaN dst[0] makes both NaN and a later NaN
-// is skipped. An empty row returns 0, +Inf and -Inf. With integer weights
-// below 2^29 each product is exact.
-//
-//vrex:noalloc
-func ExpNormalizeWeighted(dst, src []float32, maxv float32, w []float64) (total float64, lo, hi float32) {
-	if len(dst) != len(src) || len(w) != len(src) {
-		panic("mathx: ExpNormalizeWeighted length mismatch")
-	}
-	return expRowWeighted(dst, src, w, maxv)
-}
-
-// Exp32 writes float32(math.Exp(float64(src[i]))) into dst, bit for bit,
-// through ExpNormalize's kernel with nothing subtracted (x - 0 is x, -0
-// included): expFast takes every x in [expFastMin, expFastMax] whose result
-// is not near a float32 rounding midpoint, and math.Exp the rest. dst may
-// alias src; both must have the same length. tensor.SiLU takes its
-// exponentials from it.
-//
-//vrex:noalloc
-func Exp32(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("mathx: Exp32 length mismatch")
-	}
-	expRow(dst, src, 0)
+	expRow(dst, src, maxv)
 }
 
 // softmaxTableMax is the longest row whose table-exp sum Softmax can keep.
@@ -121,19 +90,6 @@ func softmaxSum(tableSum float64, src []float32, maxv float32) float64 {
 	return sum
 }
 
-// rowMax returns the largest element of a non-empty row, as ExpNormalize
-// subtracts it and ScoreKeys returns it: NaN elements after the first are
-// skipped, and a NaN first element is the result.
-func rowMax(src []float32) float32 {
-	maxv := src[0]
-	for _, v := range src[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	return maxv
-}
-
 // expRow writes ExpNormalize's float32(exp(x)) for x = float64(src[i]-maxv)
 // into dst, which must be as long as src and may be src itself, and returns
 // the float64 sum of the exponentials it rounded, in index order: expFast's
@@ -155,36 +111,6 @@ func expRow(dst, src []float32, maxv float32) float64 {
 		sum += e
 	}
 	return sum
-}
-
-// expRowWeighted is ExpNormalizeWeighted after its length check: expRow's
-// loop over expRowWeightedKernel, whose running total, lo and hi the
-// math.Exp elements fold into in index order. Both folds start from +Inf
-// and -Inf, which skips a NaN dst[0] too; it is then the result.
-//
-//vrex:noalloc
-func expRowWeighted(dst, src []float32, w []float64, maxv float32) (total float64, lo, hi float32) {
-	lo, hi = float32(math.Inf(1)), float32(math.Inf(-1))
-	for i := 0; i < len(src); i++ {
-		var n int
-		n, total, lo, hi = expRowWeightedKernel(dst[i:], src[i:], w[i:], maxv, total, lo, hi)
-		if i += n; i == len(src) {
-			break
-		}
-		v := float32(math.Exp(float64(src[i] - maxv)))
-		dst[i] = v
-		total += float64(float64(v) * w[i])
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if len(dst) > 0 && math.IsNaN(float64(dst[0])) {
-		lo, hi = dst[0], dst[0]
-	}
-	return total, lo, hi
 }
 
 const (

@@ -6,15 +6,23 @@ import (
 	"testing"
 )
 
-// refExpNormalize is ExpNormalize's contract: float32(math.Exp(float64(x)))
-// for x = v - max, with the max taken as ExpNormalize takes it.
-func refExpNormalize(src []float32) []float32 {
+// rowMax returns the largest element of a non-empty row as ScoreKeys
+// returns it: NaN elements after the first are skipped, and a NaN first
+// element is the result.
+func rowMax(src []float32) float32 {
 	maxv := src[0]
 	for _, v := range src[1:] {
 		if v > maxv {
 			maxv = v
 		}
 	}
+	return maxv
+}
+
+// refExpNormalize is ExpNormalize's contract for a row and its rowMax:
+// float32(math.Exp(float64(x))) for x = v - max.
+func refExpNormalize(src []float32) []float32 {
+	maxv := rowMax(src)
 	dst := make([]float32, len(src))
 	for i, v := range src {
 		dst[i] = float32(math.Exp(float64(v - maxv)))
@@ -22,29 +30,19 @@ func refExpNormalize(src []float32) []float32 {
 	return dst
 }
 
-// refWeighted is WiCSum's preprocess loop over an exp-normalised row, the
-// contract of ExpNormalizeWeighted's results: the sum of float64(float64(v)
-// * w[j]) in index order, and the smallest and largest v folded from
-// mass[0] with < and >.
-func refWeighted(mass []float32, w []float64) (total float64, lo, hi float32) {
-	if len(mass) == 0 {
-		return 0, float32(math.Inf(1)), float32(math.Inf(-1))
-	}
-	lo, hi = mass[0], mass[0]
+// weightedTotal is WiCSum's preprocess sum over an exp-normalised row, the
+// exact total ExpMassBound brackets: float64(float64(v) * w[j]) added in
+// index order.
+func weightedTotal(mass []float32, w []float64) float64 {
+	var total float64
 	for j, v := range mass {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
 		total += float64(float64(v) * w[j])
 	}
-	return total, lo, hi
+	return total
 }
 
-// weights returns n past-token counts as ExpNormalizeWeighted's weights:
-// small integers, with now and then a large one.
+// weights returns n past-token counts as ExpMassBound's weights: small
+// integers, with now and then a large one.
 func weights(rng *RNG, n int) []float64 {
 	w := make([]float64, n)
 	for i := range w {
@@ -56,41 +54,14 @@ func weights(rng *RNG, n int) []float64 {
 	return w
 }
 
-// checkWeighted runs ExpNormalizeWeighted on src, given src's max as
-// ScoreKeys returns it, into dst and then in place, and requires the row to
-// equal want, ExpNormalize's row, and the total, lo and hi to equal
-// refWeighted's on want, bit for bit (any two NaNs equal). dst must be as
-// long as src and must not overlap it.
-func checkWeighted(t *testing.T, src, dst, want []float32, w []float64) {
-	t.Helper()
-	wantTotal, wantLo, wantHi := refWeighted(want, w)
-	var maxv float32
-	if len(src) > 0 {
-		maxv = rowMax(src)
-	}
-	in := append([]float32(nil), src...)
-	for _, out := range [][]float32{dst, in} {
-		total, lo, hi := ExpNormalizeWeighted(out, in, maxv, w)
-		for i := range out {
-			if !sameBits32(out[i], want[i]) {
-				t.Fatalf("ExpNormalizeWeighted of %d (src[%d] = %v) wrote %v, want %v", len(src), i, src[i], out[i], want[i])
-			}
-		}
-		if !sameBits64(total, wantTotal) || !sameBits32(lo, wantLo) || !sameBits32(hi, wantHi) {
-			t.Fatalf("ExpNormalizeWeighted of %d (src[:4] %v) = %v, %v, %v; want %v, %v, %v", len(src), src[:min(4, len(src))], total, lo, hi, wantTotal, wantLo, wantHi)
-		}
-	}
-}
-
 // TestExpNormalizeMatchesMathExp compares ExpNormalize with
 // float32(math.Exp(float64(x))) bit for bit on every 64th float32 in
 // [-104, -0] (17.5M values; a one-off sweep of all 1,120,927,745 found no
 // mismatch either). Each batch leads with 0, so its max is 0 and x - max is
-// x. ExpNormalizeWeighted must write the same rows and return WiCSum's
-// total, min and max of them (checkWeighted). Exp32, which subtracts
-// nothing, is compared the same way on every 64th float32 in [+0, 89]
-// (17.5M values), across expFastMax; one-off sweeps found expFast with its
-// window exact on every float32 in [2^-20, 88] and in (-2^-20, 2^-20).
+// x. With a maximum of 0, which subtracts nothing, it is compared the same
+// way on every 64th float32 in [+0, 89] (17.5M values), across
+// expFastMax; one-off sweeps found expFast with its window exact on every
+// float32 in [2^-20, 88] and in (-2^-20, 2^-20).
 // It also requires expFast's largest relative error over the whole fast
 // range, [expFastMin, expFastMax], to stay 8x inside the fallback window,
 // and some inputs to fall back near a midpoint.
@@ -99,8 +70,6 @@ func TestExpNormalizeMatchesMathExp(t *testing.T) {
 	const batch = 4096
 	src := make([]float32, 1, batch+1)
 	dst := make([]float32, batch+1)
-	wdst := make([]float32, batch+1)
-	w := weights(NewRNG(44), batch+1)
 	var maxRel float64
 	var values, windowed int
 	// expErr folds expFast's error at x into maxRel and windowed.
@@ -114,8 +83,7 @@ func TestExpNormalizeMatchesMathExp(t *testing.T) {
 		}
 	}
 	check := func() {
-		ExpNormalize(dst[:len(src)], src)
-		checkWeighted(t, src, wdst[:len(src)], dst[:len(src)], w[:len(src)])
+		ExpNormalize(dst[:len(src)], src, rowMax(src))
 		for k, x := range src[1:] {
 			want := math.Exp(float64(x))
 			if got := dst[k+1]; math.Float32bits(got) != math.Float32bits(float32(want)) {
@@ -136,16 +104,16 @@ func TestExpNormalizeMatchesMathExp(t *testing.T) {
 	if values != (hi-lo)/stride+1 {
 		t.Fatalf("swept %d values, want %d", values, (hi-lo)/stride+1)
 	}
-	// The positive side, through Exp32.
+	// The positive side, with a maximum of 0.
 	const plo, phi = 0, 0x42B20000 // +0 and 89
 	pos := 0
 	src = src[:0]
 	checkExp := func() {
-		Exp32(dst[:len(src)], src)
+		ExpNormalize(dst[:len(src)], src, 0)
 		for k, x := range src {
 			want := math.Exp(float64(x))
 			if got := dst[k]; math.Float32bits(got) != math.Float32bits(float32(want)) {
-				t.Fatalf("Exp32 at x=%v (%#08x): %v, want %v", x, math.Float32bits(x), got, float32(want))
+				t.Fatalf("ExpNormalize with max 0 at x=%v (%#08x): %v, want %v", x, math.Float32bits(x), got, float32(want))
 			}
 			expErr(x, want)
 		}
@@ -173,12 +141,11 @@ func TestExpNormalizeMatchesMathExp(t *testing.T) {
 
 // TestExpNormalizeSpecials covers -0 and x = 0, x next to 0, the fast
 // range's lower edge and the float32 just outside it, and NaN and ±Inf in
-// the source row, including as its first element and as its max. Each row
-// also runs through ExpNormalizeWeighted (checkWeighted), at several
-// weights. Exp32 takes the same values and the upper edge, expFastMax = 88,
-// with the float32s around it and the largest finite results.
+// the source row, including as its first element and as its max, each
+// given the row's rowMax. With a maximum of 0 it takes the same values and
+// the upper edge, expFastMax = 88, with the float32s around it and the
+// largest finite results.
 func TestExpNormalizeSpecials(t *testing.T) {
-	rng := NewRNG(45)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
 	rows := [][]float32{
@@ -195,36 +162,32 @@ func TestExpNormalizeSpecials(t *testing.T) {
 	for _, src := range rows {
 		want := refExpNormalize(src)
 		got := make([]float32, len(src))
-		ExpNormalize(got, src)
+		ExpNormalize(got, src, rowMax(src))
 		for i := range src {
 			if !sameBits32(got[i], want[i]) {
 				t.Errorf("ExpNormalize(%v)[%d] = %v, want %v", src, i, got[i], want[i])
 			}
 		}
-		// In place, as the retrieval policies call it.
+		// In place, as the retrieval policies and SelectTokens call it.
 		in := append([]float32(nil), src...)
-		ExpNormalize(in, in)
+		ExpNormalize(in, in, rowMax(in))
 		for i := range src {
 			if !sameBits32(in[i], want[i]) {
 				t.Errorf("in-place ExpNormalize(%v)[%d] = %v, want %v", src, i, in[i], want[i])
 			}
 		}
-		for rep := 0; rep < 4; rep++ {
-			checkWeighted(t, src, make([]float32, len(src)), want, weights(rng, len(src)))
-		}
 	}
-	checkWeighted(t, nil, nil, nil, nil)
+	ExpNormalize(nil, nil, 0)
 
 	src := []float32{0, negZero, 0x1p-20, -0x1p-20, 0x1p-30, -0x1p-30, 1e-45, -1e-45, 88, math.Nextafter32(88, 0), math.Nextafter32(88, 100),
 		88.72, 88.73, 89, 100, -87, math.Nextafter32(-87, -100), -104, nan, inf, -inf}
 	got := make([]float32, len(src))
-	Exp32(got, src)
+	ExpNormalize(got, src, 0)
 	for i, x := range src {
 		if want := float32(math.Exp(float64(x))); !sameBits32(got[i], want) {
-			t.Errorf("Exp32 at x=%v: %v, want %v", x, got[i], want)
+			t.Errorf("ExpNormalize with max 0 at x=%v: %v, want %v", x, got[i], want)
 		}
 	}
-	Exp32(nil, nil)
 }
 
 // TestExpRowKernelMatchesExpFast pins expRowKernel's float64 exponentials to
@@ -290,19 +253,14 @@ func TestExpRowKernelMatchesExpFast(t *testing.T) {
 	}
 }
 
-// refSoftmax is Softmax's contract: the math.Exp loop, with the max taken
-// as Softmax takes it.
+// refSoftmax is Softmax's contract for a row and its rowMax: the math.Exp
+// loop.
 func refSoftmax(src []float32) []float32 {
 	dst := make([]float32, len(src))
 	if len(src) == 0 {
 		return dst
 	}
-	maxv := src[0]
-	for _, v := range src[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
+	maxv := rowMax(src)
 	var sum float64
 	for i, v := range src {
 		e := math.Exp(float64(v - maxv))
@@ -414,8 +372,7 @@ func TestSoftmaxMatchesMathExp(t *testing.T) {
 	}
 }
 
-// TestExpKernelFallbackLanes runs ExpNormalize, ExpNormalizeWeighted and
-// Softmax on every pattern
+// TestExpKernelFallbackLanes runs ExpNormalize and Softmax on every pattern
 // of fast and fallback elements in rows of 1 to 9 elements, so fallbacks
 // sit in lane 0 or lane 1 of a pass, back to back, and last in odd and even
 // rows. A fallback element is the row max (x = 0), a near tie with it, or
@@ -441,7 +398,7 @@ func TestExpKernelFallbackLanes(t *testing.T) {
 				}
 				wantExp := refExpNormalize(src)
 				dst, guard := offsetSlice(n, (off+1)%4, canary32)
-				ExpNormalize(dst, src)
+				ExpNormalize(dst, src, rowMax(src))
 				for i := range src {
 					if !sameBits32(dst[i], wantExp[i]) {
 						t.Fatalf("ExpNormalize(%v)[%d] = %v, want %v", src, i, dst[i], wantExp[i])
@@ -449,11 +406,6 @@ func TestExpKernelFallbackLanes(t *testing.T) {
 				}
 				if *guard != canary32 {
 					t.Fatalf("ExpNormalize(%v) wrote past dst", src)
-				}
-				wdst, wguard := offsetSlice(n, (off+2)%4, canary32)
-				checkWeighted(t, src, wdst, wantExp, weights(rng, n))
-				if *wguard != canary32 {
-					t.Fatalf("ExpNormalizeWeighted(%v) wrote past dst", src)
 				}
 				want := refSoftmax(src)
 				Softmax(dst, src, rowMax(src))
@@ -466,7 +418,7 @@ func TestExpKernelFallbackLanes(t *testing.T) {
 					t.Fatalf("Softmax(%v) wrote past dst", src)
 				}
 				// In place, as SelectTokens calls it.
-				ExpNormalize(src, src)
+				ExpNormalize(src, src, rowMax(src))
 				for i := range src {
 					if !sameBits32(src[i], wantExp[i]) {
 						t.Fatalf("in-place ExpNormalize[%d] of %d = %v, want %v", i, n, src[i], wantExp[i])

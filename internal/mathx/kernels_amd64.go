@@ -36,17 +36,6 @@ func widenKernel(dst []float64, src []float32)
 //go:noescape
 func expRowKernel(dst, src []float32, maxv float32, sum float64) (n int, s float64)
 
-// expRowWeightedKernel is expRowWeighted's fast loop, with len(dst) and
-// len(w) >= len(src): it writes and stops where expRowKernel does, but adds
-// float64(float64(dst[i]) * w[i]) to total in place of e, and folds each
-// dst[i] into lo and hi. The pass is expRowKernel's, from the same macro;
-// the fast path yields no NaN, so MINPS and MAXPS lanes give < and >'s
-// results. It returns the number of elements written and the running
-// values.
-//
-//go:noescape
-func expRowWeightedKernel(dst, src []float32, w []float64, maxv float32, total float64, lo, hi float32) (n int, total1 float64, lo1, hi1 float32)
-
 // expKernelConsts holds expRowKernel's packed operands, each in both lanes,
 // at the byte offsets kernels_amd64.s loads them from: expFast's constants,
 // the fast range, and nearMidpoint's bias, mask and bound (the bound as

@@ -144,9 +144,9 @@ widentail:
 widendone:
 	RET
 
-// The exp-row kernels take two elements per pass, or one into lane 0 when
+// The exp-row kernel takes two elements per pass, or one into lane 0 when
 // one is left, through expFast's operations in its order (EXPPASS), and
-// store the lanes that take the fast path up to the first that does not.
+// stores the lanes that take the fast path up to the first that does not.
 // Lane 1 of a one-element pass computes a value nothing stores. R10 points
 // at expTable, R11 at expKernelConsts; X7, X8 and X10-X13 hold expFast's
 // constants 1, 0.5, expLn2LoN, expLn2HiN, expShift and expInvLn2N (1.0/6
@@ -272,86 +272,6 @@ explane0:
 expdone:
 	MOVQ  AX, n+64(FP)
 	MOVSD X6, s+72(FP)
-	RET
-
-// func expRowWeightedKernel(dst, src []float32, w []float64, maxv float32, total float64, lo, hi float32) (n int, total1 float64, lo1, hi1 float32)
-//
-// expRowKernel's loop with w at R9: X6 holds the total, and lanes 0 and 1
-// of X9 and X15 the running lo and hi. A stored pair (f0, f1) =
-// float32(e) is folded by MINPS and MAXPS, then widened and multiplied by
-// (w0, w1), and the products are added to the total lane 0 first. An ABI0
-// function may use X15: Go code zeroes it again after the call.
-TEXT ·expRowWeightedKernel(SB), NOSPLIT, $0-120
-	MOVQ     dst_base+0(FP), DI
-	MOVQ     src_base+24(FP), SI
-	MOVQ     src_len+32(FP), CX
-	MOVQ     w_base+48(FP), R9
-	MOVSS    maxv+72(FP), X14
-	UNPCKLPS X14, X14
-	MOVSD    total+80(FP), X6
-	MOVSS    lo+88(FP), X9
-	UNPCKLPS X9, X9
-	MOVSS    hi+92(FP), X15
-	UNPCKLPS X15, X15
-	EXPSETUP
-	XORQ     AX, AX
-
-wpass:
-	MOVQ  CX, DX
-	SUBQ  AX, DX
-	JLE   wdone
-	CMPQ  DX, $1
-	JEQ   wone
-	MOVQ  (SI)(AX*4), X0
-	JMP   wcalc
-
-wone:
-	MOVSS (SI)(AX*4), X0
-
-wcalc:
-	EXPPASS
-	CMPQ     DX, $1
-	JNE      wstore
-	ANDL     $1, BX             // one element: lane 1 is not in the row
-
-wstore:
-	CMPL     BX, $5
-	JNE      wlane0
-	CVTPD2PS X2, X3
-	MOVQ     X3, (DI)(AX*4)
-	MINPS    X3, X9
-	MAXPS    X3, X15
-	CVTPS2PD X3, X3
-	MOVUPD   (R9)(AX*8), X4
-	MULPD    X4, X3             // float64(f) * w
-	ADDSD    X3, X6
-	UNPCKHPD X3, X3
-	ADDSD    X3, X6
-	ADDQ     $2, AX
-	JMP      wpass
-
-wlane0:
-	TESTL    $1, BX
-	JEQ      wdone
-	CVTSD2SS X2, X3
-	MOVSS    X3, (DI)(AX*4)
-	MINSS    X3, X9
-	MAXSS    X3, X15
-	CVTSS2SD X3, X3
-	MULSD    (R9)(AX*8), X3
-	ADDSD    X3, X6
-	INCQ     AX
-
-wdone:
-	// Fold lane 1 of lo and hi into lane 0.
-	PSHUFD   $1, X9, X3
-	MINSS    X3, X9
-	PSHUFD   $1, X15, X3
-	MAXSS    X3, X15
-	MOVQ     AX, n+96(FP)
-	MOVSD    X6, total1+104(FP)
-	MOVSS    X9, lo1+112(FP)
-	MOVSS    X15, hi1+116(FP)
 	RET
 
 // func expMassBoundKernel(src []float32, maxv float32, w []float64, flagged []int) (total float64, smin float32, n int, ok bool)

@@ -83,53 +83,18 @@ func widenKernel(dst []float64, src []float32) {
 func expRowKernel(dst, src []float32, maxv float32, sum float64) (n int, s float64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
-		e, ok := expFastAt(v, maxv)
-		if !ok {
+		x := float64(v - maxv)
+		if !(x >= expFastMin && x <= expFastMax) {
+			return i, sum
+		}
+		e := expFast(x)
+		if nearMidpoint(e) {
 			return i, sum
 		}
 		dst[i] = float32(e)
 		sum += e
 	}
 	return len(src), sum
-}
-
-// expRowWeightedKernel is expRowWeighted's fast loop, with len(dst) and
-// len(w) >= len(src): it writes and stops where expRowKernel does, but adds
-// float64(float64(dst[i]) * w[i]) to total in place of e, and folds each
-// dst[i] into lo and hi with < and >. It returns the number of elements
-// written and the running values.
-//
-//vrex:noalloc
-func expRowWeightedKernel(dst, src []float32, w []float64, maxv float32, total float64, lo, hi float32) (n int, total1 float64, lo1, hi1 float32) {
-	dst, w = dst[:len(src)], w[:len(src)]
-	for i, v := range src {
-		e, ok := expFastAt(v, maxv)
-		if !ok {
-			return i, total, lo, hi
-		}
-		f := float32(e)
-		dst[i] = f
-		total += float64(float64(f) * w[i])
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
-	}
-	return len(src), total, lo, hi
-}
-
-// expFastAt returns expFast(x) for x = float64(v-maxv), and whether the
-// kernels take it: x is in [expFastMin, expFastMax], and the result is not
-// nearMidpoint.
-func expFastAt(v, maxv float32) (float64, bool) {
-	x := float64(v - maxv)
-	if !(x >= expFastMin && x <= expFastMax) {
-		return 0, false
-	}
-	e := expFast(x)
-	return e, !nearMidpoint(e)
 }
 
 // expMassBoundKernel is ExpMassBound's pass after its checks.

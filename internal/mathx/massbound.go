@@ -3,7 +3,7 @@ package mathx
 import "math"
 
 // MassCut is the x = s - maxv at and above which ExpMassBound flags a
-// score. CutMass is the mass ExpNormalizeWeighted writes at x = MassCut,
+// score. CutMass is the mass ExpNormalize writes at x = MassCut,
 // float32(math.Exp(-3)), about 0.0498.
 //
 // The masses m(x) = float32(math.Exp(float64(x))) never decrease as x
@@ -12,7 +12,7 @@ import "math"
 // whose x is below MassCut, has a mass of at most CutMass.
 const MassCut float32 = -3
 
-// CutMass is ExpNormalizeWeighted's mass at x = MassCut,
+// CutMass is ExpNormalize's mass at x = MassCut,
 // float32(math.Exp(-3)) (TestExpMassMonotone checks it).
 const CutMass float32 = 0x1.97db0cp-05
 
@@ -41,11 +41,13 @@ const (
 )
 
 // ExpMassBound is WiCSum's bounded pass over a score row whose maximum is
-// maxv, as ScoreKeys returns it: one pass that brackets the weighted total
-// ExpNormalizeWeighted(dst, src, maxv, w) would return, without writing a
-// mass. w must be as long as src, and the bracket's proof takes each
-// weight to be 0 or at least 2^-880, as past-token counts are, so that no
-// product of a mass (at least 2^-125 in range) and a weight underflows.
+// maxv, as ScoreKeys returns it: one pass that brackets the row's weighted
+// total without writing a mass. That total is the one WiCSum's preprocess
+// step sums over the masses ExpNormalize(dst, src, maxv) writes: the
+// float64(float64(dst[i]) * w[i]) added in index order. w must be as long
+// as src, and the bracket's proof takes each weight to be 0 or at least
+// 2^-880, as past-token counts are, so that no product of a mass (at least
+// 2^-125 in range) and a weight underflows.
 //
 // For each score it takes exactly the exact path's x = src[i] - maxv (a
 // float32 subtraction) and approximates float32(math.Exp(float64(x))) in

@@ -31,8 +31,8 @@ func checkMassKernel(t *testing.T, src []float32, maxv float32, w []float64) boo
 // its Go loop bit for bit (total, smallest score and flags) on random rows
 // of every length from 0 to 40, so every one-lane tail of 1-3 scores
 // follows 0-10 four-lane passes, and of 268 and 1000 scores, at several
-// scales, with the weights ExpNormalizeWeighted takes; the rows hold ±0
-// and exact ties. ExpMassBound's results must follow from them: flags
+// scales, with past-token counts as weights; the rows hold ±0 and exact
+// ties. ExpMassBound's results must follow from them: flags
 // exactly the x >= MassCut, in order, smin the smallest score and the
 // bracket around the exact path's total. A row holding NaN, -Inf or an x
 // below massMin must report !ok from both, wherever it sits, and so must
@@ -92,8 +92,8 @@ func TestExpMassBoundMatchesGo(t *testing.T) {
 					t.Fatalf("row of %d: flagged %v, smin %v; want %v, %v", n, flagged, smin, want, wantMin)
 				}
 				mass := make([]float32, n)
-				total, _, _ := ExpNormalizeWeighted(mass, src, maxv, w)
-				if !(lo <= total && total <= hi) {
+				ExpNormalize(mass, src, maxv)
+				if total := weightedTotal(mass, w); !(lo <= total && total <= hi) {
 					t.Fatalf("row of %d: exact total %v outside [%v, %v]", n, total, lo, hi)
 				}
 			}

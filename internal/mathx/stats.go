@@ -37,8 +37,7 @@ func Dot(a, b []float32) float64 {
 // key_j)) * scale on the float32 originals. len(keys) must equal
 // len(dst)*len(q).
 //
-// It returns the row's maximum as Softmax and ExpNormalizeWeighted subtract
-// it: dst[0], then each later score above the running maximum. A NaN after
+// It returns the row's maximum as Softmax and ExpNormalize subtract it: dst[0], then each later score above the running maximum. A NaN after
 // the first score is skipped, a NaN first score is the result, and of tied
 // zeros the earlier one is kept. An empty row returns -Inf.
 //

@@ -67,7 +67,7 @@ func TestSoftmaxPanicsOnMismatch(t *testing.T) {
 func TestExpNormalizeMaxIsOne(t *testing.T) {
 	src := []float32{-3, 0, 5, 2}
 	dst := make([]float32, 4)
-	ExpNormalize(dst, src)
+	ExpNormalize(dst, src, rowMax(src))
 	var maxv float32
 	for _, v := range dst {
 		if v > maxv {
@@ -92,7 +92,7 @@ func TestExpNormalizePreservesOrder(t *testing.T) {
 		b = float32(math.Mod(float64(b), 50))
 		src := []float32{a, b}
 		dst := make([]float32, 2)
-		ExpNormalize(dst, src)
+		ExpNormalize(dst, src, rowMax(src))
 		if a < b {
 			return dst[0] <= dst[1]
 		}

@@ -6,28 +6,6 @@ import (
 	"vrex/internal/tensor"
 )
 
-// FlexGen models FlexGen-style full offloading: the entire KV cache is
-// offloaded and every past token is fetched back for every layer — no
-// selection at all. It is the latency baseline of Fig. 13.
-type FlexGen struct {
-	tracker
-}
-
-// NewFlexGen returns the policy.
-func NewFlexGen() *FlexGen { return &FlexGen{} }
-
-// Name implements Policy.
-func (*FlexGen) Name() string { return "FlexGen" }
-
-// ObserveAppend implements model.Retriever.
-func (*FlexGen) ObserveAppend(int, *kvcache.LayerCache, int, int) {}
-
-// SelectTokens implements model.Retriever: everything.
-func (f *FlexGen) SelectTokens(_ int, _ *kvcache.LayerCache, _ *tensor.Matrix, base int, stage model.Stage) []int {
-	f.record(stage, base, base)
-	return allPast(base)
-}
-
 // InfiniGen models InfiniGen: speculative top-k token selection, but only
 // during the text generation stage; the iterative prefill attends (and
 // therefore fetches) everything — the mismatch Sec. III-A identifies.

@@ -68,7 +68,9 @@ func allPast(base int) []int {
 
 // headScores computes, for every past token, the maximum exp-normalised
 // attention score over all (query, head) rows — the importance estimate
-// fixed-top-k baselines rank by. queries is tokens x Dim.
+// fixed-top-k baselines rank by. queries is tokens x Dim. Each row is
+// normalised by its largest score, folded from the first as the row is
+// scored.
 func headScores(cfg model.Config, cache *kvcache.LayerCache, queries *tensor.Matrix, base int) []float64 {
 	headDim := cfg.HeadDim()
 	group := cfg.Heads / cfg.KVHeads
@@ -85,11 +87,16 @@ func headScores(cfg model.Config, cache *kvcache.LayerCache, queries *tensor.Mat
 		for h := 0; h < cfg.Heads; h++ {
 			kvh := h / group
 			qh := qrow[h*headDim : (h+1)*headDim]
+			var maxv float32
 			for tok := 0; tok < base; tok++ {
 				krow := cache.Key(tok)[kvh*headDim : (kvh+1)*headDim]
-				raw[tok] = float32(mathx.Dot(qh, krow)) * invSqrt
+				v := float32(mathx.Dot(qh, krow)) * invSqrt
+				raw[tok] = v
+				if tok == 0 || v > maxv {
+					maxv = v
+				}
 			}
-			mathx.ExpNormalize(norm, raw)
+			mathx.ExpNormalize(norm, raw, maxv)
 			for tok := 0; tok < base; tok++ {
 				if v := float64(norm[tok]); v > imp[tok] {
 					imp[tok] = v

@@ -10,11 +10,10 @@ import (
 	"vrex/internal/workload"
 )
 
-var _ Policy = (*FlexGen)(nil)
+var _ Policy = (*AllPast)(nil)
 var _ Policy = (*InfiniGen)(nil)
 var _ Policy = (*InfiniGenP)(nil)
 var _ Policy = (*ReKV)(nil)
-var _ Policy = (*Dense)(nil)
 var _ Policy = (*core.ReSV)(nil)
 
 func setup(t *testing.T, p model.Retriever, nFrames, tokensPerFrame int) *model.Model {

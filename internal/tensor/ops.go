@@ -45,8 +45,9 @@ const siluChunk = 256
 
 // SiLU applies x*sigmoid(x) element-wise in place: each v becomes
 // v / (1 + float32(math.Exp(-float64(v)))), bit for bit. The exponentials
-// come from mathx.Exp32's table kernel, in chunks of siluChunk, so SiLU
-// allocates nothing.
+// come from mathx.ExpNormalize's table kernel with nothing subtracted (a
+// maximum of 0: -v - 0 is -v, -0 included), in chunks of siluChunk, so
+// SiLU allocates nothing.
 //
 //vrex:noalloc
 func SiLU(m *Matrix) {
@@ -57,7 +58,7 @@ func SiLU(m *Matrix) {
 		for i, v := range d {
 			e[i] = -v
 		}
-		mathx.Exp32(e, e)
+		mathx.ExpNormalize(e, e, 0)
 		for i, v := range d {
 			d[i] = v / (1 + e[i])
 		}

@@ -24,21 +24,14 @@ func randomRows(rng *mathx.RNG, rows, cols, maxCount int) ([][]float32, []int) {
 	return masses, counts
 }
 
-// selectAll thresholds every row through ws after one Reset, each given
-// its preprocess results, and returns the rows' selections in sels.
+// selectAll thresholds every row through ws after one Reset and returns
+// the rows' selections in sels.
 func selectAll(ws *Scratch, sels []RowSelection, masses [][]float32, weights []float64, ratio float64) []RowSelection {
 	ws.Reset()
 	for i, row := range masses {
-		sels[i] = selectOne(ws, row, weights, ratio)
+		sels[i] = ws.Select(row, weights, ratio)
 	}
 	return sels
-}
-
-// selectOne thresholds one row through ws.Select, given the row's
-// preprocess results as the pass that writes a row returns them.
-func selectOne(ws *Scratch, mass []float32, weights []float64, ratio float64) RowSelection {
-	total, minv, maxv := preprocess(mass, weights)
-	return ws.Select(mass, weights, ratio, total, minv, maxv)
 }
 
 // TestSelectMatrixSteadyStateAllocFree pins the scratch-reuse guarantee:

@@ -10,12 +10,11 @@ import (
 // BenchmarkSelectMatrix times one layer's WiCSum selection at resv-stream's
 // operating point: 40 rows (a 10-token chunk's queries times 4 heads) over
 // 268 candidate clusters, the workload's mean per SelectTokens call, each row
-// exp-normalised as ReSV normalises it, with the early-exit sorter at 20
-// buckets, ratio 0.3 and one worker. Each row's weighted total, min and max
-// come with it, as mathx.ExpNormalizeWeighted returns them to SelectTokens,
-// so the preprocess pass is not timed. It reports ns per (row, candidate)
-// entry and allocs/op. One op thresholds every row through one Scratch
-// after one Reset.
+// exp-normalised as ReSV's exact path normalises it, with the early-exit
+// sorter at 20 buckets, ratio 0.3 and one worker. Select runs the WTU's
+// preprocess pass (the row's weighted total, min and max) itself, so that
+// pass is timed. It reports ns per (row, candidate) entry and allocs/op.
+// One op thresholds every row through one Scratch after one Reset.
 //
 // The skewed case draws scores N(0, 4), as the workload's rows look: most
 // entries land in the lowest bucket, which the sorter walks only if the
@@ -34,28 +33,22 @@ func BenchmarkSelectMatrix(b *testing.B) {
 			for j := range w {
 				w[j] = float64(1 + rng.Intn(32))
 			}
-			type row struct {
-				mass       []float32
-				total      float64
-				minv, maxv float32
-			}
-			rs := make([]row, rows)
+			rs := make([][]float32, rows)
 			for i := range rs {
-				r := &rs[i]
-				r.mass = make([]float32, cols)
+				rs[i] = make([]float32, cols)
 				maxv := float32(math.Inf(-1))
-				for j := range r.mass {
-					r.mass[j] = rng.Norm32() * c.scale
-					maxv = max(maxv, r.mass[j])
+				for j := range rs[i] {
+					rs[i][j] = rng.Norm32() * c.scale
+					maxv = max(maxv, rs[i][j])
 				}
-				r.total, r.minv, r.maxv = mathx.ExpNormalizeWeighted(r.mass, r.mass, maxv, w)
+				mathx.ExpNormalize(rs[i], rs[i], maxv)
 			}
 			var ws Scratch
 			sels := make([]RowSelection, rows)
 			run := func() {
 				ws.Reset()
 				for i, r := range rs {
-					sels[i] = ws.Select(r.mass, w, 0.3, r.total, r.minv, r.maxv)
+					sels[i] = ws.Select(r, w, 0.3)
 				}
 			}
 			run() // size the scratch

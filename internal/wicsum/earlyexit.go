@@ -17,30 +17,47 @@ import "math"
 // mass guarantee (covered > ratio*total) always holds, which is what
 // accuracy depends on.
 //
-// Here the preprocess step is its own pass over the row (preprocess); Select
-// takes its results from the pass that wrote the row instead, and both run
-// the same token-selection code.
+// Select runs the same code at the WTU's 20 buckets.
 //
 //vrex:testonly the early-exit sorter at any bucket count, for the differential tests; the root WiCSum benchmarks call it too
 func SelectRowEarlyExit(mass []float32, counts []int, ratio float64, nBuckets int) RowSelection {
 	if len(mass) != len(counts) {
 		panic("wicsum: mass/counts length mismatch")
 	}
-	w := weightsOf(counts)
 	var ws Scratch
-	total, minv, maxv := preprocess(mass, w)
-	return ws.selectRowEarlyExit(mass, w, ratio, nBuckets, total, minv, maxv)
+	return ws.selectRowEarlyExit(mass, weightsOf(counts), ratio, nBuckets)
 }
 
-// preprocess is the WTU's preprocess step as its own pass over a row (the
-// adder tree and the min/max unit): the weighted sum, in index order, and
-// the smallest and largest mass folded from mass[0]. An empty row returns
-// zeros.
-func preprocess(mass []float32, weights []float64) (total float64, minv, maxv float32) {
-	if len(mass) == 0 {
-		return 0, 0, 0
+// selectRowEarlyExit is the scratch-backed kernel behind SelectRowEarlyExit
+// and Select. Its preprocess pass (the WTU's adder tree and min/max unit)
+// sums the row's weighted mass, float64(float64(mass[j]) * weights[j]) in
+// index order, the threshold's base, and folds the score range [minv, maxv]
+// from mass[0] with < and >. It then walks the entries above the lowest
+// bucket (walkUpper) with the threshold as a zero-width interval, so every
+// step decides. Only if the threshold has not tripped is the lowest bucket
+// walked, in index order straight from mass. Each bucket's entries stay in
+// index order, so the walk visits the entries a counting sort of the whole
+// row would, in the same order, and the steady state allocates nothing.
+//
+// A row that is one bucket is walked whole in index order. That is a row
+// with nBuckets == 1, where the clamp puts every entry back into bucket 0,
+// and a row whose width is not positive and finite: all entries equal, a
+// range that underflows when divided, a NaN first entry or an infinite
+// entry. A total that is not finite never trips the threshold, so such a
+// row selects every entry, as SelectRow does.
+func (ws *Scratch) selectRowEarlyExit(mass []float32, weights []float64, ratio float64, nBuckets int) RowSelection {
+	if len(mass) != len(weights) {
+		panic("wicsum: mass/weights length mismatch")
 	}
-	minv, maxv = mass[0], mass[0]
+	if nBuckets <= 0 {
+		panic("wicsum: non-positive bucket count")
+	}
+	ratio = clampRatio(ratio)
+	if len(mass) == 0 {
+		return RowSelection{}
+	}
+	var total float64
+	minv, maxv := mass[0], mass[0]
 	for j, v := range mass {
 		if v < minv {
 			minv = v
@@ -50,37 +67,7 @@ func preprocess(mass []float32, weights []float64) (total float64, minv, maxv fl
 		}
 		total += float64(float64(v) * weights[j])
 	}
-	return total, minv, maxv
-}
-
-// selectRowEarlyExit is the scratch-backed kernel behind SelectRowEarlyExit
-// and Select, given the row's preprocess results: total, the threshold's
-// base, and the score range [minv, maxv]. It walks the entries above the
-// lowest bucket (walkUpper) with the threshold as a zero-width interval,
-// so every step decides. Only if the threshold has not tripped is the
-// lowest bucket walked, in index order straight from mass. Each bucket's
-// entries stay in index order, so the walk visits the entries a counting
-// sort of the whole row would, in the same order, and the steady state
-// allocates nothing.
-//
-// A row that is one bucket is walked whole in index order. That is a row
-// with nBuckets == 1, where the clamp puts every entry back into bucket 0,
-// and a row whose width is not positive and finite: all entries equal, a
-// range that underflows when divided, a NaN first entry or an infinite
-// entry. A total that is not finite never trips the threshold, so such a
-// row selects every entry, as SelectRow does.
-func (ws *Scratch) selectRowEarlyExit(mass []float32, weights []float64, ratio float64, nBuckets int, total float64, minv, maxv float32) RowSelection {
-	if len(mass) != len(weights) {
-		panic("wicsum: mass/weights length mismatch")
-	}
-	if nBuckets <= 0 {
-		panic("wicsum: non-positive bucket count")
-	}
-	ratio = clampRatio(ratio)
 	sel := RowSelection{TotalMass: total}
-	if len(mass) == 0 {
-		return RowSelection{}
-	}
 	if total == 0 {
 		return sel
 	}
@@ -114,11 +101,14 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, weights []float64, ratio f
 // SelectBounded thresholds one row from part of it, as ReSV's bounded path
 // calls it: mass and weights list some of the row's entries, in index
 // order, with their exact masses; every entry missing from the list has a
-// mass of at most rest. minv and maxv are the whole row's smallest and
-// largest mass, and the row's total lies in [totalLo, totalHi]
-// (mathx.ExpMassBound brackets it). The list may also hold entries of the
-// lowest bucket, the row's or not (such as a second copy of the smallest
-// mass), since the walk never reaches the lowest bucket.
+// mass of at most rest. The list must hold the row's largest and smallest
+// mass, and no NaN: its range, folded over the list with < and > from +Inf
+// and -Inf, is then the row's, [minv, maxv], as Select folds it, and so is
+// the bucket width. The row's total lies in
+// [totalLo, totalHi] (mathx.ExpMassBound brackets it). The list may also
+// hold entries of the lowest bucket, the row's or not (such as a second
+// copy of the smallest mass), since the walk never reaches the lowest
+// bucket.
 //
 // It returns Select's selection of the whole row, as positions in the
 // list, with its Examined and MassCovered, and true; or false if it cannot
@@ -137,15 +127,24 @@ func (ws *Scratch) selectRowEarlyExit(mass []float32, weights []float64, ratio f
 //     inside the interval, or a walk that runs out of entries above the
 //     lowest bucket, which Select would go on to walk, returns false.
 //
-// A row whose width is not positive and finite, or whose total bracket is
-// not positive and finite, returns false too. The selection is carved from
-// the arena as Select's is; a row that returns false leaves the arena as
-// it was.
-func (ws *Scratch) SelectBounded(mass []float32, weights []float64, ratio, totalLo, totalHi float64, minv, maxv, rest float32) (RowSelection, bool) {
+// A row whose width is not positive and finite (an empty list's
+// included), or whose total bracket is not positive and finite, returns
+// false too. The selection is carved from the arena as
+// Select's is; a row that returns false leaves the arena as it was.
+func (ws *Scratch) SelectBounded(mass []float32, weights []float64, ratio, totalLo, totalHi float64, rest float32) (RowSelection, bool) {
 	if len(mass) != len(weights) {
 		panic("wicsum: mass/weights length mismatch")
 	}
 	ratio = clampRatio(ratio)
+	minv, maxv := float32(math.Inf(1)), float32(math.Inf(-1))
+	for _, v := range mass {
+		if v < minv {
+			minv = v
+		}
+		if v > maxv {
+			maxv = v
+		}
+	}
 	width := (maxv - minv) / buckets
 	if !(totalLo > 0 && totalHi <= math.MaxFloat64 && width > 0 && width <= math.MaxFloat32 && rest-minv < width) {
 		return RowSelection{}, false

@@ -148,8 +148,8 @@ func edgeRow(rng *mathx.RNG, mass []float32, nBuckets int) int {
 // scores with a third of the counts zero. Each runs at 1, 2, 3, 20 and 40
 // buckets and at ratios 0, 1 and a random one, through one Scratch that is
 // reused throughout, as a SelectTokens worker's is. The exp-normalised rows
-// are written by mathx.ExpNormalizeWeighted, whose total, min and max must
-// be preprocess's; at 20 buckets Select, given them, must match
+// are written by mathx.ExpNormalize given each row's maximum, as
+// SelectTokens' exact path writes them; at 20 buckets Select must match
 // SelectRowEarlyExit and the reference too.
 func TestEarlyExitMatchesCountingSort(t *testing.T) {
 	rng := mathx.NewRNG(51)
@@ -170,23 +170,13 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 			c[j] = 1 + rng.Intn(32)
 			w[j] = float64(c[j])
 		}
-		// expNormalize writes m as SelectTokens does and checks the
-		// preprocess results it returns with them.
+		// expNormalize writes m as SelectTokens' exact path does.
 		expNormalize := func() {
 			maxv := float32(math.Inf(-1))
-			if n > 0 {
-				maxv = m[0]
-			}
 			for _, v := range m {
-				if v > maxv {
-					maxv = v
-				}
+				maxv = max(maxv, v)
 			}
-			total, minv, maxm := mathx.ExpNormalizeWeighted(m, m, maxv, w)
-			wt, wmin, wmax := preprocess(m, w)
-			if n > 0 && (math.Float64bits(total) != math.Float64bits(wt) || minv != wmin || maxm != wmax) {
-				t.Fatalf("row %d: ExpNormalizeWeighted returned %v, %v, %v; preprocess %v, %v, %v", r, total, minv, maxm, wt, wmin, wmax)
-			}
+			mathx.ExpNormalize(m, m, maxv)
 		}
 		shape := r % 5
 		switch shape {
@@ -218,17 +208,16 @@ func TestEarlyExitMatchesCountingSort(t *testing.T) {
 			if shape == 2 { // bucket edges, laid out for this bucket count
 				edges += edgeRow(rng, m, nb)
 			}
-			total, minv, maxv := preprocess(m, w)
 			for _, ratio := range []float64{0, 1, 0.05 + 0.9*rng.Float64()} {
 				want := refEarlyExit(m, c, ratio, nb)
 				ws.Reset()
-				got := ws.selectRowEarlyExit(m, w, ratio, nb, total, minv, maxv)
+				got := ws.selectRowEarlyExit(m, w, ratio, nb)
 				if !sameSelection(got, want) {
 					t.Fatalf("row %d (shape %d, %d entries), %d buckets, ratio %v:\ngot  %+v\nwant %+v", r, shape, n, nb, ratio, got, want)
 				}
 				if nb == buckets {
 					ws.Reset()
-					if got := ws.Select(m, w, ratio, total, minv, maxv); !sameSelection(got, want) {
+					if got := ws.Select(m, w, ratio); !sameSelection(got, want) {
 						t.Fatalf("row %d (shape %d, %d entries), ratio %v: Select\ngot  %+v\nwant %+v", r, shape, n, ratio, got, want)
 					}
 					if got := SelectRowEarlyExit(m, c, ratio, nb); !sameSelection(got, want) {

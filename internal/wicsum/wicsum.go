@@ -20,13 +20,10 @@
 // A Scratch thresholds one row at a time with the WTU's early exit at its
 // fixed 20 buckets, through buffers it reuses across rows and calls (the
 // software analogue of the WTU's fixed on-chip buffers), so steady-state
-// thresholding performs no heap allocation. It takes the row's preprocess
-// results (Sum_i, min and max) from the pass that wrote the row, as the WTU
-// consumes scores while the KVPU streams them out: core.SelectTokens gets
-// them from mathx.ExpNormalizeWeighted. SelectRowEarlyExit, the reference,
-// runs the preprocess step as a pass of its own. Rows are independent:
-// core.SelectTokens gives each of its workers a Scratch and aggregates the
-// rows' selections itself.
+// thresholding performs no heap allocation. Select runs the WTU's
+// preprocess step (Sum_i, min and max) as a pass of its own over the row
+// before the walk. Rows are independent: core.SelectTokens gives each of
+// its workers a Scratch and aggregates the rows' selections itself.
 //
 // Select and SelectBounded share one walk (walkUpper), which takes the
 // threshold as an interval [lo, hi]: a step trips when the covered mass
@@ -35,8 +32,9 @@
 // zero-width interval, Th_wics_i itself, and the whole row, so every step
 // decides, and walks the lowest bucket if the threshold has not tripped.
 // SelectBounded passes a bracket of Th_wics_i and only the entries that can
-// sit above the lowest bucket, with their exact masses; where it decides,
-// its selection, Examined and MassCovered are Select's.
+// sit above the lowest bucket, with their exact masses, among them the
+// row's largest and smallest, whose range it folds itself; where it
+// decides, its selection, Examined and MassCovered are Select's.
 package wicsum
 
 import "slices"
@@ -81,17 +79,13 @@ type Scratch struct {
 func (ws *Scratch) Reset() { ws.selected = ws.selected[:0] }
 
 // Select thresholds one row with the WTU's early exit at its 20 buckets
-// (see SelectRowEarlyExit). weights[j] is cluster j's token count as a
-// float64, and the row's preprocess results come from the pass that
-// produced it: total = Sum_i, the sum of float64(float64(mass[j]) *
-// weights[j]) in index order, and minv and maxv, the smallest and largest
-// mass folded from mass[0] with < and >. mathx.ExpNormalizeWeighted returns
-// exactly these as it writes the row, given the same weights. mass and
-// weights must have equal length; mass entries must be non-negative. ratio
-// is Th_r-wics in (0, 1]; values outside are clamped. The row's Selected is
-// carved from the arena and stays valid until the next Reset.
-func (ws *Scratch) Select(mass []float32, weights []float64, ratio, total float64, minv, maxv float32) RowSelection {
-	return ws.selectRowEarlyExit(mass, weights, ratio, buckets, total, minv, maxv)
+// (see SelectRowEarlyExit), preprocess pass included. weights[j] is
+// cluster j's token count as a float64. mass and weights must have equal
+// length; mass entries must be non-negative. ratio is Th_r-wics in (0, 1];
+// values outside are clamped. The row's Selected is carved from the arena
+// and stays valid until the next Reset.
+func (ws *Scratch) Select(mass []float32, weights []float64, ratio float64) RowSelection {
+	return ws.selectRowEarlyExit(mass, weights, ratio, buckets)
 }
 
 // weightsOf returns counts as float64 weights, the form Select takes.

@@ -279,7 +279,7 @@ func TestSelectMatrixPerRowAdaptivity(t *testing.T) {
 	skew[0] = 100
 	var ws Scratch
 	w := weightsOf(counts)
-	skewed, uniform := selectOne(&ws, skew, w, 0.8), selectOne(&ws, uni, w, 0.8)
+	skewed, uniform := ws.Select(skew, w, 0.8), ws.Select(uni, w, 0.8)
 	if len(skewed.Selected) >= len(uniform.Selected) {
 		t.Fatalf("adaptive selection failed: skewed=%d uniform=%d",
 			len(skewed.Selected), len(uniform.Selected))
@@ -288,7 +288,7 @@ func TestSelectMatrixPerRowAdaptivity(t *testing.T) {
 
 func TestSelectMatrixEmpty(t *testing.T) {
 	var ws Scratch
-	sel := ws.Select(nil, nil, 0.5, 0, 0, 0)
+	sel := ws.Select(nil, nil, 0.5)
 	if len(sel.Selected) != 0 || sel.Examined != 0 || sel.TotalMass != 0 {
 		t.Fatal("empty row should yield empty selection")
 	}
